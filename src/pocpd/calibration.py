@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, NumericalError
 from .model import ChangeSpec
 from .monitor import RunRecord, Scenario, replication_rngs, run_single, simulate_run_stream
 
@@ -125,8 +125,15 @@ def _run_record(
     stop_at_alarm: bool,
 ) -> RunRecord:
     sim_rng, mask_rng = replication_rngs(scenario.seed, stream_id, rep)
-    observations = simulate_run_stream(scenario, change, sim_rng)
-    return run_single(scenario, observations, mask_rng, stop_at_alarm=stop_at_alarm)
+    try:
+        observations = simulate_run_stream(scenario, change, sim_rng)
+        return run_single(
+            scenario, observations, mask_rng, stop_at_alarm=stop_at_alarm
+        )
+    except NumericalError as exc:
+        raise NumericalError(
+            f"seed {scenario.seed}, stream lane {stream_id}, replication {rep}, {exc}"
+        ) from exc
 
 
 def estimate_add(

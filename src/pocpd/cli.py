@@ -173,12 +173,6 @@ def cmd_benchmark(cfg: Config, args) -> int:
                 )
     else:
         kinds = (cfg.policy.kind,)
-    window = cfg.window
-    if window.h is None:
-        spec = _calibration_spec(cfg, args.threads)
-        result = calibrate_h(spec, cfg.scenario(changes=()))
-        window = replace(window, h=result.h)
-        print(f"calibrated h = {result.h:.6g} (ADD_IC {result.achieved_add_ic:.2f})")
     table = ResultTable([])
     for kind in kinds:
         if kind == cfg.policy.kind:
@@ -188,6 +182,16 @@ def cmd_benchmark(cfg: Config, args) -> int:
         else:
             alpha = cfg.policy.alpha if cfg.policy.alpha is not None else DEFAULT_ALPHA_SCHEDULE
             policy = Policy(kind=kind, alpha=alpha)
+        window = cfg.window
+        if window.h is None:
+            # Each policy at its own h, so delays compare at equal ADD_IC.
+            spec = _calibration_spec(cfg, args.threads)
+            result = calibrate_h(spec, cfg.scenario(changes=(), policy=policy))
+            window = replace(window, h=result.h)
+            print(
+                f"{kind}: calibrated h = {result.h:.6g} "
+                f"(ADD_IC {result.achieved_add_ic:.2f})"
+            )
         scenario = cfg.scenario(policy=policy, window=window)
         table = table.merge(run_scenario(scenario))
     written = emit_outputs(table, cfg.out_dir)

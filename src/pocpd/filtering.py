@@ -11,9 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalError
+# stationary_covariance is not called here (filter_init reads the cached
+# ModelParams.stationary_cov); perfbench/tracing.py wraps this lookup site,
+# so the name stays importable from this module.
 from .model import ModelParams, ObservationMask, stationary_covariance
 
 __all__ = ["FilterState", "StepOutput", "filter_init", "filter_step"]
@@ -21,6 +24,11 @@ __all__ = ["FilterState", "StepOutput", "filter_init", "filter_step"]
 # Reciprocal condition number below which the innovation covariance is
 # treated as singular.
 RCOND_SINGULAR = 1e-12
+# V = C_Z P C_Z' + sigma_r^2 I with P PSD, so lambda_min(V) >= sigma_r^2 and
+# lambda_max(V) <= trace(V).  When sigma_r^2 / trace(V) clears RCOND_SINGULAR
+# by this factor, the eigenvalue test cannot fail: rounding in forming V and
+# in eigvalsh moves the eigenvalues by ~1e-16 * trace(V).
+_CERTIFY_MARGIN = 1e4
 
 
 @dataclass(frozen=True)
@@ -40,15 +48,19 @@ class StepOutput:
 
     residual: np.ndarray  # r_t, shape (m,)
     v_mat: np.ndarray  # V_t = C_Z P C_Z' + sigma_r^2 I, shape (m, m)
+    v_chol: np.ndarray  # lower Cholesky factor of V_t (LAPACK potrf layout)
     mask: ObservationMask
     a_tilde_used: np.ndarray  # closed-loop transition of this step, (q, q)
 
 
 def filter_init(params: ModelParams) -> FilterState:
     """Start from the steady-state prior: zero mean, stationary covariance."""
-    p0 = stationary_covariance(params.A, params.state_cov)
     return FilterState(
-        x_pred=np.zeros(params.q), p_pred=p0, a_tilde=None, k_gain=None, t=0
+        x_pred=np.zeros(params.q),
+        p_pred=params.stationary_cov,
+        a_tilde=None,
+        k_gain=None,
+        t=0,
     )
 
 
@@ -75,14 +87,21 @@ def filter_step(
     P = state.p_pred
     v_mat = c_z @ P @ c_z.T + params.sigma_r**2 * np.eye(len(idx))
     v_mat = 0.5 * (v_mat + v_mat.T)
-    if _rcond_sym(v_mat) < RCOND_SINGULAR:
+    certified = params.sigma_r**2 > _CERTIFY_MARGIN * RCOND_SINGULAR * v_mat.trace()
+    if not certified and _rcond_sym(v_mat) < RCOND_SINGULAR:
         raise NumericalError(
             f"innovation covariance singular at step t={state.t + 1} "
             f"(mask {mask.indices})"
         )
-    chol = cho_factor(v_mat, lower=True)
+    # The LAPACK routines cho_factor / cho_solve call, without their wrapper
+    # cost; same arguments, so the same bits.
+    chol, info = dpotrf(v_mat, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
     # K = P C_Z' V^{-1}, via the Cholesky factor of the m x m innovation.
-    k_gain = cho_solve(chol, c_z @ P.T).T
+    k_gain = dpotrs(chol, c_z @ P.T, lower=1, overwrite_b=1)[0].T
     a_tilde = params.A @ (np.eye(params.q) - k_gain @ c_z)
     residual = y_obs - c_z @ state.x_pred
     x_next = a_tilde @ state.x_pred + params.A @ (k_gain @ y_obs)
@@ -95,7 +114,7 @@ def filter_step(
         x_pred=x_next, p_pred=p_next, a_tilde=a_tilde, k_gain=k_gain, t=state.t + 1
     )
     return new_state, StepOutput(
-        residual=residual, v_mat=v_mat, mask=mask, a_tilde_used=a_tilde
+        residual=residual, v_mat=v_mat, v_chol=chol, mask=mask, a_tilde_used=a_tilde
     )
 
 

@@ -214,6 +214,10 @@ def replay_monitor(
             f"stream of length {stream.data.shape[0]} is shorter than "
             f"n0 + m2 + 2 = {scenario.n0 + scenario.window.m2 + 2}"
         )
+    if scenario.window.h is None:
+        # Without a control limit the stream could never alarm, and the
+        # replay would report "no alarm" whatever the data.
+        raise ConfigError("window.h is not set: replay needs a calibrated control limit")
     _, mask_rng = replication_rngs(scenario.seed, STREAM_EVALUATION, 0)
     return run_single(
         scenario,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,16 @@ class ModelParams:
     def state_cov(self) -> np.ndarray:
         """Q = sigma_q^2 I."""
         return self.sigma_q**2 * np.eye(self.q)
+
+    @cached_property
+    def stationary_cov(self) -> np.ndarray:
+        """Stationary state covariance, solved once per parameter set.
+
+        Read-only: every filter and simulation of this model shares it.
+        """
+        cov = stationary_covariance(self.A, self.state_cov)
+        cov.setflags(write=False)
+        return cov
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
@@ -179,7 +190,7 @@ def simulate_stream(
         raise ValueError(f"shift vector must have length q={params.q}")
     rng = np.random.default_rng(seed)
     q, p = params.q, params.p
-    sqrt_cov = _psd_sqrt(stationary_covariance(params.A, params.state_cov))
+    sqrt_cov = _psd_sqrt(params.stationary_cov)
     x = sqrt_cov @ rng.standard_normal(q)
     X = np.empty((horizon, q))
     Y = np.empty((horizon, p))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import Detector, ScanResult, WindowConfig, make_step_term
+from .errors import NumericalError
 from .filtering import filter_init, filter_step
 from .model import ChangeSpec, ModelParams, ObservationMask, simulate_stream
 from .sampler import (
@@ -153,6 +154,8 @@ def run_single(
         raise ValueError(
             f"stream has {observations.shape[1]} columns, model expects p={params.p}"
         )
+    if not np.all(np.isfinite(observations)):
+        raise ValueError("stream contains non-finite entries")
     state = filter_init(params)
     det = Detector(params.q, window)
     mask = select_random(params.p, m, mask_rng)
@@ -162,28 +165,32 @@ def run_single(
         t_stats=np.empty(0), alarm_time=None, tau_hat=None, f_hat=None, n0=n0
     )
     total = observations.shape[0]
-    for i in range(total):
-        t_abs = i + 1
-        if record_masks:
-            masks.append(mask.indices)
-        y_obs = observations[i, list(mask.indices)]
-        state, out = filter_step(state, params, mask, y_obs)
-        det.push_step(make_step_term(out, params.C))
-        scan: ScanResult | None = None
-        if t_abs >= n0 and t_abs > window.m2 + 1:
-            scan = det.scan()
-        mon = t_abs - n0
-        if mon >= 1:
-            t_stat = scan.t_stat if scan is not None else 0.0
-            t_stats.append(t_stat)
-            if scan is not None and scan.tau_hat is not None:
-                record.tau_hat = scan.tau_hat - n0
-                record.f_hat = scan.f_hat
-            if t_stat > h:
-                record.alarm_time = mon
-                if stop_at_alarm:
-                    break
-        mask = _next_mask(scenario, det, state, scan, mask_rng)
+    t_abs = 0
+    try:
+        for i in range(total):
+            t_abs = i + 1
+            if record_masks:
+                masks.append(mask.indices)
+            y_obs = observations[i, list(mask.indices)]
+            state, out = filter_step(state, params, mask, y_obs)
+            det.push_step(make_step_term(out, params.C))
+            scan: ScanResult | None = None
+            if t_abs >= n0 and t_abs > window.m2 + 1:
+                scan = det.scan()
+            mon = t_abs - n0
+            if mon >= 1:
+                t_stat = scan.t_stat if scan is not None else 0.0
+                t_stats.append(t_stat)
+                if scan is not None and scan.tau_hat is not None:
+                    record.tau_hat = scan.tau_hat - n0
+                    record.f_hat = scan.f_hat
+                if t_stat > h:
+                    record.alarm_time = mon
+                    if stop_at_alarm:
+                        break
+            mask = _next_mask(scenario, det, state, scan, mask_rng)
+    except NumericalError as exc:
+        raise NumericalError(f"absolute step {t_abs}: {exc}") from exc
     record.t_stats = np.asarray(t_stats)
     record.masks = masks
     return record

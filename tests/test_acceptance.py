@@ -146,17 +146,21 @@ def arm_h(arm: str) -> float:
     return _cached(f"calibration_{arm}", _arm_params(arm), compute)["h"]
 
 
+def _shift_change(shift: float) -> ChangeSpec:
+    """Shift of the first state dimension from monitoring step 1 (IC at 0)."""
+    if shift == 0.0:
+        return ChangeSpec.none(7)
+    f = np.zeros(7)
+    f[0] = shift
+    return ChangeSpec(tau=0, f=f)
+
+
 def arm_alarm_times(arm: str, shift: float, replications: int) -> np.ndarray:
     """Alarm times (monitoring clock, censored at cap) for one arm + shift."""
 
     def compute():
         scenario = replace(_arm_scenario(arm, h=arm_h(arm)), replications=replications)
-        if shift == 0.0:
-            change = ChangeSpec.none(7)
-        else:
-            f = np.zeros(7)
-            f[0] = shift
-            change = ChangeSpec(tau=0, f=f)
+        change = _shift_change(shift)
         times = [
             run_once(scenario, change, rep, stream_id=STREAM_EVALUATION).alarm_time
             for rep in range(replications)
@@ -175,6 +179,35 @@ def bootstrap_prob_less(a, b, n_boot=4000, seed=0) -> float:
     ma = a[rng.integers(0, len(a), size=(n_boot, len(a)))].mean(axis=1)
     mb = b[rng.integers(0, len(b), size=(n_boot, len(b)))].mean(axis=1)
     return float((ma < mb).mean())
+
+
+class TestCacheRecompute:
+    """The cache key holds the parameters, not the code, so a change to the
+    numerics would still pass every criterion from the cache.  Recomputing
+    the first replications of a few arms closes that gap: they must give
+    the cached alarm times exactly."""
+
+    N_REPS = 20
+
+    @pytest.mark.parametrize(
+        "arm,shift,replications",
+        [
+            ("e2_adaptive", 1.0, 1000),
+            ("e2_adaptive", 0.2, 1000),
+            ("r2", 0.4, 1000),
+            ("a2_adaptive", 0.6, 400),
+            ("e3_adaptive", 0.8, 1000),
+        ],
+    )
+    def test_cached_alarm_times_recompute(self, arm, shift, replications):
+        cached = arm_alarm_times(arm, shift, replications)[: self.N_REPS]
+        scenario = _arm_scenario(arm, h=arm_h(arm))
+        change = _shift_change(shift)
+        fresh = [
+            run_once(scenario, change, rep, stream_id=STREAM_EVALUATION).alarm_time
+            for rep in range(self.N_REPS)
+        ]
+        np.testing.assert_array_equal(fresh, cached)
 
 
 class TestCriterion1CalibrationFidelity:

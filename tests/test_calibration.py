@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pocpd.calibration import (
+    STREAM_EVALUATION,
     CalibrationSpec,
     RunLengthSample,
     calibrate_h,
@@ -14,7 +15,7 @@ from pocpd.calibration import (
     run_once,
 )
 from pocpd.detector import WindowConfig
-from pocpd.errors import CalibrationError
+from pocpd.errors import CalibrationError, NumericalError
 from pocpd.model import ChangeSpec, ModelParams
 from pocpd.monitor import Policy, Scenario, replication_rngs
 from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE
@@ -200,6 +201,24 @@ class TestCalibrateH:
             for rep in range(spec.replications)
         ]
         assert np.mean(times) == pytest.approx(res.achieved_add_ic, abs=1e-9)
+
+
+def test_numerical_failure_names_its_source():
+    """sigma_r = 0 and C rows all along one state axis: every 2-row V is
+    singular, so replication 3 fails at its first step."""
+    scenario = small_scenario(h=5.0, m=2)
+    model = ModelParams(
+        A=np.diag([0.5, 0.3]),
+        C=np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]),
+        sigma_q=0.1,
+        sigma_r=0.0,
+    )
+    scenario = replace(scenario, model=model)
+    with pytest.raises(
+        NumericalError,
+        match=r"seed 9, stream lane 2, replication 3, absolute step 1: .*singular",
+    ):
+        run_once(scenario, ChangeSpec.none(2), 3, stream_id=STREAM_EVALUATION)
 
 
 class TestSeeding:

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from pocpd.calibration import calibrate_h
 from pocpd.cli import main
 from pocpd.config import parse_config
 from pocpd.errors import ConfigError
+from pocpd.monitor import Policy
 from pocpd.sampler import AlphaSchedule
 
 
@@ -178,6 +180,31 @@ class TestBenchmark:
         assert policies == ["e_aucrss", "random"]
         assert len(rows) == 4  # 2 policies x 2 grid cells
 
+    def test_each_policy_at_its_own_h(self, tmp_path):
+        # A short calibration whose bisections end at different h per policy.
+        doc = mini_config_doc()
+        doc["calibration"].update(target_add_ic=8.0, horizon_cap=40, tol=0.05)
+        doc["experiment"]["replications"] = 5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(
+            ["--config", str(path), "--out", str(out), "benchmark",
+             "--policies", "e_aucrss,random"]
+        )
+        assert code == 0
+        rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
+        cfg = parse_config(doc)
+        direct = {
+            policy.kind: calibrate_h(
+                cfg.calibration, cfg.scenario(changes=(), policy=policy)
+            ).h
+            for policy in (cfg.policy, Policy(kind="random"))
+        }
+        assert direct["e_aucrss"] != direct["random"]
+        for kind, h in direct.items():
+            assert {float(r[7]) for r in rows if r[1] == kind} == {h}
+
     def test_unknown_policy_exits_2(self, cfg_path, tmp_path):
         code = main(
             ["--config", cfg_path, "--out", str(tmp_path / "o"), "benchmark",
@@ -213,6 +240,17 @@ class TestReplay:
         )
         assert code == 2
         assert "p=3" in capsys.readouterr().err
+
+    def test_no_control_limit_exits_2(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        main(["--config", cfg_path, "--out", str(out), "simulate", "--horizon", "68"])
+        code = main(
+            ["--config", cfg_path, "--out", str(out), "replay",
+             "--input", str(out / "stream.csv")]
+        )
+        assert code == 2
+        assert "window.h" in capsys.readouterr().err
+        assert not (out / "replay.json").exists()
 
     def test_missing_input_exits_4(self, cfg_path, tmp_path):
         code = main(

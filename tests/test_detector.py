@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocpd.detector import (
+    RCOND_SKIP,
     Detector,
     ScanResult,
     StepTerm,
     WindowConfig,
+    _rcond_est_batch,
     make_step_term,
 )
 from pocpd.errors import NumericalError
@@ -256,6 +262,93 @@ class TestScan:
             res = det.scan()
             errs.append(res.tau_hat - tau_true)
         assert abs(float(np.median(errs))) <= 10
+
+
+def exact_scan(det: Detector) -> tuple[np.ndarray, ScanResult]:
+    """Accepted candidates and scan result with the eigenvalue screen run on
+    every candidate of the window: the reference for the certified screen."""
+    n, w = det.n, det.window
+    h = w.h if w.h is not None else math.inf
+    k = det._k
+    valid = (k > n - w.m1) & (k < n - w.m2) & (k >= 0)
+    order = np.argsort(k[valid])
+    ks, Ms, ss = k[valid][order], det._M[valid][order], det._s[valid][order]
+    good = _rcond_est_batch(Ms) >= RCOND_SKIP if ks.size else np.zeros(0, bool)
+    if not np.any(good):
+        return ks[good], ScanResult(0.0, None, None, None, False)
+    ks, Ms, ss = ks[good], Ms[good], ss[good]
+    inv = np.linalg.inv(Ms)
+    stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
+    best = np.flatnonzero(stats == stats.max())[-1]
+    sigma_f = 0.5 * (inv[best] + inv[best].T)
+    t_stat = float(stats[best])
+    return ks, ScanResult(
+        t_stat, int(ks[best]), sigma_f @ ss[best], sigma_f, bool(t_stat > h)
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 4),
+    m1=st.integers(2, 14),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_certified_screen_matches_exact(seed, q, m1, data):
+    """Same accepted set and bit-identical ScanResult as the exact screen.
+
+    Steps add rank-deficient terms (young candidates then have m * m2 < q
+    information), repeat the previous term (repeated masks, which with a zero
+    transition never fill the rank) and have rcond from 1 down past 1e-12.
+    Scans run on a random subset of steps, so the bounds go stale between.
+    """
+    m2 = data.draw(st.integers(0, m1 - 1))
+    steps = data.draw(st.integers(1, 3 * m1))
+    rng = np.random.default_rng(seed)
+    det = Detector(q, WindowConfig(m1=m1, m2=m2, h=1.0))
+    w = None
+    for _ in range(steps):
+        if w is None or rng.random() < 0.6:
+            rank = int(rng.integers(0, q + 1))
+            # Column scales over six decades put the rcond of M on both
+            # sides of RCOND_SKIP.
+            b = rng.normal(size=(q, rank)) * 10.0 ** rng.uniform(-6, 0, size=rank)
+            w = 10.0 ** rng.uniform(-3, 3) * (b @ b.T)
+        if rng.random() < 0.3:
+            a = np.zeros((q, q))
+        else:
+            a = rng.uniform(0.0, 0.9) * rng.normal(size=(q, q)) / np.sqrt(q)
+        det.push_step(StepTerm(a_tilde=a, u=rng.normal(size=q), w=w))
+        if rng.random() < 0.3:
+            continue
+        accepted, ref = exact_scan(det)
+        np.testing.assert_array_equal(
+            det._k[det._accepted(det._window_slots())], accepted
+        )
+        res = det.scan()
+        assert (res.t_stat, res.tau_hat, res.alarm) == (
+            ref.t_stat,
+            ref.tau_hat,
+            ref.alarm,
+        )
+        for got, want in ((res.f_hat, ref.f_hat), (res.sigma_f, ref.sigma_f)):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+
+
+def test_certified_bound_follows_growth_of_lambda_max():
+    """A term along the strong direction leaves lambda_min where it was and
+    pushes rcond below RCOND_SKIP: the stale bound must not accept it."""
+    det = Detector(2, WindowConfig(m1=10, m2=0))
+    zero = np.zeros((2, 2))
+    det.push_step(StepTerm(a_tilde=zero, u=np.ones(2), w=np.diag([1.0, 3e-10])))
+    assert det.scan().tau_hat == 0  # rcond 3e-10: accepted, bounds refreshed
+    det.push_step(StepTerm(a_tilde=zero, u=np.ones(2), w=np.diag([10.0, 0.0])))
+    accepted, ref = exact_scan(det)
+    assert accepted.size == 0  # rcond 2.7e-11 for k = 0, 0 for k = 1
+    assert det.scan() == ref
 
 
 class TestMakeStepTerm:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+from pocpd.detector import make_step_term
 from pocpd.errors import NumericalError
 from pocpd.filtering import filter_init, filter_step
 from pocpd.model import (
@@ -12,7 +14,7 @@ from pocpd.model import (
     simulate_stream,
     stationary_covariance,
 )
-from pocpd.scenarios import benchmark_p10_model
+from pocpd.scenarios import benchmark_p10_model, benchmark_p30_model
 
 from conftest import random_stable_model
 
@@ -38,6 +40,55 @@ def classic_kalman_predictor(params, y_seq):
         xs.append(x)
         ps.append(p)
     return np.array(xs), np.array(ps)
+
+
+def cho_wrapper_step(x_pred, p_pred, params, mask, y_obs):
+    """filter_step + make_step_term through scipy's cho_factor / cho_solve,
+    factoring V once for the filter and once for the step term: the
+    reference for the single raw-LAPACK factorization."""
+    idx = list(mask.indices)
+    c_z = params.C[idx, :]
+    v_mat = c_z @ p_pred @ c_z.T + params.sigma_r**2 * np.eye(len(idx))
+    v_mat = 0.5 * (v_mat + v_mat.T)
+    chol = cho_factor(v_mat, lower=True)
+    k_gain = cho_solve(chol, c_z @ p_pred.T).T
+    a_tilde = params.A @ (np.eye(params.q) - k_gain @ c_z)
+    residual = y_obs - c_z @ x_pred
+    x_next = a_tilde @ x_pred + params.A @ (k_gain @ y_obs)
+    ak = params.A @ k_gain
+    p_next = (
+        a_tilde @ p_pred @ a_tilde.T
+        + params.sigma_r**2 * (ak @ ak.T)
+        + params.state_cov
+    )
+    p_next = 0.5 * (p_next + p_next.T)
+    chol = cho_factor(v_mat, lower=True)
+    u = c_z.T @ cho_solve(chol, residual)
+    w = c_z.T @ cho_solve(chol, c_z)
+    return x_next, p_next, (k_gain, a_tilde, residual, v_mat, u, w)
+
+
+@pytest.mark.parametrize(
+    "model,m",
+    [(benchmark_p10_model(), 2), (benchmark_p10_model(), 3), (benchmark_p30_model(), 2)],
+)
+def test_single_factorization_bit_identical(model, m):
+    """Filter and step term equal the cho_factor / cho_solve path exactly."""
+    rng = np.random.default_rng(m)
+    y, _ = simulate_stream(model, ChangeSpec.none(model.q), 150, seed=rng)
+    state = filter_init(model)
+    x_ref, p_ref = state.x_pred, state.p_pred
+    for t in range(150):
+        idx = tuple(sorted(rng.choice(model.p, size=m, replace=False).tolist()))
+        mask = ObservationMask(indices=idx, p=model.p)
+        state, out = filter_step(state, model, mask, y[t, list(idx)])
+        term = make_step_term(out, model.C)
+        x_ref, p_ref, ref = cho_wrapper_step(x_ref, p_ref, model, mask, y[t, list(idx)])
+        got = (state.k_gain, out.a_tilde_used, out.residual, out.v_mat, term.u, term.w)
+        np.testing.assert_array_equal(state.x_pred, x_ref)
+        np.testing.assert_array_equal(state.p_pred, p_ref)
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
 
 
 class TestFilterInit:

@@ -106,6 +106,23 @@ class TestStationaryCovariance:
         np.testing.assert_allclose(s, s.T)
         assert np.min(np.linalg.eigvalsh(s)) >= 0
 
+    def test_solved_once_per_params(self, monkeypatch):
+        import pocpd.model as model_mod
+
+        calls = []
+        solve = model_mod.stationary_covariance
+        monkeypatch.setattr(
+            model_mod,
+            "stationary_covariance",
+            lambda a, q: calls.append(1) or solve(a, q),
+        )
+        m = benchmark_p10_model()
+        for seed in range(3):
+            simulate_stream(m, ChangeSpec.none(7), 5, seed=seed)
+        np.testing.assert_array_equal(m.stationary_cov, solve(m.A, m.state_cov))
+        assert len(calls) == 1
+        assert not m.stationary_cov.flags.writeable
+
     def test_nonconvergence_raises(self):
         a = np.array([[1.0 - 1e-9]])
         with pytest.raises(NumericalError):
