@@ -66,7 +66,6 @@ class CalibrationSpec:
 class RunLengthSample:
     alarm_time: int  # monitoring steps; horizon cap when censored
     censored: bool
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ def run_once(
         raise ValueError("scenario window has no control limit; calibrate first")
     record = _run_record(scenario, change, rep, stream_id, stop_at_alarm=True)
     if record.alarm_time is None:
-        return RunLengthSample(scenario.horizon_cap, censored=True, seed=rep)
-    return RunLengthSample(record.alarm_time, censored=False, seed=rep)
+        return RunLengthSample(scenario.horizon_cap, censored=True)
+    return RunLengthSample(record.alarm_time, censored=False)
 
 
 def _run_record(
@@ -140,12 +139,16 @@ def estimate_add(
     samples: list[RunLengthSample], tau: float, horizon_cap: int
 ) -> AddEstimate:
     """Average detection delay: IC uses all alarm times, OC conditions on
-    alarms at or after the change point and reports T - tau."""
+    alarms after the change point and reports T - tau.
+
+    The first shifted monitoring step is tau + 1, so an alarm at tau has
+    seen only in-control data: it is a false alarm, not a delay of 0.
+    """
     if tau == math.inf:
         delays = [s.alarm_time for s in samples]
         censored = sum(s.censored for s in samples)
     else:
-        kept = [s for s in samples if s.alarm_time >= tau]
+        kept = [s for s in samples if s.alarm_time > tau]
         delays = [s.alarm_time - tau for s in kept]
         censored = sum(s.censored for s in kept)
     if not delays or len(delays) == censored:

@@ -93,14 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Config:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed: must be >= 0")
     if args.config:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, seed=args.seed)
     else:
-        cfg = parse_config({}, source="<defaults>")
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed: must be >= 0")
-        cfg = replace(cfg, seed=args.seed)
+        cfg = parse_config({}, source="<defaults>", seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg

@@ -33,7 +33,8 @@ _REQUIRED = object()
 
 
 def _require(obj: dict, key: str, path: str, types, default=_REQUIRED):
-    if key not in obj:
+    # A null value counts as absent where the default is None (unset).
+    if key not in obj or obj[key] is None and default is None:
         if default is not _REQUIRED:
             return default
         raise ConfigError(f"{path}.{key}: missing required key")
@@ -167,7 +168,10 @@ def _parse_changes(grid, q: int, path: str) -> tuple:
     return tuple(changes)
 
 
-def parse_config(doc: dict, source: str = "<config>") -> Config:
+def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -> Config:
+    """Validate `doc` and build the Config.  A `seed` given here (the CLI's
+    --seed) replaces experiment.seed, and so also the default of an unset
+    calibration.seed."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
     for key in doc:
@@ -221,13 +225,14 @@ def parse_config(doc: dict, source: str = "<config>") -> Config:
         raise ConfigError("experiment: expected an object")
     replications = _require(exp, "replications", "experiment", int, 1000)
     horizon_cap = _require(exp, "horizon_cap", "experiment", int, 1000)
-    seed = _require(exp, "seed", "experiment", int, 0)
+    file_seed = _require(exp, "seed", "experiment", int, 0)
     if replications < 1:
         raise ConfigError("experiment.replications: must be >= 1")
     if horizon_cap < 1:
         raise ConfigError("experiment.horizon_cap: must be >= 1")
-    if seed < 0:
+    if file_seed < 0:
         raise ConfigError("experiment.seed: must be >= 0")
+    seed = file_seed if seed is None else seed
     changes = _parse_changes(exp.get("grid", [0.0]), model.q, "experiment.grid")
 
     io = doc.get("io", {})
@@ -277,10 +282,10 @@ def parse_config(doc: dict, source: str = "<config>") -> Config:
     )
 
 
-def load_config(path) -> Config:
+def load_config(path, seed: int | None = None) -> Config:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_config(doc, source=str(path))
+    return parse_config(doc, source=str(path), seed=seed)

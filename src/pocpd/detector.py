@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError
-from .filtering import StepOutput
+from .filtering import StepOutput, rcond_from_eigvals
 
 __all__ = [
     "WindowConfig",
@@ -168,7 +168,7 @@ class Detector:
         """(f_hat, sigma_f) for candidate k; raises if m_mat is rank-deficient."""
         slot = self._slot_of(k)
         m_mat = self._M[slot]
-        if _rcond_est(m_mat) < RCOND_SKIP:
+        if rcond_from_eigvals(np.linalg.eigvalsh(m_mat)) < RCOND_SKIP:
             raise NumericalError(
                 f"candidate k={k} has insufficient information at n={self.n}"
             )
@@ -235,22 +235,6 @@ class Detector:
             vals = np.linalg.eigvalsh(self._M[check])
             self._lo[check] = vals[:, 0]
             self._hi[check] = np.abs(vals).max(axis=-1)
-            certified[~certified] = _rcond_from_eigvals(vals) >= RCOND_SKIP
+            certified[~certified] = rcond_from_eigvals(vals) >= RCOND_SKIP
         return slots[certified]
 
-
-def _rcond_est(mat: np.ndarray) -> float:
-    vals = np.abs(np.linalg.eigvalsh(mat))
-    hi = float(vals.max())
-    return float(vals.min()) / hi if hi > 0 else 0.0
-
-
-def _rcond_est_batch(mats: np.ndarray) -> np.ndarray:
-    return _rcond_from_eigvals(np.linalg.eigvalsh(mats))
-
-
-def _rcond_from_eigvals(vals: np.ndarray) -> np.ndarray:
-    vals = np.abs(vals)
-    hi = vals.max(axis=-1)
-    lo = vals.min(axis=-1)
-    return np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0)

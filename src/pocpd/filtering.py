@@ -87,8 +87,7 @@ def filter_step(
     P = state.p_pred
     v_mat = c_z @ P @ c_z.T + params.sigma_r**2 * np.eye(len(idx))
     v_mat = 0.5 * (v_mat + v_mat.T)
-    certified = params.sigma_r**2 > _CERTIFY_MARGIN * RCOND_SINGULAR * v_mat.trace()
-    if not certified and _rcond_sym(v_mat) < RCOND_SINGULAR:
+    if innovation_singular(v_mat, params.sigma_r**2):
         raise NumericalError(
             f"innovation covariance singular at step t={state.t + 1} "
             f"(mask {mask.indices})"
@@ -118,9 +117,24 @@ def filter_step(
     )
 
 
-def _rcond_sym(mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(mat)
-    hi = float(np.max(np.abs(vals)))
-    if hi == 0.0:
-        return 0.0
-    return float(np.min(np.abs(vals))) / hi
+def rcond_from_eigvals(vals: np.ndarray) -> np.ndarray:
+    """Reciprocal condition number min |lambda| / max |lambda| from the
+    eigenvalues on the last axis; 0 for an all-zero matrix."""
+    vals = np.abs(vals)
+    hi = vals.max(axis=-1)
+    lo = vals.min(axis=-1)
+    return np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0)
+
+
+def innovation_singular(v: np.ndarray, sigma_r2: float):
+    """Which innovation covariances, an (m, m) V or an (n, m, m) stack, have
+    reciprocal condition number below RCOND_SINGULAR.
+
+    Precondition: V = C_Z P C_Z' + sigma_r2 I with P PSD, so no eigenvalue of
+    V lies below -RCOND_SINGULAR * lambda_max(V).  Returns a plain False when
+    sigma_r2 certifies every V, without computing eigenvalues; otherwise a
+    boolean per V from the eigenvalues.
+    """
+    if sigma_r2 > _CERTIFY_MARGIN * RCOND_SINGULAR * v.trace(axis1=-2, axis2=-1).max():
+        return False
+    return rcond_from_eigvals(np.linalg.eigvalsh(v)) < RCOND_SINGULAR

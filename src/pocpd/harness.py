@@ -210,7 +210,7 @@ def replay_monitor(
             f"stream has {stream.data.shape[1]} columns, model expects p={p}"
         )
     if stream.data.shape[0] < scenario.n0 + scenario.window.m2 + 2:
-        raise ValueError(
+        raise ConfigError(
             f"stream of length {stream.data.shape[0]} is shorter than "
             f"n0 + m2 + 2 = {scenario.n0 + scenario.window.m2 + 2}"
         )

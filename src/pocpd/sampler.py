@@ -17,6 +17,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaincinv
 
 from .errors import NumericalError
+from .filtering import innovation_singular
 from .model import ModelParams, ObservationMask
 
 __all__ = [
@@ -106,14 +107,7 @@ def omega(
     params: ModelParams,
 ) -> np.ndarray:
     """Projected information matrix G' C_Z' V^{-1} C_Z G for one subset."""
-    c_z = params.C[list(mask.indices), :]
-    v = c_z @ p_pred @ c_z.T + params.sigma_r**2 * np.eye(len(mask))
-    vals = np.linalg.eigvalsh(v)
-    if vals[0] <= vals[-1] * 1e-12:
-        raise NumericalError(f"innovation covariance singular for mask {mask.indices}")
-    w = c_z.T @ np.linalg.solve(v, c_z)
-    om = g_next.T @ w @ g_next
-    return 0.5 * (om + om.T)
+    return _omega_array(np.array([mask.indices]), g_next, p_pred, params)[0]
 
 
 def _secular_boundary_max(
@@ -218,45 +212,34 @@ def solve_ellipsoid_max(
     inputs: UcrInputs, omega_z: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Maximize f' Omega f over the boundary of the confidence ellipsoid."""
-    radius2 = inputs.radius2
-    f_hat = inputs.f_hat
-    if radius2 < 1e-12:
-        return f_hat.copy(), float(f_hat @ omega_z @ f_hat)
-    b, bf = _diagonalize(inputs.sigma_f, f_hat)
-    m = b.T @ omega_z @ b
-    lams, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    lams = _clip_spectrum(lams)
-    hinv_f = vecs.T @ bf
-    x = lams * hinv_f
-    ft, scores = _secular_boundary_max(
-        lams[None, :], x[None, :], hinv_f[None, :], radius2
-    )
-    f_star = b @ (vecs @ ft[0]) + f_hat
-    return f_star, float(scores[0])
+    scores, f_stars = _boundary_max_array(omega_z[None], inputs)
+    return f_stars[0], float(scores[0])
 
 
-def _score_mask_array(mask_idx: np.ndarray, inputs: UcrInputs):
-    """Scores and boundary maximizers for a batch of equal-size subsets."""
-    params = inputs.params
+def _omega_array(
+    mask_idx: np.ndarray, g_next: np.ndarray, p_pred: np.ndarray, params: ModelParams
+) -> np.ndarray:
+    """omega for a batch of equal-size subsets, (n, m) indices -> (n, q, q)."""
     c_zs = params.C[mask_idx]  # (n, m, q)
-    v = np.einsum("nij,jk,nlk->nil", c_zs, inputs.p_pred, c_zs)
-    msize = mask_idx.shape[1]
-    v += params.sigma_r**2 * np.eye(msize)
-    vals = np.linalg.eigvalsh(v)
-    bad = vals[:, 0] <= vals[:, -1] * 1e-12
+    v = np.einsum("nij,jk,nlk->nil", c_zs, p_pred, c_zs)
+    v += params.sigma_r**2 * np.eye(mask_idx.shape[1])
+    bad = innovation_singular(v, params.sigma_r**2)
     if np.any(bad):
         offender = tuple(int(i) for i in mask_idx[int(np.flatnonzero(bad)[0])])
         raise NumericalError(f"innovation covariance singular for mask {offender}")
     vinv = np.linalg.inv(v)
     w = np.einsum("nji,njk,nkl->nil", c_zs, vinv, c_zs)
-    gn = inputs.g_next
-    om = gn.T @ w @ gn
+    return g_next.T @ w @ g_next
 
+
+def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
+    """Scores and boundary maximizers for a stack of projected information
+    matrices, (n, q, q) -> ((n,), (n, q))."""
     radius2 = inputs.radius2
     f_hat = inputs.f_hat
     if radius2 < 1e-12:
         scores = np.einsum("i,nij,j->n", f_hat, om, f_hat)
-        return scores, np.broadcast_to(f_hat, (len(mask_idx), len(f_hat))).copy()
+        return scores, np.broadcast_to(f_hat, (len(om), len(f_hat))).copy()
 
     b, bf = _diagonalize(inputs.sigma_f, f_hat)
     m = b.T @ om @ b
@@ -267,6 +250,12 @@ def _score_mask_array(mask_idx: np.ndarray, inputs: UcrInputs):
     ft, scores = _secular_boundary_max(lams, xs, hinv_f, radius2)
     f_stars = (b @ vecs @ ft[..., None])[..., 0] + f_hat
     return scores, f_stars
+
+
+def _score_mask_array(mask_idx: np.ndarray, inputs: UcrInputs):
+    """Scores and boundary maximizers for a batch of equal-size subsets."""
+    om = _omega_array(mask_idx, inputs.g_next, inputs.p_pred, inputs.params)
+    return _boundary_max_array(om, inputs)
 
 
 def select_exhaustive(inputs: UcrInputs, m: int) -> SamplingDecision:

@@ -48,7 +48,7 @@ def small_scenario(h=None, policy_kind="random", m=1, replications=100):
 
 
 def sample(alarm_time, censored=False):
-    return RunLengthSample(alarm_time=alarm_time, censored=censored, seed=0)
+    return RunLengthSample(alarm_time=alarm_time, censored=censored)
 
 
 class TestCalibrationSpec:
@@ -70,9 +70,12 @@ class TestEstimateAdd:
         assert est.n_used == 3
 
     def test_oc_conditioning(self):
-        # tau = 100: only alarms at or after the change count, delays T - tau.
+        # tau = 100: the first shifted step is 101, so only alarms after tau
+        # count (an alarm at 100 is a false alarm); delays are T - tau.
         est = estimate_add(
-            [sample(90), sample(150), sample(130)], tau=100, horizon_cap=1000
+            [sample(90), sample(100), sample(150), sample(130)],
+            tau=100,
+            horizon_cap=1000,
         )
         assert est.add == pytest.approx(40.0)
         assert est.n_used == 2

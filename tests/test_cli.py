@@ -1,10 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pocpd.calibration import calibrate_h
-from pocpd.cli import main
+from pocpd.cli import _load, build_parser, main
 from pocpd.config import parse_config
 from pocpd.errors import ConfigError
 from pocpd.monitor import Policy
@@ -104,6 +106,32 @@ class TestParseConfig:
         scenario = cfg.scenario()
         assert scenario.m == 2
         assert scenario.replications == 15
+
+    def test_readme_config_blocks_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(json.loads(block))
+
+    def test_null_paths_are_unset(self):
+        doc = {"io": {"input_csv": None, "reference_csv": None}}
+        cfg = parse_config(doc)
+        assert (cfg.input_csv, cfg.reference_csv) == (None, None)
+        with pytest.raises(ConfigError, match="io.input_csv"):
+            parse_config({"io": {"input_csv": 3}})
+
+    def test_seed_flag_reaches_unset_calibration_seed(self, cfg_path, tmp_path):
+        argv = ["--config", cfg_path, "--seed", "11", "calibrate"]
+        cfg = _load(build_parser().parse_args(argv))
+        assert (cfg.seed, cfg.calibration.seed) == (11, 11)
+        doc = mini_config_doc()
+        doc["calibration"]["seed"] = 3
+        path = tmp_path / "explicit.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--config", str(path), "--seed", "11", "calibrate"]
+        cfg = _load(build_parser().parse_args(argv))
+        assert (cfg.seed, cfg.calibration.seed) == (11, 3)
 
 
 class TestSimulate:
@@ -251,6 +279,16 @@ class TestReplay:
         assert code == 2
         assert "window.h" in capsys.readouterr().err
         assert not (out / "replay.json").exists()
+
+    def test_short_stream_exits_2(self, cfg_path, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join("1,2,3" for _ in range(5)) + "\n")
+        code = main(
+            ["--config", cfg_path, "--out", str(tmp_path / "o"), "replay",
+             "--input", str(short)]
+        )
+        assert code == 2
+        assert "shorter" in capsys.readouterr().err
 
     def test_missing_input_exits_4(self, cfg_path, tmp_path):
         code = main(

@@ -11,11 +11,10 @@ from pocpd.detector import (
     ScanResult,
     StepTerm,
     WindowConfig,
-    _rcond_est_batch,
     make_step_term,
 )
 from pocpd.errors import NumericalError
-from pocpd.filtering import filter_init, filter_step
+from pocpd.filtering import filter_init, filter_step, rcond_from_eigvals
 from pocpd.model import ChangeSpec, ObservationMask, simulate_stream
 from pocpd.scenarios import benchmark_p10_model
 
@@ -273,7 +272,7 @@ def exact_scan(det: Detector) -> tuple[np.ndarray, ScanResult]:
     valid = (k > n - w.m1) & (k < n - w.m2) & (k >= 0)
     order = np.argsort(k[valid])
     ks, Ms, ss = k[valid][order], det._M[valid][order], det._s[valid][order]
-    good = _rcond_est_batch(Ms) >= RCOND_SKIP if ks.size else np.zeros(0, bool)
+    good = rcond_from_eigvals(np.linalg.eigvalsh(Ms)) >= RCOND_SKIP
     if not np.any(good):
         return ks[good], ScanResult(0.0, None, None, None, False)
     ks, Ms, ss = ks[good], Ms[good], ss[good]

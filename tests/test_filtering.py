@@ -6,7 +6,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from pocpd.detector import make_step_term
 from pocpd.errors import NumericalError
-from pocpd.filtering import filter_init, filter_step
+from pocpd.filtering import filter_init, filter_step, innovation_singular
 from pocpd.model import (
     ChangeSpec,
     ModelParams,
@@ -222,3 +222,39 @@ def test_filter_step_is_pure(seed):
     np.testing.assert_array_equal(s1.p_pred, s2.p_pred)
     np.testing.assert_array_equal(o1.residual, o2.residual)
     assert state.t == 0 and s1.t == 1
+
+
+class TestInnovationSingular:
+    """The shared singular-V check against the eigenvalue-ratio test the
+    subset scorer used to run on every candidate."""
+
+    @staticmethod
+    def reference(v):
+        vals = np.linalg.eigvalsh(v)
+        return vals[..., 0] <= vals[..., -1] * 1e-12
+
+    @staticmethod
+    def stack(rng, sigma_r2, n=40, m=3, q=4):
+        """V = C_Z P C_Z' + sigma_r2 I; every other C_Z repeats a row."""
+        c = rng.normal(size=(n, m, q))
+        c[::2, -1] = c[::2, 0]
+        b = rng.normal(size=(q, q))
+        return np.einsum("nij,jk,nlk->nil", c, b @ b.T, c) + sigma_r2 * np.eye(m)
+
+    def test_certified_stack(self, rng):
+        v = self.stack(rng, 0.1)
+        assert innovation_singular(v, 0.1) is False
+        assert not self.reference(v).any()
+
+    @pytest.mark.parametrize("sigma_r2", [1e-14, 0.0])
+    def test_uncertified_stack(self, rng, sigma_r2):
+        v = self.stack(rng, sigma_r2)
+        got = innovation_singular(v, sigma_r2)
+        np.testing.assert_array_equal(got, self.reference(v))
+        assert got[::2].all() and not got[1::2].any()
+
+    def test_all_zero_v(self):
+        assert innovation_singular(np.zeros((2, 2)), 0.0)
+        v = np.zeros((3, 2, 2))
+        np.testing.assert_array_equal(innovation_singular(v, 0.0), self.reference(v))
+        assert self.reference(v).all()

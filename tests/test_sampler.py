@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +274,22 @@ class TestSelectGreedy:
             g = select_greedy(inputs, 3)
             e = select_exhaustive(inputs, 3)
             assert g.score <= e.score * (1 + 1e-9) + 1e-12
+
+
+class TestSingularInnovation:
+    def test_policies_name_the_singular_mask(self, rng):
+        """sigma_r = 0 and all-zero C rows for sensors 0 and 1 make V
+        singular for every mask holding either.  The exhaustive scorer meets
+        the pair (0, 1) first; the greedy one meets sensor 0 alone in its
+        first round."""
+        c = rng.normal(size=(5, 3))
+        c[:2] = 0.0
+        params = ModelParams(A=0.5 * np.eye(3), C=c, sigma_q=0.1, sigma_r=0.0)
+        inputs = replace(make_inputs(rng, q=3, p=5, alpha=0.3), params=params)
+        with pytest.raises(NumericalError, match=r"singular for mask \(0, 1\)"):
+            select_exhaustive(inputs, 2)
+        with pytest.raises(NumericalError, match=r"singular for mask \(0,\)"):
+            select_greedy(inputs, 2)
 
 
 class TestSelectRandom:
