@@ -209,23 +209,33 @@ def calibrate_h(
         trajectories = ic_trajectories(scenario, spec)
     target = spec.target_add_ic
 
-    def achieved(h: float) -> tuple[float, np.ndarray, np.ndarray]:
+    def achieved(h: float) -> float:
+        return float(_alarm_times(trajectories, h)[0].mean())
+
+    def result(h: float, iterations: int) -> CalibrationResult:
         times, censored = _alarm_times(trajectories, h)
-        return float(times.mean()), times, censored
+        return CalibrationResult(
+            h=h,
+            achieved_add_ic=float(times.mean()),
+            sdd=float(times.std(ddof=1)),
+            censored_fraction=float(censored.mean()),
+            iterations=iterations,
+            replications=spec.replications,
+        )
 
     h_lo, h_hi = spec.h_lo, spec.h_hi
-    add_lo, _, _ = achieved(h_lo)
-    add_hi, _, _ = achieved(h_hi)
+    add_lo = achieved(h_lo)
+    add_hi = achieved(h_hi)
     for _ in range(60):
         if add_lo <= target:
             break
         h_lo /= 2.0
-        add_lo, _, _ = achieved(h_lo)
+        add_lo = achieved(h_lo)
     for _ in range(60):
         if add_hi >= target:
             break
         h_hi *= 2.0
-        add_hi, _, _ = achieved(h_hi)
+        add_hi = achieved(h_hi)
     if not (add_lo <= target <= add_hi):
         raise CalibrationError(
             f"bracket [{h_lo:.4g}, {h_hi:.4g}] does not straddle target "
@@ -233,42 +243,25 @@ def calibrate_h(
         )
 
     if abs(add_lo - target) / target <= spec.tol:
-        times, censored = _alarm_times(trajectories, h_lo)
-        return CalibrationResult(
-            h=h_lo,
-            achieved_add_ic=add_lo,
-            sdd=float(times.std(ddof=1)),
-            censored_fraction=float(censored.mean()),
-            iterations=0,
-            replications=spec.replications,
-        )
+        return result(h_lo, 0)
 
-    best_h, best_gap, best = None, math.inf, None
+    best_gap, best_h, best_iteration = math.inf, None, None
     for iteration in range(1, spec.max_iters + 1):
         h_mid = 0.5 * (h_lo + h_hi)
-        add_mid, times, censored = achieved(h_mid)
+        add_mid = achieved(h_mid)
         gap = abs(add_mid - target) / target
         if gap < best_gap:
-            best_gap, best_h = gap, h_mid
-            best = (add_mid, times, censored, iteration)
+            best_gap, best_h, best_iteration = gap, h_mid, iteration
         if gap <= spec.tol:
             break
         if add_mid < target:
             h_lo = h_mid
         else:
             h_hi = h_mid
-    if best is None or best_gap > spec.tol:
+    if best_h is None or best_gap > spec.tol:
         raise CalibrationError(
             f"bisection did not reach tol={spec.tol} in {spec.max_iters} "
             f"iterations (best gap {best_gap:.4g} at h={best_h:.6g})",
             best_h=best_h,
         )
-    add_mid, times, censored, iteration = best
-    return CalibrationResult(
-        h=best_h,
-        achieved_add_ic=add_mid,
-        sdd=float(times.std(ddof=1)),
-        censored_fraction=float(censored.mean()),
-        iterations=iteration,
-        replications=spec.replications,
-    )
+    return result(best_h, best_iteration)

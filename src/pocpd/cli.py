@@ -21,8 +21,7 @@ from .config import Config, load_config, parse_config
 from .errors import CalibrationError, ConfigError, NumericalError
 from .harness import ResultTable, emit_outputs, ingest_csv, replay_monitor, run_scenario
 from .model import ChangeSpec, simulate_stream
-from .monitor import POLICY_NAMES, Policy
-from .scenarios import DEFAULT_ALPHA_SCHEDULE
+from .monitor import POLICY_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -162,24 +161,13 @@ def cmd_calibrate(cfg: Config, args) -> int:
 
 
 def cmd_benchmark(cfg: Config, args) -> int:
-    if args.policies:
-        kinds = tuple(p.strip() for p in args.policies.split(","))
-        for kind in kinds:
-            if kind not in POLICY_NAMES:
-                raise ConfigError(
-                    f"--policies: unknown policy {kind!r}, expected one of {POLICY_NAMES}"
-                )
-    else:
-        kinds = (cfg.policy.kind,)
+    kinds = args.policies.split(",") if args.policies else [cfg.policy.kind]
+    try:
+        policies = [replace(cfg.policy, kind=kind.strip()) for kind in kinds]
+    except ValueError as exc:
+        raise ConfigError(f"--policies: {exc}") from None
     table = ResultTable([])
-    for kind in kinds:
-        if kind == cfg.policy.kind:
-            policy = cfg.policy
-        elif kind == "random":
-            policy = Policy(kind="random")
-        else:
-            alpha = cfg.policy.alpha if cfg.policy.alpha is not None else DEFAULT_ALPHA_SCHEDULE
-            policy = Policy(kind=kind, alpha=alpha)
+    for policy in policies:
         window = cfg.window
         if window.h is None:
             # Each policy at its own h, so delays compare at equal ADD_IC.
@@ -187,7 +175,7 @@ def cmd_benchmark(cfg: Config, args) -> int:
             result = calibrate_h(spec, cfg.scenario(changes=(), policy=policy))
             window = replace(window, h=result.h)
             print(
-                f"{kind}: calibrated h = {result.h:.6g} "
+                f"{policy.kind}: calibrated h = {result.h:.6g} "
                 f"(ADD_IC {result.achieved_add_ic:.2f})"
             )
         scenario = cfg.scenario(policy=policy, window=window)

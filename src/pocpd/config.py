@@ -206,7 +206,8 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     alpha = policy_sec.get("alpha")
     alpha = DEFAULT_ALPHA_SCHEDULE if alpha is None else _parse_alpha(alpha, "policy.alpha")
     try:
-        policy = Policy(kind=name, alpha=None if name == "random" else alpha)
+        # The random policy ignores alpha; it is kept for `--policies`.
+        policy = Policy(kind=name, alpha=alpha)
     except ValueError as exc:
         raise ConfigError(f"policy: {exc}") from None
 

@@ -10,19 +10,16 @@ quadratic form s_vec' m_mat^{-1} s_vec maximized over candidates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .errors import NumericalError
 from .filtering import StepOutput, rcond_from_eigvals
 
 __all__ = [
     "WindowConfig",
     "StepTerm",
-    "GAccumulator",
     "ScanResult",
     "Detector",
     "make_step_term",
@@ -69,22 +66,11 @@ class StepTerm:
 
 
 @dataclass(frozen=True)
-class GAccumulator:
-    """Snapshot of one candidate's accumulators (introspection/testing)."""
-
-    k: int
-    g_mat: np.ndarray
-    s_vec: np.ndarray
-    m_mat: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScanResult:
     t_stat: float
     tau_hat: int | None
     f_hat: np.ndarray | None
     sigma_f: np.ndarray | None
-    alarm: bool
 
 
 def make_step_term(out: StepOutput, C: np.ndarray) -> StepTerm:
@@ -104,7 +90,6 @@ class Detector:
     """
 
     def __init__(self, q: int, window: WindowConfig):
-        self.q = q
         self.window = window
         nslots = window.m1  # at most m1 - 1 live candidates
         self._G = np.zeros((nslots, q, q))
@@ -149,57 +134,23 @@ class Detector:
         self._a_prev = term.a_tilde
         self.n = n
 
-    def _slot_of(self, k: int) -> int:
-        slot = k % self._k.shape[0]
-        if self._k[slot] != k:
-            raise KeyError(f"candidate k={k} is not live at n={self.n}")
-        return slot
-
-    def accumulator(self, k: int) -> GAccumulator:
-        slot = self._slot_of(k)
-        return GAccumulator(
-            k=k,
-            g_mat=self._G[slot].copy(),
-            s_vec=self._s[slot].copy(),
-            m_mat=self._M[slot].copy(),
-        )
-
-    def estimate_shift(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(f_hat, sigma_f) for candidate k; raises if m_mat is rank-deficient."""
-        slot = self._slot_of(k)
-        m_mat = self._M[slot]
-        if rcond_from_eigvals(np.linalg.eigvalsh(m_mat)) < RCOND_SKIP:
-            raise NumericalError(
-                f"candidate k={k} has insufficient information at n={self.n}"
-            )
-        sigma_f = np.linalg.inv(m_mat)
-        sigma_f = 0.5 * (sigma_f + sigma_f.T)
-        return sigma_f @ self._s[slot], sigma_f
-
-    def glrt(self, k: int) -> float:
-        f_hat, _ = self.estimate_shift(k)
-        slot = self._slot_of(k)
-        return float(self._s[slot] @ f_hat)
-
     def g_next(self, k: int) -> np.ndarray:
         """G(n+1, k) for the sampler's one-step-ahead projection."""
         if self._a_prev is None:
             raise RuntimeError("no step pushed yet")
-        slot = self._slot_of(k)
+        slot = k % self._k.shape[0]
+        if self._k[slot] != k:
+            raise KeyError(f"candidate k={k} is not live at n={self.n}")
         return self._a_prev @ self._G[slot] + self._eye
 
     def scan(self) -> ScanResult:
         """Maximize the GLRT over the window; ties go to the most recent k."""
-        w = self.window
-        h = w.h if w.h is not None else math.inf
         slots = self._accepted(self._window_slots())
         if slots.size == 0:
-            return ScanResult(0.0, None, None, None, False)
+            return ScanResult(0.0, None, None, None)
         ks, Ms, ss = self._k[slots], self._M[slots], self._s[slots]
-        try:
-            inv = np.linalg.inv(Ms)
-        except np.linalg.LinAlgError:
-            inv = np.stack([np.linalg.pinv(m) for m in Ms])
+        # Every accepted slot has rcond >= RCOND_SKIP, so inv cannot fail.
+        inv = np.linalg.inv(Ms)
         stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
         best = np.flatnonzero(stats == stats.max())[-1]  # most recent k wins
         t_stat = float(stats[best])
@@ -209,7 +160,6 @@ class Detector:
             tau_hat=int(ks[best]),
             f_hat=sigma_f @ ss[best],
             sigma_f=sigma_f,
-            alarm=bool(t_stat > h),
         )
 
     def _window_slots(self) -> np.ndarray:

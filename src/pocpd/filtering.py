@@ -37,8 +37,6 @@ class FilterState:
 
     x_pred: np.ndarray  # x_{t+1|t}, shape (q,)
     p_pred: np.ndarray  # P_{t+1|t}, shape (q, q), symmetric PSD
-    a_tilde: np.ndarray | None  # closed-loop transition of the last step
-    k_gain: np.ndarray | None  # gain of the last step, shape (q, m)
     t: int  # number of steps processed
 
 
@@ -55,13 +53,7 @@ class StepOutput:
 
 def filter_init(params: ModelParams) -> FilterState:
     """Start from the steady-state prior: zero mean, stationary covariance."""
-    return FilterState(
-        x_pred=np.zeros(params.q),
-        p_pred=params.stationary_cov,
-        a_tilde=None,
-        k_gain=None,
-        t=0,
-    )
+    return FilterState(x_pred=np.zeros(params.q), p_pred=params.stationary_cov, t=0)
 
 
 def filter_step(
@@ -109,9 +101,7 @@ def filter_step(
     ak = params.A @ k_gain
     p_next = a_tilde @ P @ a_tilde.T + params.sigma_r**2 * (ak @ ak.T) + params.state_cov
     p_next = 0.5 * (p_next + p_next.T)
-    new_state = FilterState(
-        x_pred=x_next, p_pred=p_next, a_tilde=a_tilde, k_gain=k_gain, t=state.t + 1
-    )
+    new_state = FilterState(x_pred=x_next, p_pred=p_next, t=state.t + 1)
     return new_state, StepOutput(
         residual=residual, v_mat=v_mat, v_chol=chol, mask=mask, a_tilde_used=a_tilde
     )

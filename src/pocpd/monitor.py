@@ -205,12 +205,7 @@ def _next_mask(
 ) -> ObservationMask:
     policy = scenario.policy
     params = scenario.model
-    if (
-        policy.kind == "random"
-        or scan is None
-        or scan.tau_hat is None
-        or scan.sigma_f is None
-    ):
+    if policy.kind == "random" or scan is None or scan.tau_hat is None:
         return select_random(params.p, scenario.m, mask_rng)
     alpha = policy.alpha_for(scan.t_stat)
     inputs = UcrInputs(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -87,9 +88,20 @@ class UcrInputs:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be strictly inside (0, 1), got {self.alpha}")
 
-    @property
+    # Both cached: they do not depend on the subset, and every greedy round
+    # scores a new batch with the same inputs.
+    @cached_property
     def radius2(self) -> float:
         return chi2_quantile(1.0 - self.alpha, self.params.q)
+
+    @cached_property
+    def whitened(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cholesky factor B of sigma_f plus the whitened estimate B^{-1} f_hat."""
+        try:
+            b = np.linalg.cholesky(self.sigma_f)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("sigma_f is not positive definite") from exc
+        return b, solve_triangular(b, self.f_hat, lower=True)
 
 
 @dataclass(frozen=True)
@@ -190,16 +202,6 @@ def _secular_sum(x2: np.ndarray, d: np.ndarray, t: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _diagonalize(sigma_f: np.ndarray, f_hat: np.ndarray):
-    """Cholesky factor of sigma_f plus the whitened estimate."""
-    try:
-        b = np.linalg.cholesky(sigma_f)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("sigma_f is not positive definite") from exc
-    bf = solve_triangular(b, f_hat, lower=True)
-    return b, bf
-
-
 def _clip_spectrum(lams: np.ndarray) -> np.ndarray:
     """PSD repair: small negative eigenvalues are rounding noise."""
     floor = -1e-10 * max(float(np.abs(lams).max()), 1.0)
@@ -241,7 +243,7 @@ def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
         scores = np.einsum("i,nij,j->n", f_hat, om, f_hat)
         return scores, np.broadcast_to(f_hat, (len(om), len(f_hat))).copy()
 
-    b, bf = _diagonalize(inputs.sigma_f, f_hat)
+    b, bf = inputs.whitened
     m = b.T @ om @ b
     lams, vecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
     lams = _clip_spectrum(lams)

@@ -404,8 +404,11 @@ class TestCriterion7NullDistribution:
         shared = []
         state = filter_init(model)
         for t in range(n_steps):
+            p_prev = state.p_pred
             state, out = filter_step(state, model, mask, np.zeros(p))
-            shared.append((out.a_tilde_used, np.linalg.inv(out.v_mat), state.k_gain))
+            vinv = np.linalg.inv(out.v_mat)
+            # Gain K = P C' V^{-1} of this step.
+            shared.append((out.a_tilde_used, vinv, p_prev @ model.C.T @ vinv))
         # Per-replication residual accumulation for candidate k = 0.
         x_pred = np.zeros((n_reps, q))
         g = np.eye(q)
@@ -437,12 +440,15 @@ class TestCriterion7NullDistribution:
         model = benchmark_p10_model()
         y, _ = simulate_stream(model, ChangeSpec.none(7), 10, seed=123)
         state = filter_init(model)
-        det = Detector(7, WindowConfig(m1=50, m2=0))
+        # At n = 10 the window n - m1 < k < n - m2 holds only k = 0.
+        det = Detector(7, WindowConfig(m1=11, m2=9))
         mask = ObservationMask.full(10)
         for t in range(10):
             state, out = filter_step(state, model, mask, y[t])
             det.push_step(make_step_term(out, model.C))
-        lib_stat = det.glrt(0)
+        scan = det.scan()
+        assert scan.tau_hat == 0
+        lib_stat = scan.t_stat
         # One-replication rerun of the batched arithmetic.
         state = filter_init(model)
         x_pred = np.zeros(7)

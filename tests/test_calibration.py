@@ -17,7 +17,7 @@ from pocpd.calibration import (
 from pocpd.detector import WindowConfig
 from pocpd.errors import CalibrationError, NumericalError
 from pocpd.model import ChangeSpec, ModelParams
-from pocpd.monitor import Policy, Scenario, replication_rngs
+from pocpd.monitor import Policy, Scenario, replication_rngs, run_single, simulate_run_stream
 from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE
 
 
@@ -108,6 +108,27 @@ class TestRunOnce:
         out = run_once(s, ChangeSpec.none(2), rep=0)
         assert out.censored
         assert out.alarm_time == s.horizon_cap
+
+    def test_alarm_at_first_strict_crossing(self):
+        """run_single alarms at the first monitored step with T_n > h: a
+        step whose statistic equals h does not alarm."""
+        s = small_scenario()
+        change = ChangeSpec(tau=0, f=np.array([1.0, 0.0]))
+
+        def run(h, stop_at_alarm):
+            sim_rng, mask_rng = replication_rngs(s.seed, STREAM_EVALUATION, 0)
+            scenario = replace(s, window=replace(s.window, h=h))
+            obs = simulate_run_stream(scenario, change, sim_rng)
+            return run_single(scenario, obs, mask_rng, stop_at_alarm=stop_at_alarm)
+
+        path = run(None, stop_at_alarm=False).t_stats
+        j = int(np.flatnonzero(path > 0)[0])
+        h = float(path[j])
+        later = np.flatnonzero(path > h)
+        assert later.size and later[0] > j
+        record = run(h, stop_at_alarm=True)
+        assert record.alarm_time == later[0] + 1
+        np.testing.assert_array_equal(record.t_stats, path[: later[0] + 1])
 
     def test_requires_control_limit(self):
         s = small_scenario(h=None)

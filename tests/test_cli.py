@@ -93,6 +93,9 @@ class TestParseConfig:
             "alpha_max": 0.85,
         }
         assert isinstance(parse_config(doc).policy.alpha, AlphaSchedule)
+        # The random policy ignores alpha but keeps it for `--policies`.
+        doc["policy"] = {"name": "random", "alpha": 0.3}
+        assert parse_config(doc).policy.alpha == 0.3
 
     def test_grid_objects(self):
         doc = mini_config_doc()
@@ -233,12 +236,17 @@ class TestBenchmark:
         for kind, h in direct.items():
             assert {float(r[7]) for r in rows if r[1] == kind} == {h}
 
-    def test_unknown_policy_exits_2(self, cfg_path, tmp_path):
-        code = main(
-            ["--config", cfg_path, "--out", str(tmp_path / "o"), "benchmark",
-             "--policies", "oracle"]
-        )
-        assert code == 2
+    def test_unknown_policy_exits_2(self, cfg_path, tmp_path, capsys):
+        # Every entry is checked before the first calibration starts.
+        for policies in ("oracle", "e_aucrss,oracle"):
+            code = main(
+                ["--config", cfg_path, "--out", str(tmp_path / "o"), "benchmark",
+                 "--policies", policies]
+            )
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "--policies: unknown policy 'oracle'" in err
 
 
 class TestReplay:

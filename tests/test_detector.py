@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from pocpd.detector import (
     WindowConfig,
     make_step_term,
 )
-from pocpd.errors import NumericalError
 from pocpd.filtering import filter_init, filter_step, rcond_from_eigvals
 from pocpd.model import ChangeSpec, ObservationMask, simulate_stream
 from pocpd.scenarios import benchmark_p10_model
@@ -61,32 +58,49 @@ class TestWindowConfig:
         assert (w.m1, w.m2, w.h) == (50, 5, 12.0)
 
 
+def ring(det: Detector, k: int):
+    """(G, s, M) of live candidate k, read from the ring arrays the way
+    exact_scan reads them."""
+    (slot,) = np.flatnonzero(det._k == k)
+    return det._G[slot], det._s[slot], det._M[slot]
+
+
+def pinned_scan(terms, k):
+    """scan() at n = len(terms) with the window pinned to the single
+    candidate k (n - m1 < k < n - m2 leaves only k)."""
+    n = len(terms)
+    det = Detector(terms[0].u.shape[0], WindowConfig(m1=n - k + 1, m2=n - k - 1))
+    for term in terms:
+        det.push_step(term)
+    return det.scan()
+
+
 class TestPushStep:
     def test_first_step_identity(self):
         """At t = k+1, G = I: accumulators are the raw step factors."""
         det = Detector(1, WindowConfig(m1=10, m2=0))
         det.push_step(scalar_term(0.5, u=2.0, w=4.0))
-        acc = det.accumulator(0)
-        assert acc.g_mat[0, 0] == 1.0
-        assert acc.s_vec[0] == 2.0
-        assert acc.m_mat[0, 0] == 4.0
+        g_mat, s_vec, m_mat = ring(det, 0)
+        assert g_mat[0, 0] == 1.0
+        assert s_vec[0] == 2.0
+        assert m_mat[0, 0] == 4.0
 
     def test_zero_a_tilde_collapses_to_plain_sum(self):
         det = Detector(1, WindowConfig(m1=10, m2=0))
         us = [1.0, -2.0, 0.5]
         for u in us:
             det.push_step(scalar_term(0.0, u=u, w=1.0))
-        acc = det.accumulator(0)
-        assert acc.g_mat[0, 0] == 1.0
-        assert acc.s_vec[0] == pytest.approx(sum(us))
-        assert acc.m_mat[0, 0] == pytest.approx(3.0)
+        g_mat, s_vec, m_mat = ring(det, 0)
+        assert g_mat[0, 0] == 1.0
+        assert s_vec[0] == pytest.approx(sum(us))
+        assert m_mat[0, 0] == pytest.approx(3.0)
 
     def test_constant_half_geometric(self):
         # q=1, A-tilde = 0.5 constant, n - k = 3: G = 1 + 0.5 + 0.25.
         det = Detector(1, WindowConfig(m1=10, m2=0))
         for _ in range(3):
             det.push_step(scalar_term(0.5, u=0.0, w=1.0))
-        assert det.accumulator(0).g_mat[0, 0] == pytest.approx(1.75)
+        assert ring(det, 0)[0][0, 0] == pytest.approx(1.75)
 
     def test_eviction(self):
         det = Detector(1, WindowConfig(m1=3, m2=0))
@@ -94,9 +108,9 @@ class TestPushStep:
             det.push_step(scalar_term(0.5, u=1.0, w=1.0))
         # n = 5: valid candidates satisfy k > n - m1 = 2.
         with pytest.raises(KeyError):
-            det.accumulator(2)
-        det.accumulator(3)
-        det.accumulator(4)
+            det.g_next(2)
+        det.g_next(3)
+        det.g_next(4)
 
     def test_matches_dense_reference(self, rng):
         """Incremental ring buffer equals batch recomputation (Eq. oracle)."""
@@ -110,39 +124,34 @@ class TestPushStep:
             terms.append(StepTerm(a_tilde=a, u=u, w=b @ b.T))
             det.push_step(terms[-1])
         for k in [0, 3, 7]:
-            acc = det.accumulator(k)
+            _, s_vec, m_mat = ring(det, k)
             s_ref, m_ref = dense_reference(terms, k, 10)
-            np.testing.assert_allclose(acc.s_vec, s_ref, atol=1e-8)
-            np.testing.assert_allclose(acc.m_mat, m_ref, atol=1e-8)
+            np.testing.assert_allclose(s_vec, s_ref, atol=1e-8)
+            np.testing.assert_allclose(m_mat, m_ref, atol=1e-8)
 
 
 class TestEstimateShift:
+    """The scan's f_hat and sigma_f at a single pinned candidate."""
+
     def test_scalar_division(self):
-        det = Detector(1, WindowConfig(m1=10, m2=0))
-        det.push_step(scalar_term(0.0, u=2.0, w=4.0))
-        f_hat, sigma_f = det.estimate_shift(0)
-        assert f_hat[0] == pytest.approx(0.5)
-        assert sigma_f[0, 0] == pytest.approx(0.25)
+        res = pinned_scan([scalar_term(0.0, u=2.0, w=4.0)], k=0)
+        assert res.f_hat[0] == pytest.approx(0.5)
+        assert res.sigma_f[0, 0] == pytest.approx(0.25)
 
     def test_zero_signal(self):
-        det = Detector(2, WindowConfig(m1=10, m2=0))
-        det.push_step(
-            StepTerm(a_tilde=np.zeros((2, 2)), u=np.zeros(2), w=np.eye(2))
-        )
-        f_hat, _ = det.estimate_shift(0)
-        np.testing.assert_array_equal(f_hat, 0.0)
+        term = StepTerm(a_tilde=np.zeros((2, 2)), u=np.zeros(2), w=np.eye(2))
+        res = pinned_scan([term], k=0)
+        np.testing.assert_array_equal(res.f_hat, 0.0)
 
     def test_rank_deficient_skipped(self):
-        det = Detector(2, WindowConfig(m1=10, m2=0))
         w = np.array([[1.0, 0.0], [0.0, 0.0]])  # rank 1 in q = 2
-        det.push_step(StepTerm(a_tilde=np.zeros((2, 2)), u=np.ones(2), w=w))
-        with pytest.raises(NumericalError, match="insufficient"):
-            det.estimate_shift(0)
+        term = StepTerm(a_tilde=np.zeros((2, 2)), u=np.ones(2), w=w)
+        res = pinned_scan([term], k=0)
+        assert (res.t_stat, res.tau_hat, res.f_hat, res.sigma_f) == (0.0, None, None, None)
 
     def test_matches_explicit_formula(self, rng):
         """f_hat equals the dense closed form on a random q=3 instance."""
         q = 3
-        det = Detector(q, WindowConfig(m1=15, m2=0))
         terms = []
         for _ in range(10):
             a = 0.5 * rng.normal(size=(q, q)) / np.sqrt(q)
@@ -150,42 +159,41 @@ class TestEstimateShift:
             terms.append(
                 StepTerm(a_tilde=a, u=rng.normal(size=q), w=b @ b.T)
             )
-            det.push_step(terms[-1])
         for k in [0, 4]:
             s_ref, m_ref = dense_reference(terms, k, 10)
-            f_hat, sigma_f = det.estimate_shift(k)
-            np.testing.assert_allclose(f_hat, np.linalg.solve(m_ref, s_ref), atol=1e-9)
-            np.testing.assert_allclose(sigma_f, np.linalg.inv(m_ref), atol=1e-9)
+            res = pinned_scan(terms, k)
+            assert res.tau_hat == k
+            np.testing.assert_allclose(res.f_hat, np.linalg.solve(m_ref, s_ref), atol=1e-9)
+            np.testing.assert_allclose(res.sigma_f, np.linalg.inv(m_ref), atol=1e-9)
 
 
 class TestGlrt:
+    """The scan statistic at a single pinned candidate."""
+
     def test_zero_signal(self):
-        det = Detector(1, WindowConfig(m1=10, m2=0))
-        det.push_step(scalar_term(0.0, u=0.0, w=1.0))
-        assert det.glrt(0) == 0.0
+        assert pinned_scan([scalar_term(0.0, u=0.0, w=1.0)], k=0).t_stat == 0.0
 
     def test_scalar_closed_form(self):
         # One step, G = 1, C = 1: l = r^2 / V with r = 0.2, V = 0.04.
         # Then u = r / V = 5.0 and w = 1 / V = 25.0.
-        det = Detector(1, WindowConfig(m1=10, m2=0))
-        det.push_step(scalar_term(0.0, u=0.2 / 0.04, w=1.0 / 0.04))
-        assert det.glrt(0) == pytest.approx(1.0, rel=1e-12)
+        res = pinned_scan([scalar_term(0.0, u=0.2 / 0.04, w=1.0 / 0.04)], k=0)
+        assert res.t_stat == pytest.approx(1.0, rel=1e-12)
 
     def test_equals_quadratic_form(self, rng):
-        det = Detector(2, WindowConfig(m1=10, m2=0))
+        terms = []
         for _ in range(5):
             b = rng.normal(size=(2, 2))
-            det.push_step(
+            terms.append(
                 StepTerm(
                     a_tilde=0.3 * rng.normal(size=(2, 2)),
                     u=rng.normal(size=2),
                     w=b @ b.T + 0.1 * np.eye(2),
                 )
             )
-        f_hat, _ = det.estimate_shift(1)
-        acc = det.accumulator(1)
-        assert det.glrt(1) == pytest.approx(float(f_hat @ acc.m_mat @ f_hat), rel=1e-9)
-        assert det.glrt(1) >= 0
+        res = pinned_scan(terms, k=1)
+        _, m_ref = dense_reference(terms, 1, 5)
+        assert res.t_stat == pytest.approx(float(res.f_hat @ m_ref @ res.f_hat), rel=1e-9)
+        assert res.t_stat >= 0
 
 
 class TestScan:
@@ -193,21 +201,20 @@ class TestScan:
         det = Detector(1, WindowConfig(m1=10, m2=3))
         det.push_step(scalar_term(0.0, u=1.0, w=1.0))
         res = det.scan()  # n = 1: no candidate k < n - m2 exists
-        assert res.t_stat == 0.0
-        assert res.tau_hat is None
-        assert not res.alarm
+        assert (res.t_stat, res.tau_hat, res.f_hat, res.sigma_f) == (0.0, None, None, None)
 
     def test_zero_signal_no_alarm(self):
-        det = Detector(1, WindowConfig(m1=10, m2=0, h=1e-6))
+        det = Detector(1, WindowConfig(m1=10, m2=0))
         for _ in range(5):
             det.push_step(scalar_term(0.0, u=0.0, w=1.0))
         res = det.scan()
         assert res.t_stat == 0.0
-        assert not res.alarm
+        np.testing.assert_array_equal(res.f_hat, 0.0)
 
     def test_argmax_and_threshold(self):
-        """Two candidates with statistics 3 and 5, h = 4: pick the larger."""
-        det = Detector(1, WindowConfig(m1=20, m2=0, h=4.0))
+        """Two candidates with statistics 3 and 5: pick the larger.  The
+        threshold is run_single's (TestRunOnce in test_calibration.py)."""
+        det = Detector(1, WindowConfig(m1=20, m2=0))
         # Candidate k has l = s_k^2 / m_k; with A-tilde = 0, candidate k
         # accumulates the u's of steps k+1..n.
         us = [np.sqrt(3.0), np.sqrt(5.0) - np.sqrt(3.0)]
@@ -217,7 +224,6 @@ class TestScan:
         res = det.scan()
         assert res.tau_hat == 0
         assert res.t_stat == pytest.approx(5.0)
-        assert res.alarm
 
     def test_tie_breaks_to_most_recent(self):
         det = Detector(1, WindowConfig(m1=20, m2=0))
@@ -267,23 +273,19 @@ def exact_scan(det: Detector) -> tuple[np.ndarray, ScanResult]:
     """Accepted candidates and scan result with the eigenvalue screen run on
     every candidate of the window: the reference for the certified screen."""
     n, w = det.n, det.window
-    h = w.h if w.h is not None else math.inf
     k = det._k
     valid = (k > n - w.m1) & (k < n - w.m2) & (k >= 0)
     order = np.argsort(k[valid])
     ks, Ms, ss = k[valid][order], det._M[valid][order], det._s[valid][order]
     good = rcond_from_eigvals(np.linalg.eigvalsh(Ms)) >= RCOND_SKIP
     if not np.any(good):
-        return ks[good], ScanResult(0.0, None, None, None, False)
+        return ks[good], ScanResult(0.0, None, None, None)
     ks, Ms, ss = ks[good], Ms[good], ss[good]
     inv = np.linalg.inv(Ms)
     stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
     best = np.flatnonzero(stats == stats.max())[-1]
     sigma_f = 0.5 * (inv[best] + inv[best].T)
-    t_stat = float(stats[best])
-    return ks, ScanResult(
-        t_stat, int(ks[best]), sigma_f @ ss[best], sigma_f, bool(t_stat > h)
-    )
+    return ks, ScanResult(float(stats[best]), int(ks[best]), sigma_f @ ss[best], sigma_f)
 
 
 @given(
@@ -304,7 +306,7 @@ def test_certified_screen_matches_exact(seed, q, m1, data):
     m2 = data.draw(st.integers(0, m1 - 1))
     steps = data.draw(st.integers(1, 3 * m1))
     rng = np.random.default_rng(seed)
-    det = Detector(q, WindowConfig(m1=m1, m2=m2, h=1.0))
+    det = Detector(q, WindowConfig(m1=m1, m2=m2))
     w = None
     for _ in range(steps):
         if w is None or rng.random() < 0.6:
@@ -325,11 +327,7 @@ def test_certified_screen_matches_exact(seed, q, m1, data):
             det._k[det._accepted(det._window_slots())], accepted
         )
         res = det.scan()
-        assert (res.t_stat, res.tau_hat, res.alarm) == (
-            ref.t_stat,
-            ref.tau_hat,
-            ref.alarm,
-        )
+        assert (res.t_stat, res.tau_hat) == (ref.t_stat, ref.tau_hat)
         for got, want in ((res.f_hat, ref.f_hat), (res.sigma_f, ref.sigma_f)):
             if want is None:
                 assert got is None
@@ -371,5 +369,5 @@ def test_g_next_extends_recurrence(rng):
     a_last = 0.4 * rng.normal(size=(q, q))
     det.push_step(StepTerm(a_tilde=0.2 * np.eye(q), u=np.zeros(q), w=np.eye(q)))
     det.push_step(StepTerm(a_tilde=a_last, u=np.zeros(q), w=np.eye(q)))
-    g_now = det.accumulator(0).g_mat
+    g_now = ring(det, 0)[0]
     np.testing.assert_allclose(det.g_next(0), a_last @ g_now + np.eye(q), atol=1e-12)

@@ -65,7 +65,7 @@ def cho_wrapper_step(x_pred, p_pred, params, mask, y_obs):
     chol = cho_factor(v_mat, lower=True)
     u = c_z.T @ cho_solve(chol, residual)
     w = c_z.T @ cho_solve(chol, c_z)
-    return x_next, p_next, (k_gain, a_tilde, residual, v_mat, u, w)
+    return x_next, p_next, (a_tilde, residual, v_mat, u, w)
 
 
 @pytest.mark.parametrize(
@@ -84,7 +84,7 @@ def test_single_factorization_bit_identical(model, m):
         state, out = filter_step(state, model, mask, y[t, list(idx)])
         term = make_step_term(out, model.C)
         x_ref, p_ref, ref = cho_wrapper_step(x_ref, p_ref, model, mask, y[t, list(idx)])
-        got = (state.k_gain, out.a_tilde_used, out.residual, out.v_mat, term.u, term.w)
+        got = (out.a_tilde_used, out.residual, out.v_mat, term.u, term.w)
         np.testing.assert_array_equal(state.x_pred, x_ref)
         np.testing.assert_array_equal(state.p_pred, p_ref)
         for g, r in zip(got, ref):
@@ -116,13 +116,11 @@ class TestFilterStep:
         )
         state = filter_init(m)
         # Overwrite to the worked values P = 1, x = 0.
-        state = type(state)(
-            x_pred=np.zeros(1), p_pred=np.ones((1, 1)), a_tilde=None, k_gain=None, t=0
-        )
+        state = type(state)(x_pred=np.zeros(1), p_pred=np.ones((1, 1)), t=0)
         mask = ObservationMask.full(1)
         new, out = filter_step(state, m, mask, np.array([1.0]))
-        assert new.k_gain[0, 0] == pytest.approx(1 / 1.01, rel=1e-12)
-        assert new.a_tilde[0, 0] == pytest.approx(0.5 * (1 - 1 / 1.01), rel=1e-10)
+        # K = P C' V^{-1} = 1 / 1.01, so A-tilde = A (1 - K C) and x+ = A K y.
+        assert out.a_tilde_used[0, 0] == pytest.approx(0.5 * (1 - 1 / 1.01), rel=1e-10)
         assert new.x_pred[0] == pytest.approx(0.5 / 1.01, rel=1e-10)
         assert out.residual[0] == pytest.approx(1.0)
         assert out.v_mat[0, 0] == pytest.approx(1.01)
@@ -130,13 +128,7 @@ class TestFilterStep:
     def test_zero_innovation_step(self):
         m = benchmark_p10_model()
         state = filter_init(m)
-        state = type(state)(
-            x_pred=np.arange(1.0, 8.0),
-            p_pred=state.p_pred,
-            a_tilde=None,
-            k_gain=None,
-            t=0,
-        )
+        state = type(state)(x_pred=np.arange(1.0, 8.0), p_pred=state.p_pred, t=0)
         mask = ObservationMask(indices=(1, 4, 6), p=10)
         y = m.C[list(mask.indices), :] @ state.x_pred
         new, out = filter_step(state, m, mask, y)

@@ -275,6 +275,41 @@ class TestSelectGreedy:
             e = select_exhaustive(inputs, 3)
             assert g.score <= e.score * (1 + 1e-9) + 1e-12
 
+    def test_subset_free_work_done_once(self, rng, monkeypatch):
+        """radius2 and the Cholesky factor of sigma_f do not depend on the
+        subset: one chi-square quantile and one factorization per decision,
+        however many rounds."""
+        import pocpd.sampler as sampler
+
+        calls = {"gammaincinv": 0, "cholesky": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sampler, "gammaincinv", counted("gammaincinv", sampler.gammaincinv))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        select_greedy(make_inputs(rng, q=3, p=6, alpha=0.3), 3)
+        assert calls == {"gammaincinv": 1, "cholesky": 1}
+
+    def test_sigma_f_not_positive_definite(self, rng):
+        """Raised on first use, and again on the next: a failure is not cached."""
+        inputs = replace(make_inputs(rng, q=3, p=5, alpha=0.3), sigma_f=-np.eye(3))
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="not positive definite"):
+                select_greedy(inputs, 2)
+
+    def test_vanishing_region_skips_factorization(self, rng):
+        """With radius2 < 1e-12 the maximizer is f_hat and sigma_f is never
+        factored, so even a non-PD sigma_f scores."""
+        inputs = replace(make_inputs(rng, q=2, p=5, alpha=1 - 1e-15), sigma_f=-np.eye(2))
+        assert inputs.radius2 < 1e-12
+        decision = select_greedy(inputs, 2)
+        np.testing.assert_array_equal(decision.f_star, inputs.f_hat)
+
 
 class TestSingularInnovation:
     def test_policies_name_the_singular_mask(self, rng):
