@@ -60,6 +60,10 @@ class CalibrationSpec:
             raise ValueError("horizon_cap must be >= 5 * target_add_ic")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,7 @@ def _run_record(
         ) from exc
 
 
-def estimate_add(
-    samples: list[RunLengthSample], tau: float, horizon_cap: int
-) -> AddEstimate:
+def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:
     """Average detection delay: IC uses all alarm times, OC conditions on
     alarms after the change point and reports T - tau.
 
@@ -258,7 +260,7 @@ def calibrate_h(
             h_lo = h_mid
         else:
             h_hi = h_mid
-    if best_h is None or best_gap > spec.tol:
+    if best_gap > spec.tol:
         raise CalibrationError(
             f"bisection did not reach tol={spec.tol} in {spec.max_iters} "
             f"iterations (best gap {best_gap:.4g} at h={best_h:.6g})",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -22,6 +21,7 @@ from .errors import CalibrationError, ConfigError, NumericalError
 from .harness import ResultTable, emit_outputs, ingest_csv, replay_monitor, run_scenario
 from .model import ChangeSpec, simulate_stream
 from .monitor import POLICY_NAMES
+from .scenarios import single_dim_shift
 
 __all__ = ["main", "build_parser"]
 
@@ -110,7 +110,7 @@ def _write_csv(path, matrix: np.ndarray) -> None:
 
 
 def cmd_simulate(cfg: Config, args) -> int:
-    model = cfg.model
+    model = cfg.base.model
     if args.sigma_q is not None or args.sigma_r is not None:
         model = replace(
             model,
@@ -118,18 +118,12 @@ def cmd_simulate(cfg: Config, args) -> int:
             sigma_r=model.sigma_r if args.sigma_r is None else args.sigma_r,
         )
     if args.shift is not None or args.tau is not None:
-        mag = args.shift if args.shift is not None else 0.0
-        if mag == 0.0:
-            change = ChangeSpec.none(model.q)
-        else:
-            f = np.zeros(model.q)
-            f[0] = mag
-            change = ChangeSpec(tau=args.tau if args.tau is not None else 0, f=f)
-    elif cfg.changes:
-        change = cfg.changes[0]
+        change = single_dim_shift(model.q, args.shift or 0.0, tau=args.tau or 0)
+    elif cfg.base.changes:
+        change = cfg.base.changes[0]
     else:
         change = ChangeSpec.none(model.q)
-    y, _ = simulate_stream(model, change, horizon=args.horizon, seed=cfg.seed)
+    y, _ = simulate_stream(model, change, horizon=args.horizon, seed=cfg.base.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "stream.csv")
     _write_csv(path, y)
@@ -140,7 +134,7 @@ def cmd_simulate(cfg: Config, args) -> int:
 def _calibration_spec(cfg: Config, threads: int) -> CalibrationSpec:
     spec = cfg.calibration
     if spec is None:
-        spec = CalibrationSpec(target_add_ic=200.0, seed=cfg.seed)
+        spec = CalibrationSpec(target_add_ic=200.0, seed=cfg.base.seed)
     if threads > 1:
         spec = replace(spec, workers=threads)
     return spec
@@ -161,9 +155,9 @@ def cmd_calibrate(cfg: Config, args) -> int:
 
 
 def cmd_benchmark(cfg: Config, args) -> int:
-    kinds = args.policies.split(",") if args.policies else [cfg.policy.kind]
+    kinds = args.policies.split(",") if args.policies else [cfg.base.policy.kind]
     try:
-        policies = [replace(cfg.policy, kind=kind.strip()) for kind in kinds]
+        policies = [replace(cfg.base.policy, kind=kind.strip()) for kind in kinds]
     except ValueError as exc:
         raise ConfigError(f"--policies: {exc}") from None
     table = ResultTable([])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,16 +18,32 @@ from .errors import ConfigError
 from .model import ChangeSpec, ModelParams
 from .monitor import POLICY_NAMES, Policy, Scenario
 from .sampler import AlphaSchedule
-from .scenarios import (
-    DEFAULT_ALPHA_SCHEDULE,
-    benchmark_p10_model,
-    benchmark_p30_model,
-    single_dim_shift,
-)
+from .scenarios import BUILT_IN_MODELS, DEFAULT_ALPHA_SCHEDULE, single_dim_shift
 
 __all__ = ["Config", "load_config", "parse_config"]
 
-_SECTIONS = ("model", "window", "policy", "sampling", "experiment", "io", "calibration")
+# JSON types of the calibration keys, each named after its CalibrationSpec field.
+_CALIBRATION_TYPES = {
+    "target_add_ic": (int, float),
+    "replications": int,
+    "h_lo": (int, float),
+    "h_hi": (int, float),
+    "tol": (int, float),
+    "max_iters": int,
+    "horizon_cap": int,
+    "seed": int,
+}
+
+# The keys each section accepts; any other key is a ConfigError.
+_KEYS = {
+    "model": ("builtin", "sigma_q", "sigma_r", "A", "C"),
+    "window": ("m1", "m2", "h"),
+    "policy": ("name", "alpha"),
+    "sampling": ("m", "n0"),
+    "experiment": ("replications", "horizon_cap", "seed", "grid"),
+    "io": ("out_dir", "input_csv", "reference_csv"),
+    "calibration": tuple(_CALIBRATION_TYPES),
+}
 
 _REQUIRED = object()
 
@@ -68,54 +84,47 @@ def _matrix(obj, path: str) -> np.ndarray:
 class Config:
     """Validated configuration, ready to hand to the library."""
 
-    model: ModelParams
-    window: WindowConfig
-    policy: Policy
-    m: int
-    n0: int
-    changes: tuple
-    replications: int
-    horizon_cap: int
-    seed: int
+    base: Scenario
     out_dir: str
     input_csv: str | None
     reference_csv: str | None
     calibration: CalibrationSpec | None
-    scenario_name: str
+
+    @property
+    def window(self) -> WindowConfig:
+        return self.base.window
 
     def scenario(self, **overrides) -> Scenario:
-        fields = dict(
-            name=self.scenario_name,
-            model=self.model,
-            m=self.m,
-            window=self.window,
-            policy=self.policy,
-            changes=self.changes,
-            replications=self.replications,
-            horizon_cap=self.horizon_cap,
-            n0=self.n0,
-            seed=self.seed,
-        )
-        fields.update(overrides)
-        return Scenario(**fields)
+        return replace(self.base, **overrides)
 
 
-def _parse_model(section, path: str) -> tuple[ModelParams, str]:
+def _check_keys(obj: dict, path: str, allowed) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown key")
+
+
+def _section(doc: dict, name: str, default=None) -> dict:
+    section = doc.get(name, default or {})
     if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
+        raise ConfigError(f"{name}: expected an object")
+    _check_keys(section, name, _KEYS[name])
+    return section
+
+
+def _parse_model(section: dict, path: str) -> tuple[ModelParams, str]:
     builtin = section.get("builtin")
     if builtin is not None:
         # Built-in models keep their own noise defaults unless overridden.
+        _check_keys(section, path, ("builtin", "sigma_q", "sigma_r"))
         kw = {}
         if "sigma_q" in section:
             kw["sigma_q"] = _require(section, "sigma_q", path, (int, float))
         if "sigma_r" in section:
             kw["sigma_r"] = _require(section, "sigma_r", path, (int, float))
-        if builtin == "bench-p10":
-            return benchmark_p10_model(**kw), builtin
-        if builtin == "bench-p30":
-            return benchmark_p30_model(**kw), builtin
-        raise ConfigError(f"{path}.builtin: unknown built-in model {builtin!r}")
+        if builtin not in BUILT_IN_MODELS:
+            raise ConfigError(f"{path}.builtin: unknown built-in model {builtin!r}")
+        return BUILT_IN_MODELS[builtin](**kw), builtin
     sigma_q = _require(section, "sigma_q", path, (int, float), 0.1)
     sigma_r = _require(section, "sigma_r", path, (int, float), 0.1)
     a = _matrix(_require(section, "A", path, list), f"{path}.A")
@@ -134,6 +143,7 @@ def _parse_model(section, path: str) -> tuple[ModelParams, str]:
 
 def _parse_alpha(value, path: str):
     if isinstance(value, dict):
+        _check_keys(value, path, ("d", "l", "alpha_min", "alpha_max"))
         try:
             return AlphaSchedule(
                 d=float(_require(value, "d", path, (int, float))),
@@ -156,6 +166,7 @@ def _parse_changes(grid, q: int, path: str) -> tuple:
         if isinstance(entry, (int, float)) and not isinstance(entry, bool):
             changes.append(single_dim_shift(q, float(entry)))
         elif isinstance(entry, dict):
+            _check_keys(entry, f"{path}[{i}]", ("tau", "f"))
             f = entry.get("f")
             if not isinstance(f, list) or len(f) != q:
                 raise ConfigError(f"{path}[{i}].f: expected an array of length {q}")
@@ -168,6 +179,21 @@ def _parse_changes(grid, q: int, path: str) -> tuple:
     return tuple(changes)
 
 
+def _parse_calibration(cal: dict, seed: int) -> CalibrationSpec:
+    # Only the keys the file sets are passed (target_add_ic is required):
+    # CalibrationSpec owns the defaults, except that an unset seed follows
+    # the experiment seed.
+    kw = {"seed": seed}
+    for key, types in _CALIBRATION_TYPES.items():
+        if key in cal or key == "target_add_ic":
+            value = _require(cal, key, "calibration", types)
+            kw[key] = value if types is int else float(value)
+    try:
+        return CalibrationSpec(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"calibration: {exc}") from None
+
+
 def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -> Config:
     """Validate `doc` and build the Config.  A `seed` given here (the CLI's
     --seed) replaces experiment.seed, and so also the default of an unset
@@ -175,14 +201,13 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
     for key in doc:
-        if key not in _SECTIONS:
+        if key not in _KEYS:
             raise ConfigError(f"{key}: unknown section")
 
-    model, builtin_name = _parse_model(doc.get("model", {"builtin": "bench-p10"}), "model")
+    model_sec = _section(doc, "model", {"builtin": "bench-p10"})
+    model, builtin_name = _parse_model(model_sec, "model")
 
-    window_sec = doc.get("window", {})
-    if not isinstance(window_sec, dict):
-        raise ConfigError("window: expected an object")
+    window_sec = _section(doc, "window")
     h = window_sec.get("h")
     if h is not None and (not isinstance(h, (int, float)) or isinstance(h, bool)):
         raise ConfigError("window.h: expected a number or null")
@@ -195,9 +220,7 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     except ValueError as exc:
         raise ConfigError(f"window: {exc}") from None
 
-    policy_sec = doc.get("policy", {})
-    if not isinstance(policy_sec, dict):
-        raise ConfigError("policy: expected an object")
+    policy_sec = _section(doc, "policy")
     name = _require(policy_sec, "name", "policy", str, "e_aucrss")
     if name not in POLICY_NAMES:
         raise ConfigError(
@@ -211,9 +234,7 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     except ValueError as exc:
         raise ConfigError(f"policy: {exc}") from None
 
-    sampling = doc.get("sampling", {})
-    if not isinstance(sampling, dict):
-        raise ConfigError("sampling: expected an object")
+    sampling = _section(doc, "sampling")
     m = _require(sampling, "m", "sampling", int, 2)
     n0 = _require(sampling, "n0", "sampling", int, 50)
     if not 1 <= m <= model.p:
@@ -221,9 +242,7 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     if n0 < 1:
         raise ConfigError(f"sampling.n0: must be >= 1, got {n0}")
 
-    exp = doc.get("experiment", {})
-    if not isinstance(exp, dict):
-        raise ConfigError("experiment: expected an object")
+    exp = _section(doc, "experiment")
     replications = _require(exp, "replications", "experiment", int, 1000)
     horizon_cap = _require(exp, "horizon_cap", "experiment", int, 1000)
     file_seed = _require(exp, "seed", "experiment", int, 0)
@@ -236,50 +255,31 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     seed = file_seed if seed is None else seed
     changes = _parse_changes(exp.get("grid", [0.0]), model.q, "experiment.grid")
 
-    io = doc.get("io", {})
-    if not isinstance(io, dict):
-        raise ConfigError("io: expected an object")
+    io = _section(doc, "io")
     out_dir = _require(io, "out_dir", "io", str, ".")
     input_csv = _require(io, "input_csv", "io", str, None)
     reference_csv = _require(io, "reference_csv", "io", str, None)
 
     cal = doc.get("calibration")
-    cal_spec = None
     if cal is not None:
-        if not isinstance(cal, dict):
-            raise ConfigError("calibration: expected an object")
-        try:
-            cal_spec = CalibrationSpec(
-                target_add_ic=float(
-                    _require(cal, "target_add_ic", "calibration", (int, float))
-                ),
-                replications=_require(cal, "replications", "calibration", int, 1000),
-                h_lo=float(_require(cal, "h_lo", "calibration", (int, float), 1.0)),
-                h_hi=float(_require(cal, "h_hi", "calibration", (int, float), 200.0)),
-                tol=float(_require(cal, "tol", "calibration", (int, float), 0.05)),
-                max_iters=_require(cal, "max_iters", "calibration", int, 40),
-                horizon_cap=_require(cal, "horizon_cap", "calibration", int, 1000),
-                seed=_require(cal, "seed", "calibration", int, seed),
-                workers=_require(cal, "workers", "calibration", int, 1),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"calibration: {exc}") from None
-
+        cal = _parse_calibration(_section(doc, "calibration"), seed)
     return Config(
-        model=model,
-        window=window,
-        policy=policy,
-        m=m,
-        n0=n0,
-        changes=changes,
-        replications=replications,
-        horizon_cap=horizon_cap,
-        seed=seed,
+        base=Scenario(
+            name=builtin_name,
+            model=model,
+            m=m,
+            window=window,
+            policy=policy,
+            changes=changes,
+            replications=replications,
+            horizon_cap=horizon_cap,
+            n0=n0,
+            seed=seed,
+        ),
         out_dir=out_dir,
         input_csv=input_csv,
         reference_csv=reference_csv,
-        calibration=cal_spec,
-        scenario_name=builtin_name,
+        calibration=cal,
     )
 
 

@@ -82,7 +82,7 @@ class RecordedStream:
             raise ValueError("stream contains non-finite entries")
 
 
-def run_scenario(scenario: Scenario, progress=None) -> ResultTable:
+def run_scenario(scenario: Scenario) -> ResultTable:
     """One table cell per change spec, `replications` runs each.
 
     Deterministic given scenario.seed: replication r of every cell draws
@@ -91,43 +91,27 @@ def run_scenario(scenario: Scenario, progress=None) -> ResultTable:
     if scenario.window.h is None:
         raise ValueError("scenario has no control limit; calibrate first")
     cells = []
-    for cell_idx, change in enumerate(scenario.changes):
-        mag = float(change.magnitude)
+    for change in scenario.changes:
         try:
             samples = [
                 run_once(scenario, change, rep, stream_id=STREAM_EVALUATION)
                 for rep in range(scenario.replications)
             ]
-            tau = math.inf if change.tau == math.inf else change.tau
-            est = estimate_add(samples, tau, scenario.horizon_cap)
-            cells.append(
-                CellResult(
-                    scenario=scenario.name,
-                    policy=scenario.policy.kind,
-                    f=mag,
-                    add=est.add,
-                    sdd=est.sdd,
-                    n_reps=est.n_used,
-                    censored=est.censored_fraction,
-                    h=scenario.window.h,
-                )
+            est = estimate_add(samples, change.tau)
+            stats = dict(
+                add=est.add, sdd=est.sdd, n_reps=est.n_used, censored=est.censored_fraction
             )
         except (NumericalError, RuntimeError, np.linalg.LinAlgError) as exc:
-            cells.append(
-                CellResult(
-                    scenario=scenario.name,
-                    policy=scenario.policy.kind,
-                    f=mag,
-                    add=None,
-                    sdd=None,
-                    n_reps=0,
-                    censored=None,
-                    h=scenario.window.h,
-                    error=str(exc),
-                )
+            stats = dict(add=None, sdd=None, n_reps=0, censored=None, error=str(exc))
+        cells.append(
+            CellResult(
+                scenario=scenario.name,
+                policy=scenario.policy.kind,
+                f=float(change.magnitude),
+                h=scenario.window.h,
+                **stats,
             )
-        if progress is not None:
-            progress(cell_idx + 1, len(scenario.changes))
+        )
     return ResultTable(cells)
 
 
@@ -142,7 +126,7 @@ def _parse_csv_matrix(path) -> np.ndarray:
             values = []
             for col_idx, cell in enumerate(row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     if row_idx == 0 and not rows:
                         values = None  # header row
@@ -151,6 +135,12 @@ def _parse_csv_matrix(path) -> np.ndarray:
                         f"{path}: non-numeric cell {cell!r} at row {row_idx}, "
                         f"column {col_idx}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"{path}: non-finite cell {cell!r} at row {row_idx}, "
+                        f"column {col_idx}"
+                    )
+                values.append(value)
             if values is None:
                 continue
             if width is None:

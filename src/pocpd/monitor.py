@@ -81,6 +81,10 @@ class Scenario:
             raise ValueError("n0 must be >= 1")
         if self.horizon_cap < 1:
             raise ValueError("horizon_cap must be >= 1")
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for change in self.changes:
             if change.f.shape != (self.model.q,):
                 raise ValueError("change shift length must equal q")

@@ -17,6 +17,7 @@ __all__ = [
     "POLICY_SHIFTS",
     "benchmark_p10_model",
     "benchmark_p30_model",
+    "BUILT_IN_MODELS",
     "single_dim_shift",
     "shift_grid",
     "built_in_scenario",
@@ -102,6 +103,11 @@ def benchmark_p30_model(
     return ModelParams(A=a, C=c, sigma_q=sigma_q, sigma_r=sigma_r)
 
 
+# Built-in model name -> factory; the config's model.builtin and
+# built_in_scenario look names up here.
+BUILT_IN_MODELS = {"bench-p10": benchmark_p10_model, "bench-p30": benchmark_p30_model}
+
+
 def single_dim_shift(q: int, magnitude: float, dim: int = 0, tau: int = 0) -> ChangeSpec:
     """Shift of one state dimension; magnitude 0 encodes in-control."""
     if magnitude == 0.0:
@@ -125,13 +131,10 @@ def built_in_scenario(
     horizon_cap: int = 1000,
     seed: int = 0,
 ) -> Scenario:
-    """Named benchmark scenarios: 'bench-p10' and 'bench-p30'."""
-    if name == "bench-p10":
-        model = benchmark_p10_model()
-    elif name == "bench-p30":
-        model = benchmark_p30_model()
-    else:
+    """Named benchmark scenarios, one per entry of BUILT_IN_MODELS."""
+    if name not in BUILT_IN_MODELS:
         raise KeyError(f"unknown built-in scenario {name!r}")
+    model = BUILT_IN_MODELS[name]()
     if policy is None:
         policy = Policy(kind="e_aucrss", alpha=DEFAULT_ALPHA_SCHEDULE)
     return Scenario(

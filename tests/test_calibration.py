@@ -18,7 +18,7 @@ from pocpd.detector import WindowConfig
 from pocpd.errors import CalibrationError, NumericalError
 from pocpd.model import ChangeSpec, ModelParams
 from pocpd.monitor import Policy, Scenario, replication_rngs, run_single, simulate_run_stream
-from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE
+from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, built_in_scenario
 
 
 def small_scenario(h=None, policy_kind="random", m=1, replications=100):
@@ -61,39 +61,37 @@ class TestCalibrationSpec:
             CalibrationSpec(target_add_ic=10.0, replications=50)
         with pytest.raises(ValueError):
             CalibrationSpec(target_add_ic=100.0, horizon_cap=200)
+        with pytest.raises(ValueError, match="max_iters"):
+            CalibrationSpec(target_add_ic=10.0, max_iters=0)
+        with pytest.raises(ValueError, match="seed"):
+            CalibrationSpec(target_add_ic=10.0, seed=-1)
 
 
 class TestEstimateAdd:
     def test_ic_arithmetic_mean(self):
-        est = estimate_add([sample(210), sample(190), sample(260)], tau=0, horizon_cap=1000)
+        est = estimate_add([sample(210), sample(190), sample(260)], tau=0)
         assert est.add == pytest.approx(220.0)
         assert est.n_used == 3
 
     def test_oc_conditioning(self):
         # tau = 100: the first shifted step is 101, so only alarms after tau
         # count (an alarm at 100 is a false alarm); delays are T - tau.
-        est = estimate_add(
-            [sample(90), sample(100), sample(150), sample(130)],
-            tau=100,
-            horizon_cap=1000,
-        )
+        est = estimate_add([sample(90), sample(100), sample(150), sample(130)], tau=100)
         assert est.add == pytest.approx(40.0)
         assert est.n_used == 2
 
     def test_ic_infinite_tau(self):
-        est = estimate_add([sample(10), sample(30)], tau=math.inf, horizon_cap=100)
+        est = estimate_add([sample(10), sample(30)], tau=math.inf)
         assert est.add == pytest.approx(20.0)
 
     def test_censored_counted_at_cap(self):
-        est = estimate_add(
-            [sample(50), sample(100, censored=True)], tau=0, horizon_cap=100
-        )
+        est = estimate_add([sample(50), sample(100, censored=True)], tau=0)
         assert est.add == pytest.approx(75.0)
         assert est.censored_fraction == pytest.approx(0.5)
 
     def test_all_censored_raises(self):
         with pytest.raises(CalibrationError):
-            estimate_add([sample(100, censored=True)], tau=0, horizon_cap=100)
+            estimate_add([sample(100, censored=True)], tau=0)
 
 
 class TestRunOnce:
@@ -192,6 +190,16 @@ class TestCalibrateH:
         assert r1.h == r2.h
         assert r1.achieved_add_ic == r2.achieved_add_ic
 
+    def test_process_pool_matches_serial(self):
+        spec = CalibrationSpec(
+            target_add_ic=4.0, replications=100, horizon_cap=20, seed=4
+        )
+        scenario = small_scenario()
+        np.testing.assert_array_equal(
+            ic_trajectories(scenario, replace(spec, workers=2)),
+            ic_trajectories(scenario, spec),
+        )
+
     def test_monotone_in_h(self):
         spec = CalibrationSpec(
             target_add_ic=10.0, replications=100, horizon_cap=60, seed=4
@@ -262,6 +270,17 @@ class TestScenarioValidation:
         s = small_scenario()
         with pytest.raises(ValueError):
             replace(s, m=4)
+
+    def test_replications_and_seed_ranges(self):
+        s = small_scenario()
+        with pytest.raises(ValueError, match="replications"):
+            replace(s, replications=0)
+        with pytest.raises(ValueError, match="seed"):
+            replace(s, seed=-1)
+        with pytest.raises(ValueError, match="replications"):
+            built_in_scenario("bench-p10", replications=0)
+        with pytest.raises(ValueError, match="seed"):
+            built_in_scenario("bench-p10", seed=-1)
 
     def test_rank_warning(self):
         with pytest.warns(UserWarning, match="rank-deficient"):

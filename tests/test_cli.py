@@ -1,16 +1,19 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pocpd.calibration import calibrate_h
+from pocpd.calibration import CalibrationSpec, calibrate_h
 from pocpd.cli import _load, build_parser, main
 from pocpd.config import parse_config
+from pocpd.detector import WindowConfig
 from pocpd.errors import ConfigError
 from pocpd.monitor import Policy
 from pocpd.sampler import AlphaSchedule
+from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, benchmark_p10_model
 
 
 def mini_config_doc():
@@ -49,14 +52,49 @@ def cfg_path(tmp_path):
 class TestParseConfig:
     def test_defaults_resolve_builtin(self):
         cfg = parse_config({})
-        assert cfg.scenario_name == "bench-p10"
-        assert cfg.model.p == 10
-        assert cfg.policy.kind == "e_aucrss"
-        assert isinstance(cfg.policy.alpha, AlphaSchedule)
+        assert cfg.base.name == "bench-p10"
+        assert cfg.base.model.p == 10
+        assert cfg.base.policy.kind == "e_aucrss"
+        assert isinstance(cfg.base.policy.alpha, AlphaSchedule)
+
+    def test_defaults_pinned(self):
+        cfg = parse_config({})
+        s = cfg.scenario()
+        model = benchmark_p10_model()
+        assert s.name == "bench-p10"
+        np.testing.assert_array_equal(s.model.A, model.A)
+        np.testing.assert_array_equal(s.model.C, model.C)
+        assert (s.model.sigma_q, s.model.sigma_r) == (model.sigma_q, model.sigma_r)
+        assert (s.m, s.n0) == (2, 50)
+        assert s.window == WindowConfig(m1=50, m2=5, h=None)
+        assert s.policy == Policy(kind="e_aucrss", alpha=DEFAULT_ALPHA_SCHEDULE)
+        assert len(s.changes) == 1
+        assert s.changes[0].tau == math.inf
+        np.testing.assert_array_equal(s.changes[0].f, np.zeros(7))
+        assert (s.replications, s.horizon_cap, s.seed) == (1000, 1000, 0)
+        assert cfg.calibration is None
+        spec = parse_config({"calibration": {"target_add_ic": 200}}).calibration
+        assert spec == CalibrationSpec(target_add_ic=200.0, seed=0)
+        assert type(spec.target_add_ic) is float
 
     def test_unknown_section_named(self):
         with pytest.raises(ConfigError, match="bogus"):
             parse_config({"bogus": {}})
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"experiment": {"replication": 5}}, "experiment.replication"),
+            ({"model": {"builtin": "bench-p10", "A": [[2.0]]}}, "model.A"),
+            ({"calibration": {"target_add_ic": 200, "workers": 2}}, "calibration.workers"),
+            ({"policy": {"alpha": {"d": 1, "l": 1, "alpha_min": 0.1, "alpha_max": 0.5,
+                                   "alpha": 0.2}}}, "policy.alpha.alpha"),
+            ({"experiment": {"grid": [{"f": [0.0] * 7, "t": 3}]}}, "experiment.grid[0].t"),
+        ],
+    )
+    def test_unknown_key_named(self, doc, path):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown key")):
+            parse_config(doc)
 
     def test_missing_key_path(self):
         doc = mini_config_doc()
@@ -85,24 +123,24 @@ class TestParseConfig:
     def test_alpha_constant_and_schedule(self):
         doc = mini_config_doc()
         doc["policy"]["alpha"] = 0.3
-        assert parse_config(doc).policy.alpha == 0.3
+        assert parse_config(doc).base.policy.alpha == 0.3
         doc["policy"]["alpha"] = {
             "d": 15,
             "l": 6.67,
             "alpha_min": 0.1,
             "alpha_max": 0.85,
         }
-        assert isinstance(parse_config(doc).policy.alpha, AlphaSchedule)
+        assert isinstance(parse_config(doc).base.policy.alpha, AlphaSchedule)
         # The random policy ignores alpha but keeps it for `--policies`.
         doc["policy"] = {"name": "random", "alpha": 0.3}
-        assert parse_config(doc).policy.alpha == 0.3
+        assert parse_config(doc).base.policy.alpha == 0.3
 
     def test_grid_objects(self):
         doc = mini_config_doc()
         doc["experiment"]["grid"] = [{"tau": 3, "f": [0.5, 0.0]}, 0.2]
         cfg = parse_config(doc)
-        assert cfg.changes[0].tau == 3
-        assert cfg.changes[1].f[0] == 0.2
+        assert cfg.base.changes[0].tau == 3
+        assert cfg.base.changes[1].f[0] == 0.2
 
     def test_scenario_roundtrip(self):
         cfg = parse_config(mini_config_doc())
@@ -127,14 +165,35 @@ class TestParseConfig:
     def test_seed_flag_reaches_unset_calibration_seed(self, cfg_path, tmp_path):
         argv = ["--config", cfg_path, "--seed", "11", "calibrate"]
         cfg = _load(build_parser().parse_args(argv))
-        assert (cfg.seed, cfg.calibration.seed) == (11, 11)
+        assert (cfg.base.seed, cfg.calibration.seed) == (11, 11)
         doc = mini_config_doc()
         doc["calibration"]["seed"] = 3
         path = tmp_path / "explicit.json"
         path.write_text(json.dumps(doc))
         argv = ["--config", str(path), "--seed", "11", "calibrate"]
         cfg = _load(build_parser().parse_args(argv))
-        assert (cfg.seed, cfg.calibration.seed) == (11, 3)
+        assert (cfg.base.seed, cfg.calibration.seed) == (11, 3)
+
+
+@pytest.mark.parametrize(
+    "section, patch, message",
+    [
+        ("calibration", {"max_iters": 0, "tol": 1e-4}, "max_iters must be >= 1"),
+        ("calibration", {"seed": -1}, "seed must be >= 0"),
+        ("calibration", {"workers": 2}, "calibration.workers: unknown key"),
+        ("experiment", {"replications": 0}, "experiment.replications: must be >= 1"),
+        ("experiment", {"seed": -1}, "experiment.seed: must be >= 0"),
+    ],
+)
+def test_out_of_range_config_exits_2(tmp_path, capsys, section, patch, message):
+    doc = mini_config_doc()
+    doc[section].update(patch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["--config", str(path), "--out", str(tmp_path / "o"), "calibrate"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestSimulate:
@@ -230,7 +289,7 @@ class TestBenchmark:
             policy.kind: calibrate_h(
                 cfg.calibration, cfg.scenario(changes=(), policy=policy)
             ).h
-            for policy in (cfg.policy, Policy(kind="random"))
+            for policy in (cfg.base.policy, Policy(kind="random"))
         }
         assert direct["e_aucrss"] != direct["random"]
         for kind, h in direct.items():

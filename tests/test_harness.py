@@ -132,6 +132,13 @@ class TestIngestCsv:
         with pytest.raises(ConfigError, match="row 1.*column 1"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_located(self, tmp_path, cell):
+        path = tmp_path / "n.csv"
+        path.write_text(f"1,2\n3,4\n5,{cell}\n")
+        with pytest.raises(ConfigError, match="non-finite.*row 2.*column 1"):
+            ingest_csv(path)
+
     def test_constant_reference_column_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("1,5\n2,5\n3,5\n")
