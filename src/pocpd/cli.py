@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(bench, suppress=True)
     bench.add_argument(
         "--policies",
-        help=f"comma-separated subset of {','.join(POLICY_NAMES)}",
+        help=f"comma-separated subset of {','.join(POLICY_NAMES)}, one arm each "
+        "(shorthand for a policy array; the config must have one policy)",
     )
 
     rep = sub.add_parser("replay", help="monitor a recorded CSV stream")
@@ -94,10 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> Config:
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed: must be >= 0")
+    if args.threads < 1:
+        raise ConfigError("--threads: must be >= 1")
+    policies = getattr(args, "policies", None)
     if args.config:
-        cfg = load_config(args.config, seed=args.seed)
+        cfg = load_config(args.config, seed=args.seed, policies=policies)
     else:
-        cfg = parse_config({}, source="<defaults>", seed=args.seed)
+        cfg = parse_config({}, source="<defaults>", seed=args.seed, policies=policies)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
@@ -110,7 +114,10 @@ def _write_csv(path, matrix: np.ndarray) -> None:
 
 
 def cmd_simulate(cfg: Config, args) -> int:
-    model = cfg.base.model
+    if args.horizon < 1:
+        raise ConfigError("--horizon: must be >= 1")
+    base = cfg.arms[0]  # the arms share model, grid and seed
+    model = base.model
     if args.sigma_q is not None or args.sigma_r is not None:
         model = replace(
             model,
@@ -119,11 +126,11 @@ def cmd_simulate(cfg: Config, args) -> int:
         )
     if args.shift is not None or args.tau is not None:
         change = single_dim_shift(model.q, args.shift or 0.0, tau=args.tau or 0)
-    elif cfg.base.changes:
-        change = cfg.base.changes[0]
+    elif base.changes:
+        change = base.changes[0]
     else:
         change = ChangeSpec.none(model.q)
-    y, _ = simulate_stream(model, change, horizon=args.horizon, seed=cfg.base.seed)
+    y, _ = simulate_stream(model, change, horizon=args.horizon, seed=base.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "stream.csv")
     _write_csv(path, y)
@@ -134,7 +141,7 @@ def cmd_simulate(cfg: Config, args) -> int:
 def _calibration_spec(cfg: Config, threads: int) -> CalibrationSpec:
     spec = cfg.calibration
     if spec is None:
-        spec = CalibrationSpec(target_add_ic=200.0, seed=cfg.base.seed)
+        spec = CalibrationSpec(target_add_ic=200.0, seed=cfg.arms[0].seed)
     if threads > 1:
         spec = replace(spec, workers=threads)
     return spec
@@ -155,29 +162,22 @@ def cmd_calibrate(cfg: Config, args) -> int:
 
 
 def cmd_benchmark(cfg: Config, args) -> int:
-    kinds = args.policies.split(",") if args.policies else [cfg.base.policy.kind]
-    try:
-        policies = [replace(cfg.base.policy, kind=kind.strip()) for kind in kinds]
-    except ValueError as exc:
-        raise ConfigError(f"--policies: {exc}") from None
     table = ResultTable([])
-    for policy in policies:
-        window = cfg.window
-        if window.h is None:
-            # Each policy at its own h, so delays compare at equal ADD_IC.
+    for arm in cfg.arms:
+        if arm.window.h is None:
+            # Each arm at its own h, so delays compare at equal ADD_IC.
             spec = _calibration_spec(cfg, args.threads)
-            result = calibrate_h(spec, cfg.scenario(changes=(), policy=policy))
-            window = replace(window, h=result.h)
+            result = calibrate_h(spec, replace(arm, changes=()))
+            arm = replace(arm, window=replace(arm.window, h=result.h))
             print(
-                f"{policy.kind}: calibrated h = {result.h:.6g} "
+                f"{arm.name} {arm.policy.kind}: calibrated h = {result.h:.6g} "
                 f"(ADD_IC {result.achieved_add_ic:.2f})"
             )
-        scenario = cfg.scenario(policy=policy, window=window)
-        table = table.merge(run_scenario(scenario))
+        table = table.merge(run_scenario(arm))
     written = emit_outputs(table, cfg.out_dir)
     for cell in table.cells:
         status = f"ADD {cell.add:.2f}" if cell.add is not None else f"FAILED: {cell.error}"
-        print(f"  {cell.policy:>9}  f={cell.f:<5g} {status}")
+        print(f"  {cell.scenario} {cell.policy:>9}  f={cell.f:<5g} {status}")
     print("wrote " + ", ".join(written))
     return EXIT_OK
 
@@ -186,9 +186,9 @@ def cmd_replay(cfg: Config, args) -> int:
     path = args.input or cfg.input_csv
     if path is None:
         raise ConfigError("replay needs --input or io.input_csv")
+    scenario = cfg.scenario(changes=())
     reference = args.reference or cfg.reference_csv
     stream = ingest_csv(path, normalization=args.normalization, reference=reference)
-    scenario = cfg.scenario(changes=())
     record = replay_monitor(stream, scenario)
     out = {
         "source": stream.source,

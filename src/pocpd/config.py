@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,11 +36,14 @@ _CALIBRATION_TYPES = {
     "seed": int,
 }
 
+# A policy label is part of a file name and of an unquoted CSV field.
+_LABEL = re.compile(r"[A-Za-z0-9_.=+-]+")
+
 # The keys each section accepts; any other key is a ConfigError.
 _KEYS = {
     "model": ("builtin", "sigma_q", "sigma_r", "A", "C"),
     "window": ("m1", "m2", "h"),
-    "policy": ("name", "alpha"),
+    "policy": ("name", "alpha", "label"),
     "sampling": ("m", "n0"),
     "experiment": ("replications", "horizon_cap", "seed", "grid"),
     "io": ("out_dir", "input_csv", "reference_csv"),
@@ -82,13 +87,26 @@ def _matrix(obj, path: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Config:
-    """Validated configuration, ready to hand to the library."""
+    """Validated configuration, ready to hand to the library.
 
-    base: Scenario
+    `arms` holds one Scenario per policy arm, in file order.  The arms
+    differ only in name and policy.
+    """
+
+    arms: tuple
     out_dir: str
     input_csv: str | None
     reference_csv: str | None
     calibration: CalibrationSpec | None
+
+    @property
+    def base(self) -> Scenario:
+        """The scenario of a single-policy config."""
+        if len(self.arms) > 1:
+            raise ConfigError(
+                f"policy: lists {len(self.arms)} arms, but this command takes one policy"
+            )
+        return self.arms[0]
 
     @property
     def window(self) -> WindowConfig:
@@ -104,12 +122,15 @@ def _check_keys(obj: dict, path: str, allowed) -> None:
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
+def _object(value, path: str, allowed) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _check_keys(value, path, allowed)
+    return value
+
+
 def _section(doc: dict, name: str, default=None) -> dict:
-    section = doc.get(name, default or {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name}: expected an object")
-    _check_keys(section, name, _KEYS[name])
-    return section
+    return _object(doc.get(name, default or {}), name, _KEYS[name])
 
 
 def _parse_model(section: dict, path: str) -> tuple[ModelParams, str]:
@@ -117,26 +138,29 @@ def _parse_model(section: dict, path: str) -> tuple[ModelParams, str]:
     if builtin is not None:
         # Built-in models keep their own noise defaults unless overridden.
         _check_keys(section, path, ("builtin", "sigma_q", "sigma_r"))
-        kw = {}
-        if "sigma_q" in section:
-            kw["sigma_q"] = _require(section, "sigma_q", path, (int, float))
-        if "sigma_r" in section:
-            kw["sigma_r"] = _require(section, "sigma_r", path, (int, float))
         if builtin not in BUILT_IN_MODELS:
             raise ConfigError(f"{path}.builtin: unknown built-in model {builtin!r}")
-        return BUILT_IN_MODELS[builtin](**kw), builtin
-    sigma_q = _require(section, "sigma_q", path, (int, float), 0.1)
-    sigma_r = _require(section, "sigma_r", path, (int, float), 0.1)
-    a = _matrix(_require(section, "A", path, list), f"{path}.A")
-    c = _matrix(_require(section, "C", path, list), f"{path}.C")
-    if a.shape[0] != a.shape[1]:
-        raise ConfigError(f"{path}.A: must be square, got {a.shape}")
-    if c.shape[1] != a.shape[0]:
-        raise ConfigError(
-            f"{path}.C: has {c.shape[1]} columns but A is {a.shape[0]}x{a.shape[0]}"
-        )
+        kw = {
+            key: _require(section, key, path, (int, float))
+            for key in ("sigma_q", "sigma_r")
+            if key in section
+        }
+        build, name = partial(BUILT_IN_MODELS[builtin], **kw), builtin
+    else:
+        sigma_q = _require(section, "sigma_q", path, (int, float), 0.1)
+        sigma_r = _require(section, "sigma_r", path, (int, float), 0.1)
+        a = _matrix(_require(section, "A", path, list), f"{path}.A")
+        c = _matrix(_require(section, "C", path, list), f"{path}.C")
+        if a.shape[0] != a.shape[1]:
+            raise ConfigError(f"{path}.A: must be square, got {a.shape}")
+        if c.shape[1] != a.shape[0]:
+            raise ConfigError(
+                f"{path}.C: has {c.shape[1]} columns but A is {a.shape[0]}x{a.shape[0]}"
+            )
+        build = partial(ModelParams, A=a, C=c, sigma_q=sigma_q, sigma_r=sigma_r)
+        name = "custom"
     try:
-        return ModelParams(A=a, C=c, sigma_q=sigma_q, sigma_r=sigma_r), "custom"
+        return build(), name
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -158,6 +182,59 @@ def _parse_alpha(value, path: str):
     raise ConfigError(f"{path}: expected a number or a schedule object")
 
 
+def _parse_policy(section, path: str) -> tuple[Policy, str | None]:
+    _object(section, path, _KEYS["policy"])
+    name = _require(section, "name", path, str, "e_aucrss")
+    if name not in POLICY_NAMES:
+        raise ConfigError(
+            f"{path}.name: unknown policy {name!r}, expected one of {POLICY_NAMES}"
+        )
+    alpha = section.get("alpha")
+    alpha = DEFAULT_ALPHA_SCHEDULE if alpha is None else _parse_alpha(alpha, f"{path}.alpha")
+    label = _require(section, "label", path, str, None)
+    if label is not None and not _LABEL.fullmatch(label):
+        raise ConfigError(
+            f"{path}.label: expected letters, digits and _.=+- only, got {label!r}"
+        )
+    try:
+        # The random policy ignores alpha; it is kept for `--policies`.
+        return Policy(kind=name, alpha=alpha), label
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _parse_arms(section, policies: str | None) -> list:
+    """(policy, label) per arm: one per entry of a policy array, else one
+    per kind of `policies` (the CLI's --policies, a comma-separated list)
+    with the policy object's alpha and label, else the policy object."""
+    if isinstance(section, list):
+        if not section:
+            raise ConfigError("policy: expected an object or a non-empty array")
+        if policies is not None:
+            raise ConfigError("--policies: the config already lists its policy arms")
+        arms = [_parse_policy(arm, f"policy[{i}]") for i, arm in enumerate(section)]
+        where = "policy"
+    else:
+        policy, label = _parse_policy(section, "policy")
+        kinds = [policy.kind] if policies is None else policies.split(",")
+        try:
+            arms = [(replace(policy, kind=kind.strip()), label) for kind in kinds]
+        except ValueError as exc:
+            raise ConfigError(f"--policies: {exc}") from None
+        where = "--policies"
+    # emit_outputs keys each plot_<scenario>.csv column by policy, so two
+    # arms with the same scenario name and policy would overwrite each other.
+    seen = {}
+    for i, (policy, label) in enumerate(arms):
+        j = seen.setdefault((label, policy.kind), i)
+        if j != i:
+            raise ConfigError(
+                f"{where}[{i}]: same scenario and policy as {where}[{j}]; "
+                "give one a distinct label"
+            )
+    return arms
+
+
 def _parse_changes(grid, q: int, path: str) -> tuple:
     if not isinstance(grid, list):
         raise ConfigError(f"{path}: expected an array")
@@ -171,9 +248,11 @@ def _parse_changes(grid, q: int, path: str) -> tuple:
             if not isinstance(f, list) or len(f) != q:
                 raise ConfigError(f"{path}[{i}].f: expected an array of length {q}")
             tau = entry.get("tau", 0)
-            if tau is None:
-                tau = math.inf
-            changes.append(ChangeSpec(tau=tau, f=np.asarray(f, dtype=float)))
+            try:
+                changes.append(ChangeSpec(tau=math.inf if tau is None else tau, f=f))
+            except ValueError as exc:
+                key = "tau" if str(exc).startswith("tau") else "f"
+                raise ConfigError(f"{path}[{i}].{key}: {exc}") from None
         else:
             raise ConfigError(f"{path}[{i}]: expected a number or an object")
     return tuple(changes)
@@ -194,10 +273,16 @@ def _parse_calibration(cal: dict, seed: int) -> CalibrationSpec:
         raise ConfigError(f"calibration: {exc}") from None
 
 
-def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -> Config:
+def parse_config(
+    doc: dict,
+    source: str = "<config>",
+    seed: int | None = None,
+    policies: str | None = None,
+) -> Config:
     """Validate `doc` and build the Config.  A `seed` given here (the CLI's
     --seed) replaces experiment.seed, and so also the default of an unset
-    calibration.seed."""
+    calibration.seed.  `policies` (the CLI's --policies) makes one arm per
+    listed kind from a single policy object."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
     for key in doc:
@@ -209,8 +294,10 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
 
     window_sec = _section(doc, "window")
     h = window_sec.get("h")
-    if h is not None and (not isinstance(h, (int, float)) or isinstance(h, bool)):
-        raise ConfigError("window.h: expected a number or null")
+    if h is not None and (
+        not isinstance(h, (int, float)) or isinstance(h, bool) or not math.isfinite(h)
+    ):
+        raise ConfigError("window.h: expected a finite number or null")
     try:
         window = WindowConfig(
             m1=_require(window_sec, "m1", "window", int, 50),
@@ -220,19 +307,7 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     except ValueError as exc:
         raise ConfigError(f"window: {exc}") from None
 
-    policy_sec = _section(doc, "policy")
-    name = _require(policy_sec, "name", "policy", str, "e_aucrss")
-    if name not in POLICY_NAMES:
-        raise ConfigError(
-            f"policy.name: unknown policy {name!r}, expected one of {POLICY_NAMES}"
-        )
-    alpha = policy_sec.get("alpha")
-    alpha = DEFAULT_ALPHA_SCHEDULE if alpha is None else _parse_alpha(alpha, "policy.alpha")
-    try:
-        # The random policy ignores alpha; it is kept for `--policies`.
-        policy = Policy(kind=name, alpha=alpha)
-    except ValueError as exc:
-        raise ConfigError(f"policy: {exc}") from None
+    arms = _parse_arms(doc.get("policy", {}), policies)
 
     sampling = _section(doc, "sampling")
     m = _require(sampling, "m", "sampling", int, 2)
@@ -264,17 +339,20 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     if cal is not None:
         cal = _parse_calibration(_section(doc, "calibration"), seed)
     return Config(
-        base=Scenario(
-            name=builtin_name,
-            model=model,
-            m=m,
-            window=window,
-            policy=policy,
-            changes=changes,
-            replications=replications,
-            horizon_cap=horizon_cap,
-            n0=n0,
-            seed=seed,
+        arms=tuple(
+            Scenario(
+                name=builtin_name if label is None else f"{builtin_name}-{label}",
+                model=model,
+                m=m,
+                window=window,
+                policy=policy,
+                changes=changes,
+                replications=replications,
+                horizon_cap=horizon_cap,
+                n0=n0,
+                seed=seed,
+            )
+            for policy, label in arms
         ),
         out_dir=out_dir,
         input_csv=input_csv,
@@ -283,10 +361,10 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     )
 
 
-def load_config(path, seed: int | None = None) -> Config:
+def load_config(path, seed: int | None = None, policies: str | None = None) -> Config:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_config(doc, source=str(path), seed=seed)
+    return parse_config(doc, source=str(path), seed=seed, policies=policies)

@@ -9,6 +9,7 @@ recursion from a change point onward.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,11 +103,18 @@ class ChangeSpec:
     f: np.ndarray
 
     def __post_init__(self):
-        _frozen_array(self, self.f, "f")
+        # Each message starts with the field it names; config maps it to a path.
+        try:
+            _frozen_array(self, self.f, "f")
+        except (TypeError, ValueError):
+            raise ValueError("f must be a finite vector of numbers") from None
         if self.f.ndim != 1 or not np.all(np.isfinite(self.f)):
-            raise ValueError("f must be a finite vector")
-        if not (self.tau == math.inf or (self.tau >= 0 and float(self.tau).is_integer())):
-            raise ValueError("tau must be a nonnegative integer or infinity")
+            raise ValueError("f must be a finite vector of numbers")
+        tau = self.tau
+        if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not (
+            tau == math.inf or (tau >= 0 and float(tau).is_integer())
+        ):
+            raise ValueError(f"tau must be a nonnegative integer or infinity, got {tau!r}")
 
     @classmethod
     def none(cls, q: int) -> "ChangeSpec":

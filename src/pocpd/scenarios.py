@@ -13,7 +13,6 @@ from .sampler import AlphaSchedule
 
 __all__ = [
     "DEFAULT_ALPHA_SCHEDULE",
-    "ALPHA_STUDY_SHIFTS",
     "POLICY_SHIFTS",
     "benchmark_p10_model",
     "benchmark_p30_model",
@@ -26,8 +25,7 @@ __all__ = [
 # Exploration schedule used throughout the benchmark experiments.
 DEFAULT_ALPHA_SCHEDULE = AlphaSchedule(d=15.0, l=6.67, alpha_min=0.1, alpha_max=0.85)
 
-# Shift grids for the small-shift alpha study and the policy comparison.
-ALPHA_STUDY_SHIFTS = (0.05, 0.06, 0.07, 0.08, 0.09, 0.10)
+# Shift grid of the policy comparison.
 POLICY_SHIFTS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 _P10_A = np.array(

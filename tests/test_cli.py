@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,65 @@ class TestParseConfig:
         for block in blocks:
             parse_config(json.loads(block))
 
+    def test_readme_commands_parse(self):
+        # Every `pocpd ...` line of the README's sh blocks is a valid command.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        lines = [
+            line.split("#")[0]
+            for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+            for line in block.splitlines()
+            if line.startswith("pocpd ")
+        ]
+        assert lines
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_readme_paths_exist(self):
+        root = Path(__file__).resolve().parent.parent
+        paths = re.findall(r"`([\w.-]+/[\w./-]*)`", (root / "README.md").read_text())
+        assert "perfbench/run.py" in paths
+        assert [p for p in paths if not (root / p).exists()] == []
+
+    def test_policy_arms(self):
+        doc = mini_config_doc()
+        doc["policy"] = [
+            {"name": "random"},
+            {"name": "e_aucrss", "alpha": 0.3, "label": "alpha=0.3"},
+            {"name": "e_aucrss", "label": "schedule"},
+        ]
+        cfg = parse_config(doc)
+        assert [(s.name, s.policy.kind) for s in cfg.arms] == [
+            ("custom", "random"),
+            ("custom-alpha=0.3", "e_aucrss"),
+            ("custom-schedule", "e_aucrss"),
+        ]
+        assert cfg.arms[1].policy.alpha == 0.3
+        assert cfg.arms[2].policy.alpha == DEFAULT_ALPHA_SCHEDULE
+        # A single policy object may carry a label too.
+        doc["policy"] = {"name": "random", "label": "r"}
+        assert parse_config(doc).base.name == "custom-r"
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ([], "policy: expected an object or a non-empty array"),
+            ([{"name": "random"}, 3], "policy[1]: expected an object"),
+            ([{"name": "random", "label": "a/b"}], "policy[0].label: expected letters"),
+            ([{"name": "random", "label": ""}], "policy[0].label: expected letters"),
+            ([{"name": "oracle"}], "policy[0].name: unknown policy 'oracle'"),
+            ([{"name": "random"}, {"alpha": 1.5}], "policy[1]: policy 'e_aucrss' needs"),
+            ([{"label": "x"}, {"label": "y"}, {"alpha": 0.3, "label": "x"}],
+             "policy[2]: same scenario and policy as policy[0]"),
+            ([{"name": "random"}, {"name": "random", "alpha": 0.3}],
+             "policy[1]: same scenario and policy as policy[0]"),
+        ],
+    )
+    def test_bad_policy_arms(self, policy, message):
+        doc = mini_config_doc()
+        doc["policy"] = policy
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(doc)
+
     def test_null_paths_are_unset(self):
         doc = {"io": {"input_csv": None, "reference_csv": None}}
         cfg = parse_config(doc)
@@ -183,6 +244,18 @@ class TestParseConfig:
         ("calibration", {"workers": 2}, "calibration.workers: unknown key"),
         ("experiment", {"replications": 0}, "experiment.replications: must be >= 1"),
         ("experiment", {"seed": -1}, "experiment.seed: must be >= 0"),
+        ("window", {"h": math.nan}, "window.h: expected a finite number or null"),
+        ("window", {"h": math.inf}, "window.h: expected a finite number or null"),
+        ("window", {"h": -math.inf}, "window.h: expected a finite number or null"),
+        ("experiment", {"grid": [0.5, {"tau": -3, "f": [1.0, 0.0]}]},
+         "experiment.grid[1].tau: tau must be a nonnegative integer"),
+        ("experiment", {"grid": [{"tau": "x", "f": [1.0, 0.0]}]}, "experiment.grid[0].tau"),
+        ("experiment", {"grid": [{"tau": True, "f": [1.0, 0.0]}]}, "experiment.grid[0].tau"),
+        ("experiment", {"grid": [{"tau": 2.5, "f": [1.0, 0.0]}]}, "experiment.grid[0].tau"),
+        ("experiment", {"grid": [{"f": ["a", 0.0]}]}, "experiment.grid[0].f: f must be"),
+        ("experiment", {"grid": [{"f": [{}, 0.0]}]}, "experiment.grid[0].f: f must be"),
+        ("experiment", {"grid": [{"f": [math.nan, 0.0]}]}, "experiment.grid[0].f: f must be"),
+        ("model", {"sigma_q": -1.0}, "model: sigma_q must be nonnegative"),
     ],
 )
 def test_out_of_range_config_exits_2(tmp_path, capsys, section, patch, message):
@@ -193,6 +266,30 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, section, patch, message):
     code = main(["--config", str(path), "--out", str(tmp_path / "o"), "calibrate"])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        ({"model": {"builtin": "bench-p10", "sigma_q": -1.0}}, ["simulate"],
+         "model: sigma_q must be nonnegative"),
+        ({"model": {"builtin": "bench-p30", "sigma_r": -0.5}}, ["simulate"],
+         "model: sigma_r must be nonnegative"),
+        ({}, ["simulate", "--horizon", "0"], "--horizon: must be >= 1"),
+        ({}, ["simulate", "--horizon", "-3"], "--horizon: must be >= 1"),
+        ({}, ["simulate", "--threads", "0"], "--threads: must be >= 1"),
+        ({}, ["--threads", "-4", "calibrate"], "--threads: must be >= 1"),
+    ],
+)
+def test_bad_model_or_flag_exits_2(tmp_path, capsys, doc, argv, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["--config", str(path), "--out", str(tmp_path / "o")] + argv)
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
     assert not (tmp_path / "o").exists()
 
 
@@ -294,6 +391,64 @@ class TestBenchmark:
         assert direct["e_aucrss"] != direct["random"]
         for kind, h in direct.items():
             assert {float(r[7]) for r in rows if r[1] == kind} == {h}
+
+    def test_policy_arms_each_at_its_own_h(self, tmp_path):
+        doc = mini_config_doc()
+        doc["calibration"].update(target_add_ic=8.0, horizon_cap=40, tol=0.05)
+        doc["experiment"]["replications"] = 5
+        doc["policy"] = [
+            {"name": "e_aucrss", "label": "schedule"},
+            {"name": "e_aucrss", "alpha": 0.05, "label": "alpha=0.05"},
+        ]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out), "benchmark"]) == 0
+        rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[1], float(r[2])) for r in rows] == [
+            (name, "e_aucrss", f)
+            for name in ("custom-schedule", "custom-alpha=0.05")
+            for f in (0.0, 1.0)
+        ]
+        cfg = parse_config(doc)
+        direct = {
+            arm.name: calibrate_h(cfg.calibration, replace(arm, changes=())).h
+            for arm in cfg.arms
+        }
+        assert direct["custom-schedule"] != direct["custom-alpha=0.05"]
+        for name, h in direct.items():
+            assert {float(r[7]) for r in rows if r[0] == name} == {h}
+        assert sorted(p.name for p in out.glob("plot_*.csv")) == [
+            "plot_custom-alpha=0.05.csv", "plot_custom-schedule.csv"
+        ]
+
+    @pytest.mark.parametrize(
+        "policy, argv, message",
+        [
+            ([{"label": "x"}, {"label": "x", "alpha": 0.3}], ["benchmark"],
+             "policy[1]: same scenario and policy as policy[0]"),
+            ({"name": "e_aucrss"}, ["benchmark", "--policies", "random,e_aucrss,random"],
+             "--policies[2]: same scenario and policy as --policies[0]"),
+            ([{"name": "random"}], ["benchmark", "--policies", "random"],
+             "--policies: the config already lists its policy arms"),
+            ([{"name": "random"}, {"name": "e_aucrss"}], ["calibrate"],
+             "policy: lists 2 arms, but this command takes one policy"),
+            ([{"name": "random"}, {"name": "e_aucrss"}], ["replay", "--input", "x.csv"],
+             "policy: lists 2 arms, but this command takes one policy"),
+        ],
+    )
+    def test_arm_conflicts_exit_2(self, tmp_path, capsys, policy, argv, message):
+        doc = mini_config_doc()
+        doc["policy"] = policy
+        doc["window"]["h"] = 5.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = main(["--config", str(path), "--out", str(tmp_path / "o")] + argv)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_policy_exits_2(self, cfg_path, tmp_path, capsys):
         # Every entry is checked before the first calibration starts.

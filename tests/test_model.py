@@ -64,6 +64,21 @@ class TestChangeSpec:
         with pytest.raises(ValueError):
             ChangeSpec(tau=0, f=np.array([np.nan]))
 
+    @pytest.mark.parametrize("tau", [True, "3", None, 2.5, math.nan, -math.inf])
+    def test_tau_not_an_integer_rejected(self, tau):
+        # Each message starts with the field it names (config maps it to a path).
+        with pytest.raises(ValueError, match="^tau must be"):
+            ChangeSpec(tau=tau, f=np.zeros(2))
+
+    @pytest.mark.parametrize("f", [["a", 0.0], [{}, 0.0], [[1.0], 2.0], [[1.0, 2.0]]])
+    def test_non_numeric_f_rejected(self, f):
+        with pytest.raises(ValueError, match="^f must be"):
+            ChangeSpec(tau=0, f=f)
+
+    def test_integral_taus_accepted(self):
+        for tau in (np.int64(3), 3.0, np.float64(3.0)):
+            assert ChangeSpec(tau=tau, f=np.ones(2)).magnitude == 1.0
+
 
 class TestObservationMask:
     def test_sorted_distinct_required(self):
