@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,9 @@ class CalibrationSpec:
         if not self.target_add_ic > 0:
             raise ValueError("target_add_ic must be positive")
         if not 0 < self.h_lo < self.h_hi:
-            raise ValueError("need 0 < h_lo < h_hi")
+            raise ValueError(
+                f"h_lo must satisfy 0 < h_lo < h_hi, got ({self.h_lo}, {self.h_hi})"
+            )
         if self.replications < 100:
             raise ValueError("replications must be >= 100")
         if self.horizon_cap < 5 * self.target_add_ic:
@@ -90,14 +92,7 @@ class CalibrationResult:
     replications: int
 
     def report(self) -> dict:
-        return {
-            "h": self.h,
-            "achieved_add_ic": self.achieved_add_ic,
-            "sdd": self.sdd,
-            "censored_fraction": self.censored_fraction,
-            "iterations": self.iterations,
-            "replications": self.replications,
-        }
+        return asdict(self)
 
     def write_report(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -114,25 +109,21 @@ def run_once(
     """One full monitored replication; stops at the first alarm."""
     if scenario.window.h is None:
         raise ValueError("scenario window has no control limit; calibrate first")
-    record = _run_record(scenario, change, rep, stream_id, stop_at_alarm=True)
+    record = _run_record(scenario, change, rep, stream_id)
     if record.alarm_time is None:
         return RunLengthSample(scenario.horizon_cap, censored=True)
     return RunLengthSample(record.alarm_time, censored=False)
 
 
 def _run_record(
-    scenario: Scenario,
-    change: ChangeSpec,
-    rep: int,
-    stream_id: int,
-    stop_at_alarm: bool,
+    scenario: Scenario, change: ChangeSpec, rep: int, stream_id: int
 ) -> RunRecord:
+    """One replication, stopped at the first alarm; with window.h unset
+    (in-control trajectories) it runs to the horizon."""
     sim_rng, mask_rng = replication_rngs(scenario.seed, stream_id, rep)
     try:
         observations = simulate_run_stream(scenario, change, sim_rng)
-        return run_single(
-            scenario, observations, mask_rng, stop_at_alarm=stop_at_alarm
-        )
+        return run_single(scenario, observations, mask_rng)
     except NumericalError as exc:
         raise NumericalError(
             f"seed {scenario.seed}, stream lane {stream_id}, replication {rep}, {exc}"
@@ -167,10 +158,7 @@ def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:
 def _ic_trajectory(args) -> np.ndarray:
     scenario, rep = args
     ic = ChangeSpec.none(scenario.model.q)
-    record = _run_record(
-        scenario, ic, rep, STREAM_CALIBRATION, stop_at_alarm=False
-    )
-    return record.t_stats
+    return _run_record(scenario, ic, rep, STREAM_CALIBRATION).t_stats
 
 
 def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:

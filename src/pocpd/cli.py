@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .calibration import CalibrationSpec, calibrate_h
-from .config import Config, load_config, parse_config
+from .config import Config, build, load_config, parse_config
 from .errors import CalibrationError, ConfigError, NumericalError
 from .harness import ResultTable, emit_outputs, ingest_csv, replay_monitor, run_scenario
 from .model import ChangeSpec, simulate_stream
@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Config:
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("--seed: must be >= 0")
     if args.threads < 1:
         raise ConfigError("--threads: must be >= 1")
     policies = getattr(args, "policies", None)
@@ -114,23 +112,26 @@ def _write_csv(path, matrix: np.ndarray) -> None:
 
 
 def cmd_simulate(cfg: Config, args) -> int:
-    if args.horizon < 1:
-        raise ConfigError("--horizon: must be >= 1")
     base = cfg.arms[0]  # the arms share model, grid and seed
     model = base.model
     if args.sigma_q is not None or args.sigma_r is not None:
-        model = replace(
+        model = build(
+            {"sigma_q": "--sigma-q", "sigma_r": "--sigma-r"},
+            replace,
             model,
             sigma_q=model.sigma_q if args.sigma_q is None else args.sigma_q,
             sigma_r=model.sigma_r if args.sigma_r is None else args.sigma_r,
         )
     if args.shift is not None or args.tau is not None:
-        change = single_dim_shift(model.q, args.shift or 0.0, tau=args.tau or 0)
+        flags = {"tau": "--tau", "f": "--shift"}
+        change = build(flags, single_dim_shift, model.q, args.shift or 0.0, tau=args.tau or 0)
     elif base.changes:
         change = base.changes[0]
     else:
         change = ChangeSpec.none(model.q)
-    y, _ = simulate_stream(model, change, horizon=args.horizon, seed=base.seed)
+    y, _ = build(
+        {"horizon": "--horizon"}, simulate_stream, model, change, args.horizon, base.seed
+    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "stream.csv")
     _write_csv(path, y)

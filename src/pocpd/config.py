@@ -1,7 +1,11 @@
-"""JSON configuration: schema validation and construction of library objects.
+"""JSON configuration: schema checks and construction of library objects.
 
-Every validation failure raises ConfigError naming the JSON path of the
-offending value (e.g. "model.sigma_q"), before any computation starts.
+The split of validation: this module checks only the JSON shape (types,
+unknown keys, required keys, and that every number is finite).  Every rule
+on a value (ranges, dimensions, policy names) belongs to the library
+dataclass that holds it.  `build` turns a ValueError from one of them into
+a ConfigError naming the JSON path (or CLI flag) of the offending value,
+e.g. "model.sigma_q", before any computation starts.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -18,11 +21,11 @@ from .calibration import CalibrationSpec
 from .detector import WindowConfig
 from .errors import ConfigError
 from .model import ChangeSpec, ModelParams
-from .monitor import POLICY_NAMES, Policy, Scenario
+from .monitor import Policy, Scenario
 from .sampler import AlphaSchedule
 from .scenarios import BUILT_IN_MODELS, DEFAULT_ALPHA_SCHEDULE, single_dim_shift
 
-__all__ = ["Config", "load_config", "parse_config"]
+__all__ = ["Config", "build", "load_config", "parse_config"]
 
 # JSON types of the calibration keys, each named after its CalibrationSpec field.
 _CALIBRATION_TYPES = {
@@ -50,7 +53,57 @@ _KEYS = {
     "calibration": tuple(_CALIBRATION_TYPES),
 }
 
+# JSON path of each Scenario field a config sets.
+_SCENARIO_PATHS = {
+    "m": "sampling.m",
+    "n0": "sampling.n0",
+    "changes": "experiment.grid",
+    "replications": "experiment.replications",
+    "horizon_cap": "experiment.horizon_cap",
+    "seed": "experiment.seed",
+}
+
 _REQUIRED = object()
+
+
+def build(paths, make, /, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError re-raised as a ConfigError.
+
+    Library checks start their message with the field they judge.  `paths`
+    maps that field to the JSON path or CLI flag to name, or is the prefix
+    of "<paths>.<field>".  A message naming no field of a `paths` mapping
+    propagates unchanged.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        field = str(exc).split(" ", 1)[0]
+        if not isinstance(paths, dict):
+            path = f"{paths}.{field}"
+        elif field in paths:
+            path = paths[field]
+        else:
+            raise
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _value(value, path: str, types, nullable: bool = False):
+    """The JSON `value` at `path`, checked against `types`: int, str, list,
+    or (int, float) for a number, which comes back as a finite float."""
+    number = types == (int, float)
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    if ok and number:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond float range
+            value = math.inf
+        ok = math.isfinite(value)
+    if not ok:
+        expected = "a finite number" if number else types.__name__
+        got = value if isinstance(value, float) else type(value).__name__
+        null = " or null" if nullable else ""
+        raise ConfigError(f"{path}: expected {expected}{null}, got {got}")
+    return value
 
 
 def _require(obj: dict, key: str, path: str, types, default=_REQUIRED):
@@ -59,15 +112,7 @@ def _require(obj: dict, key: str, path: str, types, default=_REQUIRED):
         if default is not _REQUIRED:
             return default
         raise ConfigError(f"{path}.{key}: missing required key")
-    value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool) and types != bool:
-        names = types.__name__ if isinstance(types, type) else "/".join(
-            t.__name__ for t in types
-        )
-        raise ConfigError(
-            f"{path}.{key}: expected {names}, got {type(value).__name__}"
-        )
-    return value
+    return _value(obj[key], f"{path}.{key}", types, nullable=default is None)
 
 
 def _matrix(obj, path: str) -> np.ndarray:
@@ -80,8 +125,7 @@ def _matrix(obj, path: str) -> np.ndarray:
         if len(row) != width:
             raise ConfigError(f"{path}[{i}]: ragged row, expected {width} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"{path}[{i}][{j}]: expected a number")
+            _value(v, f"{path}[{i}][{j}]", (int, float))
     return np.asarray(obj, dtype=float)
 
 
@@ -145,50 +189,31 @@ def _parse_model(section: dict, path: str) -> tuple[ModelParams, str]:
             for key in ("sigma_q", "sigma_r")
             if key in section
         }
-        build, name = partial(BUILT_IN_MODELS[builtin], **kw), builtin
-    else:
-        sigma_q = _require(section, "sigma_q", path, (int, float), 0.1)
-        sigma_r = _require(section, "sigma_r", path, (int, float), 0.1)
-        a = _matrix(_require(section, "A", path, list), f"{path}.A")
-        c = _matrix(_require(section, "C", path, list), f"{path}.C")
-        if a.shape[0] != a.shape[1]:
-            raise ConfigError(f"{path}.A: must be square, got {a.shape}")
-        if c.shape[1] != a.shape[0]:
-            raise ConfigError(
-                f"{path}.C: has {c.shape[1]} columns but A is {a.shape[0]}x{a.shape[0]}"
-            )
-        build = partial(ModelParams, A=a, C=c, sigma_q=sigma_q, sigma_r=sigma_r)
-        name = "custom"
-    try:
-        return build(), name
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        return build(path, BUILT_IN_MODELS[builtin], **kw), builtin
+    model = build(
+        path,
+        ModelParams,
+        A=_matrix(_require(section, "A", path, list), f"{path}.A"),
+        C=_matrix(_require(section, "C", path, list), f"{path}.C"),
+        sigma_q=_require(section, "sigma_q", path, (int, float), 0.1),
+        sigma_r=_require(section, "sigma_r", path, (int, float), 0.1),
+    )
+    return model, "custom"
 
 
 def _parse_alpha(value, path: str):
-    if isinstance(value, dict):
-        _check_keys(value, path, ("d", "l", "alpha_min", "alpha_max"))
-        try:
-            return AlphaSchedule(
-                d=float(_require(value, "d", path, (int, float))),
-                l=float(_require(value, "l", path, (int, float))),
-                alpha_min=float(_require(value, "alpha_min", path, (int, float))),
-                alpha_max=float(_require(value, "alpha_max", path, (int, float))),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"{path}: expected a number or a schedule object")
+    if not isinstance(value, dict):
+        return _value(value, path, (int, float))
+    keys = ("d", "l", "alpha_min", "alpha_max")
+    _check_keys(value, path, keys)
+    return build(
+        path, AlphaSchedule, **{k: _require(value, k, path, (int, float)) for k in keys}
+    )
 
 
 def _parse_policy(section, path: str) -> tuple[Policy, str | None]:
     _object(section, path, _KEYS["policy"])
     name = _require(section, "name", path, str, "e_aucrss")
-    if name not in POLICY_NAMES:
-        raise ConfigError(
-            f"{path}.name: unknown policy {name!r}, expected one of {POLICY_NAMES}"
-        )
     alpha = section.get("alpha")
     alpha = DEFAULT_ALPHA_SCHEDULE if alpha is None else _parse_alpha(alpha, f"{path}.alpha")
     label = _require(section, "label", path, str, None)
@@ -196,11 +221,9 @@ def _parse_policy(section, path: str) -> tuple[Policy, str | None]:
         raise ConfigError(
             f"{path}.label: expected letters, digits and _.=+- only, got {label!r}"
         )
-    try:
-        # The random policy ignores alpha; it is kept for `--policies`.
-        return Policy(kind=name, alpha=alpha), label
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    # The random policy ignores alpha; it is kept for `--policies`.
+    paths = {"kind": f"{path}.name", "alpha": f"{path}.alpha"}
+    return build(paths, Policy, kind=name, alpha=alpha), label
 
 
 def _parse_arms(section, policies: str | None) -> list:
@@ -217,10 +240,10 @@ def _parse_arms(section, policies: str | None) -> list:
     else:
         policy, label = _parse_policy(section, "policy")
         kinds = [policy.kind] if policies is None else policies.split(",")
-        try:
-            arms = [(replace(policy, kind=kind.strip()), label) for kind in kinds]
-        except ValueError as exc:
-            raise ConfigError(f"--policies: {exc}") from None
+        paths = {"kind": "--policies", "alpha": "--policies"}
+        arms = [
+            (build(paths, replace, policy, kind=kind.strip()), label) for kind in kinds
+        ]
         where = "--policies"
     # emit_outputs keys each plot_<scenario>.csv column by policy, so two
     # arms with the same scenario name and policy would overwrite each other.
@@ -240,37 +263,17 @@ def _parse_changes(grid, q: int, path: str) -> tuple:
         raise ConfigError(f"{path}: expected an array")
     changes = []
     for i, entry in enumerate(grid):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            changes.append(single_dim_shift(q, float(entry)))
-        elif isinstance(entry, dict):
-            _check_keys(entry, f"{path}[{i}]", ("tau", "f"))
-            f = entry.get("f")
-            if not isinstance(f, list) or len(f) != q:
-                raise ConfigError(f"{path}[{i}].f: expected an array of length {q}")
-            tau = entry.get("tau", 0)
-            try:
-                changes.append(ChangeSpec(tau=math.inf if tau is None else tau, f=f))
-            except ValueError as exc:
-                key = "tau" if str(exc).startswith("tau") else "f"
-                raise ConfigError(f"{path}[{i}].{key}: {exc}") from None
-        else:
-            raise ConfigError(f"{path}[{i}]: expected a number or an object")
+        where = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            changes.append(single_dim_shift(q, _value(entry, where, (int, float))))
+            continue
+        _check_keys(entry, where, ("tau", "f"))
+        f = entry.get("f")
+        if not isinstance(f, list) or len(f) != q:
+            raise ConfigError(f"{where}.f: expected an array of length {q}")
+        tau = entry.get("tau", 0)
+        changes.append(build(where, ChangeSpec, tau=math.inf if tau is None else tau, f=f))
     return tuple(changes)
-
-
-def _parse_calibration(cal: dict, seed: int) -> CalibrationSpec:
-    # Only the keys the file sets are passed (target_add_ic is required):
-    # CalibrationSpec owns the defaults, except that an unset seed follows
-    # the experiment seed.
-    kw = {"seed": seed}
-    for key, types in _CALIBRATION_TYPES.items():
-        if key in cal or key == "target_add_ic":
-            value = _require(cal, key, "calibration", types)
-            kw[key] = value if types is int else float(value)
-    try:
-        return CalibrationSpec(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"calibration: {exc}") from None
 
 
 def parse_config(
@@ -293,42 +296,41 @@ def parse_config(
     model, builtin_name = _parse_model(model_sec, "model")
 
     window_sec = _section(doc, "window")
-    h = window_sec.get("h")
-    if h is not None and (
-        not isinstance(h, (int, float)) or isinstance(h, bool) or not math.isfinite(h)
-    ):
-        raise ConfigError("window.h: expected a finite number or null")
-    try:
-        window = WindowConfig(
-            m1=_require(window_sec, "m1", "window", int, 50),
-            m2=_require(window_sec, "m2", "window", int, 5),
-            h=None if h is None else float(h),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"window: {exc}") from None
+    window = build(
+        "window",
+        WindowConfig,
+        m1=_require(window_sec, "m1", "window", int, 50),
+        m2=_require(window_sec, "m2", "window", int, 5),
+        h=_require(window_sec, "h", "window", (int, float), None),
+    )
 
     arms = _parse_arms(doc.get("policy", {}), policies)
 
     sampling = _section(doc, "sampling")
-    m = _require(sampling, "m", "sampling", int, 2)
-    n0 = _require(sampling, "n0", "sampling", int, 50)
-    if not 1 <= m <= model.p:
-        raise ConfigError(f"sampling.m: must be in [1, p={model.p}], got {m}")
-    if n0 < 1:
-        raise ConfigError(f"sampling.n0: must be >= 1, got {n0}")
-
     exp = _section(doc, "experiment")
-    replications = _require(exp, "replications", "experiment", int, 1000)
-    horizon_cap = _require(exp, "horizon_cap", "experiment", int, 1000)
-    file_seed = _require(exp, "seed", "experiment", int, 0)
-    if replications < 1:
-        raise ConfigError("experiment.replications: must be >= 1")
-    if horizon_cap < 1:
-        raise ConfigError("experiment.horizon_cap: must be >= 1")
-    if file_seed < 0:
-        raise ConfigError("experiment.seed: must be >= 0")
-    seed = file_seed if seed is None else seed
-    changes = _parse_changes(exp.get("grid", [0.0]), model.q, "experiment.grid")
+    shared = dict(
+        model=model,
+        m=_require(sampling, "m", "sampling", int, 2),
+        n0=_require(sampling, "n0", "sampling", int, 50),
+        window=window,
+        changes=_parse_changes(exp.get("grid", [0.0]), model.q, "experiment.grid"),
+        replications=_require(exp, "replications", "experiment", int, 1000),
+        horizon_cap=_require(exp, "horizon_cap", "experiment", int, 1000),
+        seed=_require(exp, "seed", "experiment", int, 0) if seed is None else seed,
+    )
+    # The arms are built before the CalibrationSpec: an unset
+    # calibration.seed takes the experiment seed, judged here under its path.
+    paths = _SCENARIO_PATHS if seed is None else {**_SCENARIO_PATHS, "seed": "--seed"}
+    arms = tuple(
+        build(
+            paths,
+            Scenario,
+            name=builtin_name if label is None else f"{builtin_name}-{label}",
+            policy=policy,
+            **shared,
+        )
+        for policy, label in arms
+    )
 
     io = _section(doc, "io")
     out_dir = _require(io, "out_dir", "io", str, ".")
@@ -337,23 +339,16 @@ def parse_config(
 
     cal = doc.get("calibration")
     if cal is not None:
-        cal = _parse_calibration(_section(doc, "calibration"), seed)
+        cal = _section(doc, "calibration")
+        # CalibrationSpec owns the defaults (target_add_ic is required),
+        # except that an unset seed follows the experiment seed.
+        kw = {"seed": shared["seed"]}
+        for key, types in _CALIBRATION_TYPES.items():
+            if key in cal or key == "target_add_ic":
+                kw[key] = _require(cal, key, "calibration", types)
+        cal = build("calibration", CalibrationSpec, **kw)
     return Config(
-        arms=tuple(
-            Scenario(
-                name=builtin_name if label is None else f"{builtin_name}-{label}",
-                model=model,
-                m=m,
-                window=window,
-                policy=policy,
-                changes=changes,
-                replications=replications,
-                horizon_cap=horizon_cap,
-                n0=n0,
-                seed=seed,
-            )
-            for policy, label in arms
-        ),
+        arms=arms,
         out_dir=out_dir,
         input_csv=input_csv,
         reference_csv=reference_csv,

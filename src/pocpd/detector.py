@@ -53,7 +53,7 @@ class WindowConfig:
 
     def __post_init__(self):
         if not (0 <= self.m2 < self.m1):
-            raise ValueError(f"need 0 <= m2 < m1, got m1={self.m1}, m2={self.m2}")
+            raise ValueError(f"m2 must satisfy 0 <= m2 < m1, got m1={self.m1}, m2={self.m2}")
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,6 @@ def run_scenario(scenario: Scenario) -> ResultTable:
     Deterministic given scenario.seed: replication r of every cell draws
     from its own seed lane regardless of execution order.
     """
-    if scenario.window.h is None:
-        raise ValueError("scenario has no control limit; calibrate first")
     cells = []
     for change in scenario.changes:
         try:
@@ -185,9 +183,7 @@ def ingest_csv(
     )
 
 
-def replay_monitor(
-    stream: RecordedStream, scenario: Scenario, stop_at_alarm: bool = True
-) -> RunRecord:
+def replay_monitor(stream: RecordedStream, scenario: Scenario) -> RunRecord:
     """Run the monitoring loop over a recorded stream.
 
     Full rows are recorded; at each step the policy chooses which columns
@@ -209,13 +205,7 @@ def replay_monitor(
         # replay would report "no alarm" whatever the data.
         raise ConfigError("window.h is not set: replay needs a calibrated control limit")
     _, mask_rng = replication_rngs(scenario.seed, STREAM_EVALUATION, 0)
-    return run_single(
-        scenario,
-        stream.data,
-        mask_rng,
-        stop_at_alarm=stop_at_alarm,
-        record_masks=True,
-    )
+    return run_single(scenario, stream.data, mask_rng, record_masks=True)
 
 
 def _fmt(value) -> str:

@@ -57,10 +57,10 @@ class ModelParams:
             )
         # sigma = 0 is allowed for noiseless simulation smoke tests; the
         # filter rejects a singular innovation covariance at use time.
-        if not (self.sigma_q >= 0):
-            raise ValueError("sigma_q must be nonnegative")
-        if not (self.sigma_r >= 0):
-            raise ValueError("sigma_r must be nonnegative")
+        if not 0 <= self.sigma_q < math.inf:
+            raise ValueError(f"sigma_q must be nonnegative and finite, got {self.sigma_q}")
+        if not 0 <= self.sigma_r < math.inf:
+            raise ValueError(f"sigma_r must be nonnegative and finite, got {self.sigma_r}")
         rho = self.spectral_radius()
         if rho >= 1.0:
             raise ValueError(f"A is unstable: spectral radius {rho:.6g} >= 1")

@@ -41,7 +41,7 @@ class Policy:
 
     def __post_init__(self):
         if self.kind not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {self.kind!r}, expected one of {POLICY_NAMES}")
+            raise ValueError(f"kind must be one of {POLICY_NAMES}, got {self.kind!r}")
         if self.kind != "random":
             if isinstance(self.alpha, AlphaSchedule):
                 pass
@@ -49,7 +49,7 @@ class Policy:
                 pass
             else:
                 raise ValueError(
-                    f"policy {self.kind!r} needs alpha in (0, 1) or an AlphaSchedule"
+                    f"alpha of policy {self.kind!r} must be in (0, 1) or an AlphaSchedule"
                 )
 
     def alpha_for(self, t_stat: float) -> float:
@@ -76,7 +76,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "changes", tuple(self.changes))
         if not 1 <= self.m <= self.model.p:
-            raise ValueError(f"m={self.m} must be in [1, p={self.model.p}]")
+            raise ValueError(f"m must be in [1, p={self.model.p}], got {self.m}")
         if self.n0 < 1:
             raise ValueError("n0 must be >= 1")
         if self.horizon_cap < 1:
@@ -87,7 +87,7 @@ class Scenario:
             raise ValueError("seed must be >= 0")
         for change in self.changes:
             if change.f.shape != (self.model.q,):
-                raise ValueError("change shift length must equal q")
+                raise ValueError(f"changes must shift vectors of length q={self.model.q}")
         if self.m * self.window.m2 < self.model.q:
             warnings.warn(
                 f"m*m2 = {self.m * self.window.m2} < q = {self.model.q}: the "

@@ -59,9 +59,11 @@ class AlphaSchedule:
     alpha_max: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_min <= self.alpha_max < 1.0):
+        if not 0.0 < self.alpha_min < 1.0:
+            raise ValueError(f"alpha_min must be in (0, 1), got {self.alpha_min}")
+        if not self.alpha_min <= self.alpha_max < 1.0:
             raise ValueError(
-                f"need 0 < alpha_min <= alpha_max < 1, got "
+                f"alpha_max must be in [alpha_min, 1), got "
                 f"({self.alpha_min}, {self.alpha_max})"
             )
         if self.l <= 0:

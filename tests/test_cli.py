@@ -1,7 +1,11 @@
+import ast
+import dataclasses
+import inspect
 import json
 import math
 import re
 import shlex
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +17,8 @@ from pocpd.cli import _load, build_parser, main
 from pocpd.config import parse_config
 from pocpd.detector import WindowConfig
 from pocpd.errors import ConfigError
-from pocpd.monitor import Policy
+from pocpd.model import ChangeSpec, ModelParams
+from pocpd.monitor import Policy, Scenario
 from pocpd.sampler import AlphaSchedule
 from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, benchmark_p10_model
 
@@ -202,8 +207,11 @@ class TestParseConfig:
             ([{"name": "random"}, 3], "policy[1]: expected an object"),
             ([{"name": "random", "label": "a/b"}], "policy[0].label: expected letters"),
             ([{"name": "random", "label": ""}], "policy[0].label: expected letters"),
-            ([{"name": "oracle"}], "policy[0].name: unknown policy 'oracle'"),
-            ([{"name": "random"}, {"alpha": 1.5}], "policy[1]: policy 'e_aucrss' needs"),
+            ([{"name": "oracle"}],
+             "policy[0].name: kind must be one of ('aucrss', 'e_aucrss', 'random'), "
+             "got 'oracle'"),
+            ([{"name": "random"}, {"alpha": 1.5}],
+             "policy[1].alpha: alpha of policy 'e_aucrss' must be in (0, 1)"),
             ([{"label": "x"}, {"label": "y"}, {"alpha": 0.3, "label": "x"}],
              "policy[2]: same scenario and policy as policy[0]"),
             ([{"name": "random"}, {"name": "random", "alpha": 0.3}],
@@ -242,8 +250,11 @@ class TestParseConfig:
         ("calibration", {"max_iters": 0, "tol": 1e-4}, "max_iters must be >= 1"),
         ("calibration", {"seed": -1}, "seed must be >= 0"),
         ("calibration", {"workers": 2}, "calibration.workers: unknown key"),
-        ("experiment", {"replications": 0}, "experiment.replications: must be >= 1"),
-        ("experiment", {"seed": -1}, "experiment.seed: must be >= 0"),
+        ("experiment", {"replications": 0},
+         "experiment.replications: replications must be >= 1"),
+        # The unset calibration.seed follows this seed; the error must still
+        # name the experiment seed.
+        ("experiment", {"seed": -1}, "experiment.seed: seed must be >= 0"),
         ("window", {"h": math.nan}, "window.h: expected a finite number or null"),
         ("window", {"h": math.inf}, "window.h: expected a finite number or null"),
         ("window", {"h": -math.inf}, "window.h: expected a finite number or null"),
@@ -255,7 +266,23 @@ class TestParseConfig:
         ("experiment", {"grid": [{"f": ["a", 0.0]}]}, "experiment.grid[0].f: f must be"),
         ("experiment", {"grid": [{"f": [{}, 0.0]}]}, "experiment.grid[0].f: f must be"),
         ("experiment", {"grid": [{"f": [math.nan, 0.0]}]}, "experiment.grid[0].f: f must be"),
-        ("model", {"sigma_q": -1.0}, "model: sigma_q must be nonnegative"),
+        ("model", {"sigma_q": -1.0}, "model.sigma_q: sigma_q must be nonnegative"),
+        ("window", {"h": 10**400}, "window.h: expected a finite number or null, got inf"),
+        ("calibration", {"target_add_ic": 10**400},
+         "calibration.target_add_ic: expected a finite number, got inf"),
+        ("model", {"sigma_q": math.inf}, "model.sigma_q: expected a finite number, got inf"),
+        ("calibration", {"h_hi": math.inf},
+         "calibration.h_hi: expected a finite number, got inf"),
+        ("policy", {"alpha": {"d": math.nan, "l": 1, "alpha_min": 0.1, "alpha_max": 0.5}},
+         "policy.alpha.d: expected a finite number, got nan"),
+        ("policy", {"alpha": {"d": 1, "l": 1, "alpha_min": 0.1, "alpha_max": 1.5}},
+         "policy.alpha.alpha_max: alpha_max must be in [alpha_min, 1)"),
+        ("window", {"m2": 12}, "window.m2: m2 must satisfy 0 <= m2 < m1"),
+        ("calibration", {"h_lo": 300}, "calibration.h_lo: h_lo must satisfy 0 < h_lo < h_hi"),
+        ("sampling", {"n0": 0}, "sampling.n0: n0 must be >= 1"),
+        ("model", {"A": [[0.5, 0.0], [0.0, math.nan]]},
+         "model.A[1][1]: expected a finite number, got nan"),
+        ("experiment", {"grid": [10**400]}, "experiment.grid[0]: expected a finite number"),
     ],
 )
 def test_out_of_range_config_exits_2(tmp_path, capsys, section, patch, message):
@@ -270,16 +297,42 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, section, patch, message):
 
 
 @pytest.mark.parametrize(
+    "cls",
+    [ModelParams, ChangeSpec, WindowConfig, AlphaSchedule, Policy, Scenario, CalibrationSpec],
+)
+def test_value_errors_start_with_a_field(cls):
+    # config.build names the path of the field a ValueError message starts
+    # with, so every check of a class the config builds must start that way.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__)))
+    heads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and getattr(node.exc, "args", None):
+            message = node.exc.args[0]
+            if isinstance(message, ast.JoinedStr):
+                message = message.values[0]
+            text = message.value if isinstance(message, ast.Constant) else ""
+            heads.append(text.split(" ", 1)[0])
+    assert heads
+    fields = {f.name for f in dataclasses.fields(cls)}
+    assert [head for head in heads if head not in fields] == []
+
+
+@pytest.mark.parametrize(
     "doc, argv, message",
     [
         ({"model": {"builtin": "bench-p10", "sigma_q": -1.0}}, ["simulate"],
-         "model: sigma_q must be nonnegative"),
+         "model.sigma_q: sigma_q must be nonnegative"),
         ({"model": {"builtin": "bench-p30", "sigma_r": -0.5}}, ["simulate"],
-         "model: sigma_r must be nonnegative"),
-        ({}, ["simulate", "--horizon", "0"], "--horizon: must be >= 1"),
-        ({}, ["simulate", "--horizon", "-3"], "--horizon: must be >= 1"),
+         "model.sigma_r: sigma_r must be nonnegative"),
+        ({}, ["simulate", "--horizon", "0"], "--horizon: horizon must be >= 1"),
+        ({}, ["simulate", "--horizon", "-3"], "--horizon: horizon must be >= 1"),
         ({}, ["simulate", "--threads", "0"], "--threads: must be >= 1"),
         ({}, ["--threads", "-4", "calibrate"], "--threads: must be >= 1"),
+        ({}, ["simulate", "--sigma-q", "-1"], "--sigma-q: sigma_q must be nonnegative"),
+        ({}, ["simulate", "--sigma-q", "inf"], "--sigma-q: sigma_q must be nonnegative and finite"),
+        ({}, ["simulate", "--shift", "1", "--tau", "-3"], "--tau: tau must be"),
+        ({}, ["simulate", "--shift", "nan", "--tau", "2"], "--shift: f must be a finite"),
+        ({}, ["--seed", "-1", "simulate"], "--seed: seed must be >= 0"),
     ],
 )
 def test_bad_model_or_flag_exits_2(tmp_path, capsys, doc, argv, message):
@@ -460,7 +513,10 @@ class TestBenchmark:
             assert code == 2
             out, err = capsys.readouterr()
             assert out == ""
-            assert "--policies: unknown policy 'oracle'" in err
+            assert (
+                "--policies: kind must be one of ('aucrss', 'e_aucrss', 'random'), "
+                "got 'oracle'"
+            ) in err
 
 
 class TestReplay:
