@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -73,6 +74,11 @@ class RunLengthSample:
     alarm_time: int  # monitoring steps; horizon cap when censored
     censored: bool
 
+    @classmethod
+    def of(cls, scenario: Scenario, alarm_time: int | None) -> "RunLengthSample":
+        """A run's sample; a run without alarm is censored at the horizon."""
+        return cls(alarm_time or scenario.horizon_cap, censored=alarm_time is None)
+
 
 @dataclass(frozen=True)
 class AddEstimate:
@@ -100,6 +106,22 @@ class CalibrationResult:
             fh.write("\n")
 
 
+def require_control_limit(scenario: Scenario) -> None:
+    if scenario.window.h is None:
+        raise ValueError("scenario window has no control limit; calibrate first")
+
+
+@contextmanager
+def replication_errors(scenario: Scenario, stream_id: int, rep: int):
+    """Name the seed, lane and replication in a NumericalError raised inside."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise NumericalError(
+            f"seed {scenario.seed}, stream lane {stream_id}, replication {rep}, {exc}"
+        ) from exc
+
+
 def run_once(
     scenario: Scenario,
     change: ChangeSpec,
@@ -107,12 +129,8 @@ def run_once(
     stream_id: int = STREAM_EVALUATION,
 ) -> RunLengthSample:
     """One full monitored replication; stops at the first alarm."""
-    if scenario.window.h is None:
-        raise ValueError("scenario window has no control limit; calibrate first")
-    record = _run_record(scenario, change, rep, stream_id)
-    if record.alarm_time is None:
-        return RunLengthSample(scenario.horizon_cap, censored=True)
-    return RunLengthSample(record.alarm_time, censored=False)
+    require_control_limit(scenario)
+    return RunLengthSample.of(scenario, _run_record(scenario, change, rep, stream_id).alarm_time)
 
 
 def _run_record(
@@ -121,13 +139,9 @@ def _run_record(
     """One replication, stopped at the first alarm; with window.h unset
     (in-control trajectories) it runs to the horizon."""
     sim_rng, mask_rng = replication_rngs(scenario.seed, stream_id, rep)
-    try:
+    with replication_errors(scenario, stream_id, rep):
         observations = simulate_run_stream(scenario, change, sim_rng)
         return run_single(scenario, observations, mask_rng)
-    except NumericalError as exc:
-        raise NumericalError(
-            f"seed {scenario.seed}, stream lane {stream_id}, replication {rep}, {exc}"
-        ) from exc
 
 
 def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:

@@ -1,7 +1,9 @@
 """Experiment sweeps, metric tables, CSV emission, and replay of recorded data.
 
 A scenario fixes the model, window, policy, and a grid of change specs.
-`run_scenario` fills one table cell per change spec; cells that fail record
+`run_scenario` fills one table cell per change spec, replication by
+replication: the rows a replication's cells share, up to the earliest change
+point, are monitored once and then forked per cell.  Cells that fail record
 the reason and the sweep keeps going.  `ingest_csv` + `replay_monitor` run
 the same monitoring loop over recorded (or externally simulated) streams,
 with subset masking applied in software.
@@ -15,9 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import STREAM_EVALUATION, estimate_add, run_once
+from .calibration import STREAM_EVALUATION, RunLengthSample, estimate_add, replication_errors
+from .calibration import require_control_limit, run_once  # run_once: a traced lookup site
 from .errors import ConfigError, NumericalError
-from .monitor import RunRecord, Scenario, replication_rngs, run_single
+from .model import ChangeSpec, SimulatedStream
+from .monitor import Monitor, RunRecord, Scenario, absolute_change, replication_rngs, run_single
 
 __all__ = [
     "CellResult",
@@ -28,6 +32,9 @@ __all__ = [
     "replay_monitor",
     "emit_outputs",
 ]
+
+# Errors that fail one grid cell instead of the whole sweep.
+CELL_ERRORS = (NumericalError, RuntimeError, np.linalg.LinAlgError)
 
 RESULT_COLUMNS = ("scenario", "policy", "f", "ADD", "SDD", "n_reps", "censored", "h")
 
@@ -85,22 +92,30 @@ class RecordedStream:
 def run_scenario(scenario: Scenario) -> ResultTable:
     """One table cell per change spec, `replications` runs each.
 
-    Deterministic given scenario.seed: replication r of every cell draws
-    from its own seed lane regardless of execution order.
+    The sweep runs replication by replication (see _replication).  Its
+    results equal running each cell on its own and do not depend on the
+    order of execution.  A failed cell records its error and runs no
+    further replications; the other cells go on.
     """
+    require_control_limit(scenario)
+    samples = [[] for _ in scenario.changes]
+    errors = [None] * len(scenario.changes)
+    for rep in range(scenario.replications):
+        live = [i for i, error in enumerate(errors) if error is None]
+        if not live:
+            break
+        _replication(scenario, rep, live, samples, errors)
     cells = []
-    for change in scenario.changes:
-        try:
-            samples = [
-                run_once(scenario, change, rep, stream_id=STREAM_EVALUATION)
-                for rep in range(scenario.replications)
-            ]
-            est = estimate_add(samples, change.tau)
-            stats = dict(
-                add=est.add, sdd=est.sdd, n_reps=est.n_used, censored=est.censored_fraction
-            )
-        except (NumericalError, RuntimeError, np.linalg.LinAlgError) as exc:
-            stats = dict(add=None, sdd=None, n_reps=0, censored=None, error=str(exc))
+    for change, cell_samples, error in zip(scenario.changes, samples, errors):
+        stats = dict(add=None, sdd=None, n_reps=0, censored=None, error=error)
+        if error is None:
+            try:
+                est = estimate_add(cell_samples, change.tau)
+                stats = dict(
+                    add=est.add, sdd=est.sdd, n_reps=est.n_used, censored=est.censored_fraction
+                )
+            except CELL_ERRORS as exc:
+                stats["error"] = str(exc)
         cells.append(
             CellResult(
                 scenario=scenario.name,
@@ -111,6 +126,42 @@ def run_scenario(scenario: Scenario) -> ResultTable:
             )
         )
     return ResultTable(cells)
+
+
+def _replication(scenario: Scenario, rep: int, cells: list, samples: list, errors: list):
+    """Replication `rep` of the given cells, into their samples or errors.
+
+    The rows before the cells' earliest change point are monitored once: an
+    error there fails every cell, an alarm there is every cell's alarm.
+    Then one fork per cell runs on to its alarm or the horizon.
+    """
+    sim_rng, mask_rng = replication_rngs(scenario.seed, STREAM_EVALUATION, rep)
+    total = scenario.n0 + scenario.horizon_cap
+    taus = [scenario.changes[i].tau for i in cells]
+    shared = int(min([scenario.n0 + tau for tau in taus if tau != math.inf] + [total]))
+    try:
+        with replication_errors(scenario, STREAM_EVALUATION, rep):
+            stream = SimulatedStream(
+                scenario.model, ChangeSpec.none(scenario.model.q), total, sim_rng
+            )
+            monitor = Monitor(scenario, mask_rng)
+            monitor.advance(stream.rows(shared))
+    except CELL_ERRORS as exc:
+        for i in cells:
+            errors[i] = str(exc)
+        return
+    for i in cells:
+        run = monitor
+        if monitor.alarm_time is None:
+            try:
+                with replication_errors(scenario, STREAM_EVALUATION, rep):
+                    run = monitor.fork()
+                    own = stream.fork(absolute_change(scenario, scenario.changes[i]))
+                    run.advance(own.rows(total - shared))
+            except CELL_ERRORS as exc:
+                errors[i] = str(exc)
+                continue
+        samples[i].append(RunLengthSample.of(scenario, run.alarm_time))
 
 
 def _parse_csv_matrix(path) -> np.ndarray:

@@ -8,6 +8,7 @@ recursion from a change point onward.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ __all__ = [
     "ChangeSpec",
     "ObservationMask",
     "stationary_covariance",
+    "SimulatedStream",
     "simulate_stream",
 ]
 
@@ -179,6 +181,46 @@ def _psd_sqrt(S: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
+class SimulatedStream:
+    """simulate_stream's recursion, run one row at a time.
+
+    The noise (x_0, then w, then v) is drawn up front in a fixed order, so
+    the rows are bit-identical to simulate_stream's.  `fork` copies the
+    stream at its current row, to go on under another change.
+    """
+
+    def __init__(self, params: ModelParams, change: ChangeSpec, horizon: int, seed):
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if change.f.shape != (params.q,):
+            raise ValueError(f"shift vector must have length q={params.q}")
+        rng = np.random.default_rng(seed)
+        self.params, self.change, self.t = params, change, 0
+        self.x = _psd_sqrt(params.stationary_cov) @ rng.standard_normal(params.q)
+        self.w = params.sigma_q * rng.standard_normal((horizon, params.q))
+        self.v = params.sigma_r * rng.standard_normal((horizon, params.p))
+
+    def step(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next row: (observation y_t, state x_t)."""
+        t, params = self.t, self.params
+        x = params.A @ self.x + self.w[t]
+        if t >= self.change.tau:
+            x = x + self.change.f
+        self.x, self.t = x, t + 1
+        return params.C @ x + self.v[t], x
+
+    def rows(self, n: int):
+        """The next n observation rows, each simulated when it is read."""
+        for _ in range(n):
+            yield self.step()[0]
+
+    def fork(self, change: ChangeSpec) -> "SimulatedStream":
+        """An independent copy at the current row that goes on under `change`."""
+        other = copy.copy(self)  # w and v are only read; x is replaced, not written
+        other.change = change
+        return other
+
+
 def simulate_stream(
     params: ModelParams,
     change: ChangeSpec,
@@ -192,22 +234,9 @@ def simulate_stream(
     numpy SeedSequence / Generator; the draw order is fixed so identical seeds
     give bit-identical streams.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if change.f.shape != (params.q,):
-        raise ValueError(f"shift vector must have length q={params.q}")
-    rng = np.random.default_rng(seed)
-    q, p = params.q, params.p
-    sqrt_cov = _psd_sqrt(params.stationary_cov)
-    x = sqrt_cov @ rng.standard_normal(q)
-    X = np.empty((horizon, q))
-    Y = np.empty((horizon, p))
-    w = params.sigma_q * rng.standard_normal((horizon, q))
-    v = params.sigma_r * rng.standard_normal((horizon, p))
+    stream = SimulatedStream(params, change, horizon, seed)
+    Y = np.empty((horizon, params.p))
+    X = np.empty((horizon, params.q))
     for t in range(horizon):
-        x = params.A @ x + w[t]
-        if t >= change.tau:
-            x = x + change.f
-        X[t] = x
-        Y[t] = params.C @ x + v[t]
+        Y[t], X[t] = stream.step()
     return Y, X

@@ -8,6 +8,7 @@ are all reported on the monitoring clock.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .sampler import (
     select_random,
 )
 
-__all__ = ["Policy", "Scenario", "RunRecord", "run_single", "replication_rngs"]
+__all__ = ["Policy", "Scenario", "RunRecord", "Monitor", "run_single", "replication_rngs"]
 
 POLICY_NAMES = ("aucrss", "e_aucrss", "random")
 
@@ -92,7 +93,7 @@ class Scenario:
             warnings.warn(
                 f"m*m2 = {self.m * self.window.m2} < q = {self.model.q}: the "
                 "youngest scan candidates may be rank-deficient and skipped",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 
@@ -119,22 +120,96 @@ def replication_rngs(seed: int, stream_id: int, rep: int):
     return sim, mask
 
 
+def absolute_change(scenario: Scenario, change: ChangeSpec) -> ChangeSpec:
+    """`change` on the absolute stream: monitoring step n >= tau + 1 sees
+    the shifted state (an infinite tau stays infinite)."""
+    return ChangeSpec(tau=scenario.n0 + change.tau, f=change.f)
+
+
 def simulate_run_stream(
     scenario: Scenario, change: ChangeSpec, sim_rng
 ) -> np.ndarray:
-    """Full-observation stream for one replication, warm-up included.
-
-    The change point is mapped from the monitoring clock to the absolute
-    stream: monitoring step n >= tau + 1 sees the shifted state.
-    """
-    tau_abs = math.inf if change.tau == math.inf else scenario.n0 + change.tau
+    """Full-observation stream for one replication, warm-up included."""
     y, _ = simulate_stream(
         scenario.model,
-        ChangeSpec(tau=tau_abs, f=change.f),
+        absolute_change(scenario, change),
         horizon=scenario.n0 + scenario.horizon_cap,
         seed=sim_rng,
     )
     return y
+
+
+class Monitor:
+    """The monitoring loop of one stream, resumable and forkable.
+
+    `advance` consumes full p-dimensional rows; the policy decides which
+    columns the filter actually sees.  Scanning and alarms start after the
+    n0 random warm-up steps.
+    """
+
+    def __init__(self, scenario: Scenario, mask_rng, record_masks: bool = False):
+        params = scenario.model
+        self.scenario = scenario
+        self.state = filter_init(params)
+        self.det = Detector(params.q, scenario.window)
+        self.mask_rng = mask_rng
+        # The next step's mask; None while the decision after an alarm is pending.
+        self.mask: ObservationMask | None = select_random(params.p, scenario.m, mask_rng)
+        self.scan: ScanResult | None = None
+        self.t_abs = 0
+        self.t_stats: list[float] = []
+        self.masks: list[tuple] | None = [] if record_masks else None
+        self.alarm_time = self.tau_hat = self.f_hat = None  # as in RunRecord
+
+    def advance(self, rows) -> None:
+        """Consume rows; stop after the first alarm (T_n > h), if it comes."""
+        scenario = self.scenario
+        params, window, n0 = scenario.model, scenario.window, scenario.n0
+        h = window.h if window.h is not None else math.inf
+        try:
+            for row in rows:
+                if self.mask is None:
+                    self.mask = _next_mask(
+                        scenario, self.det, self.state, self.scan, self.mask_rng
+                    )
+                mask = self.mask
+                self.t_abs = t_abs = self.t_abs + 1
+                if self.masks is not None:
+                    self.masks.append(mask.indices)
+                self.state, out = filter_step(self.state, params, mask, row[list(mask.indices)])
+                self.det.push_step(make_step_term(out, params.C))
+                scan = None
+                if t_abs >= n0 and t_abs > window.m2 + 1:
+                    scan = self.det.scan()
+                self.scan = scan
+                mon = t_abs - n0
+                if mon >= 1:
+                    t_stat = scan.t_stat if scan is not None else 0.0
+                    self.t_stats.append(t_stat)
+                    if scan is not None and scan.tau_hat is not None:
+                        self.tau_hat = scan.tau_hat - n0
+                        self.f_hat = scan.f_hat
+                    if t_stat > h and self.alarm_time is None:
+                        self.alarm_time = mon
+                        self.mask = None
+                        return
+                self.mask = _next_mask(scenario, self.det, self.state, scan, self.mask_rng)
+        except NumericalError as exc:
+            raise NumericalError(f"absolute step {self.t_abs}: {exc}") from exc
+
+    def fork(self) -> "Monitor":
+        """An independent copy: advancing it leaves this monitor as it is."""
+        return copy.deepcopy(self, {id(self.scenario): self.scenario})
+
+    def record(self) -> RunRecord:
+        return RunRecord(
+            t_stats=np.asarray(self.t_stats),
+            alarm_time=self.alarm_time,
+            tau_hat=self.tau_hat,
+            f_hat=self.f_hat,
+            n0=self.scenario.n0,
+            masks=list(self.masks or ()),
+        )
 
 
 def run_single(
@@ -144,60 +219,23 @@ def run_single(
     stop_at_alarm: bool = True,
     record_masks: bool = False,
 ) -> RunRecord:
-    """Run the full monitoring loop over a recorded/simulated stream.
+    """Run the monitoring loop over a recorded/simulated stream.
 
-    `observations` holds full p-dimensional rows; the policy decides which
-    columns the filter actually sees.  Scanning and alarms start after the
-    n0 random warm-up steps.
+    With stop_at_alarm=False the run goes on to the end of the stream; the
+    alarm time stays the first crossing.
     """
     params = scenario.model
-    window = scenario.window
-    h = window.h if window.h is not None else math.inf
-    n0, m = scenario.n0, scenario.m
     if observations.shape[1] != params.p:
         raise ValueError(
             f"stream has {observations.shape[1]} columns, model expects p={params.p}"
         )
     if not np.all(np.isfinite(observations)):
         raise ValueError("stream contains non-finite entries")
-    state = filter_init(params)
-    det = Detector(params.q, window)
-    mask = select_random(params.p, m, mask_rng)
-    t_stats: list[float] = []
-    masks: list[tuple] = []
-    record = RunRecord(
-        t_stats=np.empty(0), alarm_time=None, tau_hat=None, f_hat=None, n0=n0
-    )
-    total = observations.shape[0]
-    t_abs = 0
-    try:
-        for i in range(total):
-            t_abs = i + 1
-            if record_masks:
-                masks.append(mask.indices)
-            y_obs = observations[i, list(mask.indices)]
-            state, out = filter_step(state, params, mask, y_obs)
-            det.push_step(make_step_term(out, params.C))
-            scan: ScanResult | None = None
-            if t_abs >= n0 and t_abs > window.m2 + 1:
-                scan = det.scan()
-            mon = t_abs - n0
-            if mon >= 1:
-                t_stat = scan.t_stat if scan is not None else 0.0
-                t_stats.append(t_stat)
-                if scan is not None and scan.tau_hat is not None:
-                    record.tau_hat = scan.tau_hat - n0
-                    record.f_hat = scan.f_hat
-                if t_stat > h:
-                    record.alarm_time = mon
-                    if stop_at_alarm:
-                        break
-            mask = _next_mask(scenario, det, state, scan, mask_rng)
-    except NumericalError as exc:
-        raise NumericalError(f"absolute step {t_abs}: {exc}") from exc
-    record.t_stats = np.asarray(t_stats)
-    record.masks = masks
-    return record
+    monitor = Monitor(scenario, mask_rng, record_masks)
+    monitor.advance(observations)
+    if not stop_at_alarm:
+        monitor.advance(observations[monitor.t_abs :])
+    return monitor.record()
 
 
 def _next_mask(

@@ -108,11 +108,10 @@ BUILT_IN_MODELS = {"bench-p10": benchmark_p10_model, "bench-p30": benchmark_p30_
 
 def single_dim_shift(q: int, magnitude: float, dim: int = 0, tau: int = 0) -> ChangeSpec:
     """Shift of one state dimension; magnitude 0 encodes in-control."""
-    if magnitude == 0.0:
-        return ChangeSpec.none(q)
     f = np.zeros(q)
     f[dim] = magnitude
-    return ChangeSpec(tau=tau, f=f)
+    change = ChangeSpec(tau=tau, f=f)  # judges tau whatever the magnitude
+    return ChangeSpec.none(q) if magnitude == 0.0 else change
 
 
 def shift_grid(q: int, magnitudes, tau: int = 0) -> tuple:

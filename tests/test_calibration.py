@@ -283,7 +283,7 @@ class TestScenarioValidation:
             built_in_scenario("bench-p10", seed=-1)
 
     def test_rank_warning(self):
-        with pytest.warns(UserWarning, match="rank-deficient"):
+        with pytest.warns(UserWarning, match="rank-deficient") as caught:
             Scenario(
                 name="w",
                 model=small_scenario().model,
@@ -291,3 +291,5 @@ class TestScenarioValidation:
                 window=WindowConfig(m1=10, m2=1, h=None),
                 policy=Policy(kind="random"),
             )
+        # Reported at the caller, not in the dataclass-generated __init__.
+        assert [w.filename for w in caught] == [__file__]

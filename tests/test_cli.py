@@ -333,6 +333,7 @@ def test_value_errors_start_with_a_field(cls):
         ({}, ["simulate", "--shift", "1", "--tau", "-3"], "--tau: tau must be"),
         ({}, ["simulate", "--shift", "nan", "--tau", "2"], "--shift: f must be a finite"),
         ({}, ["--seed", "-1", "simulate"], "--seed: seed must be >= 0"),
+        ({}, ["simulate", "--tau", "-3", "--horizon", "5"], "--tau: tau must be"),
     ],
 )
 def test_bad_model_or_flag_exits_2(tmp_path, capsys, doc, argv, message):
@@ -374,6 +375,18 @@ class TestSimulate:
         assert main(["--out", str(out), "simulate", "--horizon", "500"]) == 0
         data = np.loadtxt(out / "stream.csv", delimiter=",")
         assert data.shape == (500, 10)
+
+    def test_tau_without_shift_is_in_control(self, cfg_path, tmp_path):
+        """--tau alone sets no shift: the stream is the in-control one."""
+        streams = {}
+        for name, flags in [("ic", []), ("tau", ["--tau", "5"]),
+                            ("shift", ["--tau", "5", "--shift", "1"])]:
+            out = tmp_path / name
+            argv = ["--config", cfg_path, "--out", str(out), "simulate", "--horizon", "10"]
+            assert main(argv + flags) == 0
+            streams[name] = (out / "stream.csv").read_bytes()
+        assert streams["tau"] == streams["ic"]
+        assert streams["shift"] != streams["ic"]
 
     def test_global_flags_both_positions(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -5,8 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pocpd.calibration import CalibrationSpec, calibrate_h
-from pocpd.errors import ConfigError
+import pocpd.monitor
+from pocpd.calibration import (
+    STREAM_EVALUATION,
+    CalibrationSpec,
+    calibrate_h,
+    estimate_add,
+    run_once,
+)
+from pocpd.errors import ConfigError, NumericalError
 from pocpd.harness import (
     CellResult,
     RecordedStream,
@@ -78,6 +85,105 @@ class TestRunScenario:
     def test_requires_h(self):
         with pytest.raises(ValueError, match="control limit"):
             run_scenario(mini_scenario(h=None))
+
+
+def cell_by_cell(scenario):
+    """run_scenario as one cell after another, each replication a full
+    run_once: the reference the shared-prefix sweep must equal."""
+    cells = []
+    for change in scenario.changes:
+        try:
+            samples = [
+                run_once(scenario, change, rep, stream_id=STREAM_EVALUATION)
+                for rep in range(scenario.replications)
+            ]
+            est = estimate_add(samples, change.tau)
+            stats = dict(
+                add=est.add, sdd=est.sdd, n_reps=est.n_used, censored=est.censored_fraction
+            )
+        except (NumericalError, RuntimeError, np.linalg.LinAlgError) as exc:
+            stats = dict(add=None, sdd=None, n_reps=0, censored=None, error=str(exc))
+        cells.append(
+            CellResult(
+                scenario=scenario.name,
+                policy=scenario.policy.kind,
+                f=float(change.magnitude),
+                h=scenario.window.h,
+                **stats,
+            )
+        )
+    return ResultTable(cells)
+
+
+def shift(tau, f0, f1):
+    return ChangeSpec(tau=tau, f=np.array([f0, f1]))
+
+
+def fail_filter_step(monkeypatch, when):
+    """Make the monitor's filter step raise a NumericalError when
+    when(state, y_obs) holds."""
+    filter_step = pocpd.monitor.filter_step
+
+    def failing(state, params, mask, y_obs):
+        if when(state, y_obs):
+            raise NumericalError("injected")
+        return filter_step(state, params, mask, y_obs)
+
+    monkeypatch.setattr(pocpd.monitor, "filter_step", failing)
+
+
+class TestSharedPrefix:
+    """run_scenario monitors each replication's rows before the earliest
+    change once, then forks per cell; every cell equals the reference."""
+
+    def test_mixed_change_points_censoring_and_in_control(self):
+        scenario = replace(
+            mini_scenario(h=10.0, replications=12),
+            horizon_cap=30,
+            changes=(
+                ChangeSpec.none(2),
+                shift(0, 1.0, 0.0),
+                shift(4, 0.2, 0.0),
+                shift(12, 0.0, 0.5),
+            ),
+        )
+        want = cell_by_cell(scenario)
+        assert want.cell("e_aucrss", 0.0).censored > 0
+        assert all(c.error is None for c in want.cells)
+        assert run_scenario(scenario).cells == want.cells
+
+    def test_false_alarm_inside_the_prefix(self):
+        scenario = replace(
+            mini_scenario(h=7.0, replications=12),
+            horizon_cap=40,
+            changes=(shift(15, 1.0, 0.0), shift(25, 0.0, 0.8)),
+        )
+        alarms = [run_once(scenario, scenario.changes[0], rep).alarm_time for rep in range(12)]
+        assert min(alarms) <= 15 < max(alarms)  # some alarms in the prefix, some after
+        assert run_scenario(scenario).cells == cell_by_cell(scenario).cells
+
+    def test_error_in_the_prefix_fails_every_cell(self, monkeypatch):
+        scenario = replace(
+            mini_scenario(replications=8),
+            changes=(ChangeSpec.none(2), shift(0, 1.0, 0.0), shift(5, 0.0, 0.5)),
+        )
+        fail_filter_step(monkeypatch, lambda state, y: state.t == 3 and y.sum() > 0.25)
+        want = cell_by_cell(scenario)
+        errors = {c.error for c in want.cells}
+        assert errors == {"seed 17, stream lane 2, replication 4, absolute step 4: injected"}
+        assert run_scenario(scenario).cells == want.cells
+
+    def test_error_after_the_fork_fails_its_cell_only(self, monkeypatch):
+        scenario = replace(
+            mini_scenario(replications=8),
+            changes=(ChangeSpec.none(2), shift(0, 1.0, 0.0), shift(3, 50.0, 0.0)),
+        )
+        fail_filter_step(monkeypatch, lambda state, y: np.abs(y).max() > 20.0)
+        want = cell_by_cell(scenario)
+        assert [c.error for c in want.cells] == [
+            None, None, "seed 17, stream lane 2, replication 2, absolute step 12: injected"
+        ]
+        assert run_scenario(scenario).cells == want.cells
 
 
 class TestIngestCsv:

@@ -11,6 +11,7 @@ from pocpd.model import (
     ChangeSpec,
     ModelParams,
     ObservationMask,
+    SimulatedStream,
     simulate_stream,
     stationary_covariance,
 )
@@ -199,6 +200,69 @@ class TestSimulateStream:
         m = benchmark_p10_model()
         with pytest.raises(ValueError):
             simulate_stream(m, ChangeSpec(tau=0, f=np.zeros(3)), 10, seed=0)
+
+
+def loop_simulate(params, change, horizon, seed):
+    """The stream recursion as one loop over preallocated arrays: the
+    reference that on-demand rows must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    vals, vecs = np.linalg.eigh(params.stationary_cov)
+    x = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ rng.standard_normal(params.q)
+    w = params.sigma_q * rng.standard_normal((horizon, params.q))
+    v = params.sigma_r * rng.standard_normal((horizon, params.p))
+    X = np.empty((horizon, params.q))
+    Y = np.empty((horizon, params.p))
+    for t in range(horizon):
+        x = params.A @ x + w[t]
+        if t >= change.tau:
+            x = x + change.f
+        X[t] = x
+        Y[t] = params.C @ x + v[t]
+    return Y, X
+
+
+TAUS = [0, 7, math.inf]
+
+
+def shift_at(tau):
+    return ChangeSpec(tau=tau, f=np.linspace(0.1, 0.7, 7))
+
+
+class TestSimulatedStream:
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_simulate_stream_matches_loop(self, tau):
+        m = benchmark_p10_model()
+        want_y, want_x = loop_simulate(m, shift_at(tau), 40, seed=5)
+        y, x = simulate_stream(m, shift_at(tau), 40, seed=5)
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(x, want_x)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_rows_read_in_chunks_match(self, tau):
+        m = benchmark_p10_model()
+        want_y, _ = loop_simulate(m, shift_at(tau), 40, seed=5)
+        stream = SimulatedStream(m, shift_at(tau), 40, seed=5)
+        rows = [row for n in (3, 10, 1, 26) for row in stream.rows(n)]
+        np.testing.assert_array_equal(np.array(rows), want_y)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_fork_goes_on_under_its_change(self, tau):
+        """An in-control stream forked at or before tau continues as the
+        stream simulated with the change from the start; the original
+        stays in control."""
+        m = benchmark_p10_model()
+        want_y, want_x = loop_simulate(m, shift_at(tau), 40, seed=5)
+        ic_y, ic_x = loop_simulate(m, ChangeSpec.none(7), 40, seed=5)
+        shared = SimulatedStream(m, ChangeSpec.none(7), 40, seed=5)
+        t = int(min(tau, 20))
+        list(shared.rows(t))
+        fork = shared.fork(shift_at(tau))
+        forked = [fork.step() for _ in range(40 - t)]
+        np.testing.assert_array_equal([y for y, _ in forked], want_y[t:])
+        np.testing.assert_array_equal([x for _, x in forked], want_x[t:])
+        rest = [shared.step() for _ in range(40 - t)]
+        np.testing.assert_array_equal([y for y, _ in rest], ic_y[t:])
+        np.testing.assert_array_equal([x for _, x in rest], ic_x[t:])
 
 
 @given(seed=st.integers(0, 2**32 - 1), a=st.floats(-0.99, 0.99))

@@ -6,13 +6,31 @@ A refactor that removes a function can leave its name behind in a module's
 absent instead of failing.  Both are caught here, cheaply.
 """
 
-import importlib.util
+import importlib
 import pkgutil
+import types
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pocpd
+from pocpd import (
+    CalibrationSpec,
+    ChangeSpec,
+    ModelParams,
+    Policy,
+    RecordedStream,
+    Scenario,
+    WindowConfig,
+    calibrate_h,
+    replay_monitor,
+    run_scenario,
+    simulate_stream,
+)
+from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE
 
 MODULES = ["pocpd"] + [
     f"pocpd.{info.name}" for info in pkgutil.iter_modules(pocpd.__path__)
@@ -21,9 +39,10 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    """perfbench/tracing.py as a module, read only: no bytecode is written."""
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
     return module
 
 
@@ -43,3 +62,63 @@ def test_trace_targets_resolve():
         if not hasattr(tracing.resolve(path), attr)
     ]
     assert missing == []
+
+
+# Spans that only record calls while the monitoring loop looks its layers up
+# where the tracer wraps them.
+LOOP_SPANS = (
+    "filtering.filter_step",
+    "detector.make_step_term",
+    "detector.push_step",
+    "detector.scan",
+    "monitor._next_mask",
+    "sampler.select_greedy",
+    "sampler.select_exhaustive",
+)
+
+
+def tiny_scenario(policy_kind, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return Scenario(
+            name="tiny",
+            model=ModelParams(
+                A=np.diag([0.5, 0.3]),
+                C=np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.4]]),
+                sigma_q=0.1,
+                sigma_r=0.1,
+            ),
+            m=2,
+            window=WindowConfig(m1=12, m2=1, h=h),
+            policy=Policy(kind=policy_kind, alpha=DEFAULT_ALPHA_SCHEDULE),
+            changes=(ChangeSpec.none(2), ChangeSpec(tau=2, f=np.array([1.0, 0.0]))),
+            replications=2,
+            horizon_cap=20,
+            n0=8,
+            seed=3,
+        )
+
+
+def test_monitoring_loop_reaches_traced_sites():
+    """A sweep, a greedy calibration and a replay each run through the
+    lookup sites perfbench traces; a loop that bypasses them shows here."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        run_scenario(tiny_scenario("aucrss", h=6.0))
+        greedy = tiny_scenario("e_aucrss", h=None)
+        spec = CalibrationSpec(target_add_ic=2.0, replications=100, horizon_cap=10, tol=0.5)
+        calibrate_h(spec, replace(greedy, changes=()))
+        rows = simulate_stream(greedy.model, ChangeSpec.none(2), 30, seed=1)[0]
+        stream = RecordedStream(rows, np.zeros(3), np.ones(3), source="sim")
+        replay_monitor(stream, replace(greedy, window=replace(greedy.window, h=6.0)))
+    finally:
+        for path, attr, _ in tracing.TARGETS:
+            owner = tracing.resolve(path)
+            fn = getattr(owner, attr)
+            setattr(owner, attr, getattr(fn, "__wrapped__", fn))
+    assert pocpd.monitor.filter_step is pocpd.filtering.filter_step  # unwrapped
+    assert tracer.absent == []
+    calls = {name: span["calls"] for name, span in tracer.summary().items()}
+    assert [name for name in LOOP_SPANS if calls[name] == 0] == []
