@@ -67,6 +67,8 @@ class CalibrationSpec:
             raise ValueError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +20,11 @@ from pocpd.monitor import Policy, Scenario, replication_rngs, run_single, simula
 from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, built_in_scenario
 
 
+# small_scenario has m * m2 = 1 < q = 2 on purpose; test_rank_warning checks
+# the warning that every scenario built from it raises.
+pytestmark = pytest.mark.filterwarnings("ignore:m\\*m2 = 1 < q = 2:UserWarning")
+
+
 def small_scenario(h=None, policy_kind="random", m=1, replications=100):
     model = ModelParams(
         A=np.diag([0.5, 0.3]),
@@ -32,19 +36,17 @@ def small_scenario(h=None, policy_kind="random", m=1, replications=100):
         policy = Policy(kind="random")
     else:
         policy = Policy(kind=policy_kind, alpha=DEFAULT_ALPHA_SCHEDULE)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Scenario(
-            name="small",
-            model=model,
-            m=m,
-            window=WindowConfig(m1=12, m2=1, h=h),
-            policy=policy,
-            replications=replications,
-            horizon_cap=60,
-            n0=8,
-            seed=9,
-        )
+    return Scenario(
+        name="small",
+        model=model,
+        m=m,
+        window=WindowConfig(m1=12, m2=1, h=h),
+        policy=policy,
+        replications=replications,
+        horizon_cap=60,
+        n0=8,
+        seed=9,
+    )
 
 
 def sample(alarm_time, censored=False):
@@ -65,6 +67,9 @@ class TestCalibrationSpec:
             CalibrationSpec(target_add_ic=10.0, max_iters=0)
         with pytest.raises(ValueError, match="seed"):
             CalibrationSpec(target_add_ic=10.0, seed=-1)
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="^workers must be >= 1"):
+                CalibrationSpec(target_add_ic=10.0, workers=workers)
 
 
 class TestEstimateAdd:
@@ -283,13 +288,17 @@ class TestScenarioValidation:
             built_in_scenario("bench-p10", seed=-1)
 
     def test_rank_warning(self):
+        """Reported at the caller's line, not inside the dataclass-generated
+        __init__, dataclasses.replace or a pocpd helper."""
+        s = small_scenario()
         with pytest.warns(UserWarning, match="rank-deficient") as caught:
             Scenario(
                 name="w",
-                model=small_scenario().model,
+                model=s.model,
                 m=1,
                 window=WindowConfig(m1=10, m2=1, h=None),
                 policy=Policy(kind="random"),
             )
-        # Reported at the caller, not in the dataclass-generated __init__.
-        assert [w.filename for w in caught] == [__file__]
+            replace(s, seed=1)
+            built_in_scenario("bench-p10", m=1)
+        assert [w.filename for w in caught] == [__file__] * 3

@@ -64,8 +64,8 @@ def test_trace_targets_resolve():
     assert missing == []
 
 
-# Spans that only record calls while the monitoring loop looks its layers up
-# where the tracer wraps them.
+# Spans that only record calls while the monitoring loop, and the sampler
+# inside it, look their layers up where the tracer wraps them.
 LOOP_SPANS = (
     "filtering.filter_step",
     "detector.make_step_term",
@@ -74,6 +74,8 @@ LOOP_SPANS = (
     "monitor._next_mask",
     "sampler.select_greedy",
     "sampler.select_exhaustive",
+    "sampler._score_mask_array",
+    "sampler._secular_boundary_max",
 )
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from pocpd.errors import NumericalError
@@ -352,3 +353,165 @@ class TestSelectRandom:
         observed = np.array([counts[k] for k in sorted(counts)])
         stat = float(((observed - n / 3) ** 2 / (n / 3)).sum())
         assert 1 - chi2.cdf(stat, 2) > 0.01
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference scorer.  The arithmetic of the UCR scorer is pinned to the
+# last bit (near-ties decide greedy masks), so these copies of its earlier,
+# plainer numpy form are the reference that every rewrite must match exactly.
+
+
+def _ref_secular_sum(x2, d, t):
+    denom = d + t[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(x2 > 0, x2 / denom**2, 0.0)
+    return terms.sum(axis=1)
+
+
+def _ref_secular_boundary_max(lams, xs, hinv_f, radius2):
+    """(f_tilde, scores, hard rows)."""
+    n, q = lams.shape
+    lmax = lams.max(axis=1)
+    d = lmax[:, None] - lams
+    scale = np.maximum(np.abs(xs).max(axis=1), 1.0)
+    active = np.abs(xs) > 1e-13 * scale[:, None]
+    x2 = np.where(active, xs, 0.0) ** 2
+    sqrt_c = np.sqrt(radius2)
+    with np.errstate(divide="ignore"):
+        t_lo = np.max(
+            np.where(active, np.abs(xs) / sqrt_c - d, -np.inf), axis=1, initial=-np.inf
+        )
+    any_active = np.isfinite(t_lo)
+    g0 = _ref_secular_sum(x2, d, np.zeros(n))
+    hard = (~any_active) | ((t_lo <= 0.0) & (g0 <= radius2))
+    t = np.maximum(t_lo, 0.0)
+    easy = ~hard
+    if np.any(easy):
+        t_e = t[easy]
+        x2_e, d_e = x2[easy], d[easy]
+        t_min = t_e.copy()
+        t_max = np.sqrt(x2_e.sum(axis=1) / radius2)
+        target = 1.0 / sqrt_c
+        for _ in range(40):
+            g = _ref_secular_sum(x2_e, d_e, t_e)
+            phi = 1.0 / np.sqrt(g)
+            denom3 = (d_e + t_e[:, None]) ** 3
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gprime = np.where(x2_e > 0, x2_e / denom3, 0.0).sum(axis=1)
+            dphi = np.power(g, -1.5) * gprime
+            step = (target - phi) / dphi
+            t_new = np.clip(t_e + step, t_min, t_max)
+            if np.all(np.abs(step) <= 1e-13 * (1.0 + t_e)):
+                t_e = t_new
+                break
+            t_e = t_new
+        t[easy] = t_e
+    denom = d + t[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ft = np.where(active & (denom > 0), xs / np.where(denom > 0, denom, 1.0), 0.0)
+    for i in np.flatnonzero(hard):
+        top = int(np.argmax(lams[i]))
+        rest = float((ft[i] ** 2).sum() - ft[i, top] ** 2)
+        extra = np.sqrt(max(radius2 - rest, 0.0))
+        sign = 1.0 if hinv_f[i, top] >= 0 else -1.0
+        ft[i, top] = sign * extra
+    scores = (lams * (ft + hinv_f) ** 2).sum(axis=1)
+    return ft, scores, hard
+
+
+def _ref_boundary_max_array(om, inputs, hard_rows=None):
+    radius2 = inputs.radius2
+    f_hat = inputs.f_hat
+    if radius2 < 1e-12:
+        scores = np.einsum("i,nij,j->n", f_hat, om, f_hat)
+        return scores, np.broadcast_to(f_hat, (len(om), len(f_hat))).copy()
+    b = np.linalg.cholesky(inputs.sigma_f)
+    bf = solve_triangular(b, f_hat, lower=True)
+    m = b.T @ om @ b
+    lams, vecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
+    floor = -1e-10 * max(float(np.abs(lams).max()), 1.0)
+    assert not np.any(lams < floor)
+    lams = np.clip(lams, 0.0, None)
+    hinv_f = vecs.transpose(0, 2, 1) @ bf
+    xs = lams * hinv_f
+    ft, scores, hard = _ref_secular_boundary_max(lams, xs, hinv_f, radius2)
+    if hard_rows is not None:
+        hard_rows.append(hard)
+    f_stars = (b @ vecs @ ft[..., None])[..., 0] + f_hat
+    return scores, f_stars
+
+
+def _psd_stack(rng, n, q, top=None):
+    """n random PSD matrices of random rank; with `top`, each one's dominant
+    eigendirection is `top`, over a spectrum well below it."""
+    out = []
+    for _ in range(n):
+        rank = int(rng.integers(1, q + 1))
+        a = rng.normal(size=(q, rank))
+        om = a @ a.T
+        if top is not None:
+            proj = np.eye(q) - np.outer(top, top)
+            om = proj @ om @ proj
+            om = om / np.linalg.eigvalsh(om)[-1] + 10.0 * np.outer(top, top)
+        out.append(om)
+    return np.array(out)
+
+
+def _scorer_cases(rng, q):
+    """(label, UcrInputs, om stack) batches for one state dimension q."""
+    base = make_inputs(rng, q=q, p=q + 3, alpha=0.3)
+    yield "all easy", base, _psd_stack(rng, 12, q)
+    # Whitening by sigma_f = I is exact, so an om whose top eigendirection is
+    # orthogonal to a small f_hat puts the estimate off the top direction:
+    # the hard case, when the rest of the spectrum cannot reach the radius.
+    top = np.linalg.qr(rng.normal(size=(q, q)))[0][:, 0]
+    f_orth = rng.normal(size=q)
+    f_orth = 0.05 * (f_orth - (f_orth @ top) * top)
+    hard_inputs = replace(base, f_hat=f_orth, sigma_f=np.eye(q))
+    mixed = np.concatenate([_psd_stack(rng, 6, q, top=top), _psd_stack(rng, 6, q)])
+    yield "mixed", hard_inputs, mixed[rng.permutation(12)]
+    yield "all hard", hard_inputs, _psd_stack(rng, 12, q, top=top)
+    yield "zero estimate", replace(base, f_hat=np.zeros(q)), _psd_stack(rng, 12, q)
+    # For q > 2 no alpha below 1 shrinks radius2 under 1e-12; set it instead.
+    vanishing = replace(base)
+    vanishing.__dict__["radius2"] = 1e-13
+    yield "vanishing radius", vanishing, _psd_stack(rng, 12, q)
+
+
+class TestFrozenReference:
+    """The scorer, greedy and exhaustive decisions equal the frozen
+    reference bit for bit."""
+
+    @pytest.mark.parametrize("q", [3, 7, 15])
+    def test_scores_and_maximizers_bit_identical(self, rng, q):
+        import pocpd.sampler as sampler
+
+        hard_counts = {}
+        for _ in range(4):
+            for label, inputs, om in _scorer_cases(rng, q):
+                hard = []
+                ref_scores, ref_f = _ref_boundary_max_array(om, inputs, hard)
+                scores, f_stars = sampler._boundary_max_array(om, inputs)
+                assert np.array_equal(scores, ref_scores), label
+                assert np.array_equal(f_stars, ref_f), label
+                if hard:
+                    hard_counts[label] = hard_counts.get(label, 0) + int(hard[0].sum())
+        # Every branch of the secular solve was reached.
+        assert hard_counts["all easy"] == 0
+        assert 0 < hard_counts["mixed"] < 4 * 12
+        assert hard_counts["all hard"] == hard_counts["zero estimate"] == 4 * 12
+
+    @pytest.mark.parametrize("q", [3, 7, 15])
+    def test_decisions_bit_identical(self, rng, q, monkeypatch):
+        import pocpd.sampler as sampler
+
+        for _ in range(6):
+            inputs = make_inputs(rng, q=q, p=q + 3, alpha=float(rng.uniform(0.05, 0.9)))
+            for select, m in ((select_greedy, 3), (select_exhaustive, 2)):
+                got = select(replace(inputs), m)
+                with monkeypatch.context() as mp:
+                    mp.setattr(sampler, "_boundary_max_array", _ref_boundary_max_array)
+                    ref = select(replace(inputs), m)
+                assert got.mask == ref.mask
+                assert np.float64(got.score).tobytes() == np.float64(ref.score).tobytes()
+                assert got.f_star.tobytes() == ref.f_star.tobytes()
