@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -179,12 +180,15 @@ def _ic_trajectory(args) -> np.ndarray:
 
 def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:
     """(replications, horizon_cap) in-control scan-statistic trajectories."""
-    base = replace(
-        scenario,
-        window=replace(scenario.window, h=None),
-        horizon_cap=spec.horizon_cap,
-        seed=spec.seed,
-    )
+    # The caller's scenario gave any rank warning when it was built.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        base = replace(
+            scenario,
+            window=replace(scenario.window, h=None),
+            horizon_cap=spec.horizon_cap,
+            seed=spec.seed,
+        )
     jobs = [(base, rep) for rep in range(spec.replications)]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:

@@ -20,8 +20,6 @@ from .config import Config, build, load_config, parse_config
 from .errors import CalibrationError, ConfigError, NumericalError
 from .harness import ResultTable, emit_outputs, ingest_csv, replay_monitor, run_scenario
 from .model import ChangeSpec, simulate_stream
-from .monitor import POLICY_NAMES
-from .scenarios import single_dim_shift
 
 __all__ = ["main", "build_parser"]
 
@@ -62,23 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="write a full-observation stream CSV")
     _add_global_flags(sim, suppress=True)
     sim.add_argument("--horizon", type=int, default=500)
-    sim.add_argument("--tau", type=int, help="change point (omit for in-control)")
-    sim.add_argument(
-        "--shift", type=float, help="shift magnitude on the first state dimension"
-    )
-    sim.add_argument("--sigma-q", type=float, help="override state noise s.d.")
-    sim.add_argument("--sigma-r", type=float, help="override observation noise s.d.")
 
     cal = sub.add_parser("calibrate", help="search the control limit h")
     _add_global_flags(cal, suppress=True)
 
     bench = sub.add_parser("benchmark", help="run the scenario grid and emit tables")
     _add_global_flags(bench, suppress=True)
-    bench.add_argument(
-        "--policies",
-        help=f"comma-separated subset of {','.join(POLICY_NAMES)}, one arm each "
-        "(shorthand for a policy array; the config must have one policy)",
-    )
 
     rep = sub.add_parser("replay", help="monitor a recorded CSV stream")
     _add_global_flags(rep, suppress=True)
@@ -95,11 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> Config:
     if args.threads < 1:
         raise ConfigError("--threads: must be >= 1")
-    policies = getattr(args, "policies", None)
     if args.config:
-        cfg = load_config(args.config, seed=args.seed, policies=policies)
+        cfg = load_config(args.config, seed=args.seed)
     else:
-        cfg = parse_config({}, source="<defaults>", seed=args.seed, policies=policies)
+        cfg = parse_config({}, source="<defaults>", seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
@@ -113,24 +99,9 @@ def _write_csv(path, matrix: np.ndarray) -> None:
 
 def cmd_simulate(cfg: Config, args) -> int:
     base = cfg.arms[0]  # the arms share model, grid and seed
-    model = base.model
-    if args.sigma_q is not None or args.sigma_r is not None:
-        model = build(
-            {"sigma_q": "--sigma-q", "sigma_r": "--sigma-r"},
-            replace,
-            model,
-            sigma_q=model.sigma_q if args.sigma_q is None else args.sigma_q,
-            sigma_r=model.sigma_r if args.sigma_r is None else args.sigma_r,
-        )
-    if args.shift is not None or args.tau is not None:
-        flags = {"tau": "--tau", "f": "--shift"}
-        change = build(flags, single_dim_shift, model.q, args.shift or 0.0, tau=args.tau or 0)
-    elif base.changes:
-        change = base.changes[0]
-    else:
-        change = ChangeSpec.none(model.q)
+    change = base.changes[0] if base.changes else ChangeSpec.none(base.model.q)
     y, _ = build(
-        {"horizon": "--horizon"}, simulate_stream, model, change, args.horizon, base.seed
+        {"horizon": "--horizon"}, simulate_stream, base.model, change, args.horizon, base.seed
     )
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "stream.csv")

@@ -221,30 +221,18 @@ def _parse_policy(section, path: str) -> tuple[Policy, str | None]:
         raise ConfigError(
             f"{path}.label: expected letters, digits and _.=+- only, got {label!r}"
         )
-    # The random policy ignores alpha; it is kept for `--policies`.
     paths = {"kind": f"{path}.name", "alpha": f"{path}.alpha"}
     return build(paths, Policy, kind=name, alpha=alpha), label
 
 
-def _parse_arms(section, policies: str | None) -> list:
-    """(policy, label) per arm: one per entry of a policy array, else one
-    per kind of `policies` (the CLI's --policies, a comma-separated list)
-    with the policy object's alpha and label, else the policy object."""
-    if isinstance(section, list):
-        if not section:
-            raise ConfigError("policy: expected an object or a non-empty array")
-        if policies is not None:
-            raise ConfigError("--policies: the config already lists its policy arms")
-        arms = [_parse_policy(arm, f"policy[{i}]") for i, arm in enumerate(section)]
-        where = "policy"
-    else:
-        policy, label = _parse_policy(section, "policy")
-        kinds = [policy.kind] if policies is None else policies.split(",")
-        paths = {"kind": "--policies", "alpha": "--policies"}
-        arms = [
-            (build(paths, replace, policy, kind=kind.strip()), label) for kind in kinds
-        ]
-        where = "--policies"
+def _parse_arms(section) -> list:
+    """(policy, label) per arm: one per entry of a policy array, else the
+    policy object's."""
+    if not isinstance(section, list):
+        return [_parse_policy(section, "policy")]
+    if not section:
+        raise ConfigError("policy: expected an object or a non-empty array")
+    arms = [_parse_policy(arm, f"policy[{i}]") for i, arm in enumerate(section)]
     # emit_outputs keys each plot_<scenario>.csv column by policy, so two
     # arms with the same scenario name and policy would overwrite each other.
     seen = {}
@@ -252,7 +240,7 @@ def _parse_arms(section, policies: str | None) -> list:
         j = seen.setdefault((label, policy.kind), i)
         if j != i:
             raise ConfigError(
-                f"{where}[{i}]: same scenario and policy as {where}[{j}]; "
+                f"policy[{i}]: same scenario and policy as policy[{j}]; "
                 "give one a distinct label"
             )
     return arms
@@ -276,16 +264,10 @@ def _parse_changes(grid, q: int, path: str) -> tuple:
     return tuple(changes)
 
 
-def parse_config(
-    doc: dict,
-    source: str = "<config>",
-    seed: int | None = None,
-    policies: str | None = None,
-) -> Config:
+def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -> Config:
     """Validate `doc` and build the Config.  A `seed` given here (the CLI's
     --seed) replaces experiment.seed, and so also the default of an unset
-    calibration.seed.  `policies` (the CLI's --policies) makes one arm per
-    listed kind from a single policy object."""
+    calibration.seed."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
     for key in doc:
@@ -304,7 +286,7 @@ def parse_config(
         h=_require(window_sec, "h", "window", (int, float), None),
     )
 
-    arms = _parse_arms(doc.get("policy", {}), policies)
+    arms = _parse_arms(doc.get("policy", {}))
 
     sampling = _section(doc, "sampling")
     exp = _section(doc, "experiment")
@@ -356,10 +338,10 @@ def parse_config(
     )
 
 
-def load_config(path, seed: int | None = None, policies: str | None = None) -> Config:
+def load_config(path, seed: int | None = None) -> Config:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_config(doc, source=str(path), seed=seed, policies=policies)
+    return parse_config(doc, source=str(path), seed=seed)

@@ -167,7 +167,8 @@ def _replication(scenario: Scenario, rep: int, cells: list, samples: list, error
 def _parse_csv_matrix(path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark Excel writes before the first cell.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row_idx, row in enumerate(reader):
             if not row or (len(row) == 1 and not row[0].strip()):

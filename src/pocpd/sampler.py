@@ -233,19 +233,25 @@ def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
     f_hat = inputs.f_hat
     if radius2 < 1e-12:
         scores = np.einsum("i,nij,j->n", f_hat, om, f_hat)
-        return scores, np.broadcast_to(f_hat, (len(om), len(f_hat))).copy()
-
-    b, bf = inputs.whitened
-    m = b.T @ om @ b
-    lams, vecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
-    # PSD repair: small negative eigenvalues are rounding noise.
-    if (lams < -1e-10 * max(float(np.abs(lams).max()), 1.0)).any():
-        raise NumericalError(f"projected information matrix indefinite: min eig {lams.min():.3g}")
-    lams = np.maximum(lams, 0.0)
-    hinv_f = vecs.transpose(0, 2, 1) @ bf
-    xs = lams * hinv_f
-    ft, scores = _secular_boundary_max(lams, xs, hinv_f, radius2)
-    f_stars = (b @ vecs @ ft[..., None])[..., 0] + f_hat
+        f_stars = np.broadcast_to(f_hat, (len(om), len(f_hat))).copy()
+    else:
+        b, bf = inputs.whitened
+        m = b.T @ om @ b
+        lams, vecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
+        # PSD repair: small negative eigenvalues are rounding noise.
+        if (lams < -1e-10 * max(float(np.abs(lams).max()), 1.0)).any():
+            raise NumericalError(
+                f"projected information matrix indefinite: min eig {lams.min():.3g}"
+            )
+        lams = np.maximum(lams, 0.0)
+        hinv_f = vecs.transpose(0, 2, 1) @ bf
+        xs = lams * hinv_f
+        ft, scores = _secular_boundary_max(lams, xs, hinv_f, radius2)
+        f_stars = (b @ vecs @ ft[..., None])[..., 0] + f_hat
+    # argmax would pick a NaN score, and no comparison rejects one.
+    if not np.isfinite(scores).all():
+        bad = int(np.flatnonzero(~np.isfinite(scores))[0])
+        raise NumericalError(f"UCR score of candidate {bad} is not finite")
     return scores, f_stars
 
 

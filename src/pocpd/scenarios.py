@@ -106,16 +106,18 @@ def benchmark_p30_model(
 BUILT_IN_MODELS = {"bench-p10": benchmark_p10_model, "bench-p30": benchmark_p30_model}
 
 
-def single_dim_shift(q: int, magnitude: float, dim: int = 0, tau: int = 0) -> ChangeSpec:
-    """Shift of one state dimension; magnitude 0 encodes in-control."""
+def single_dim_shift(q: int, magnitude: float) -> ChangeSpec:
+    """Shift of the first state dimension from tau = 0; magnitude 0 encodes
+    in-control."""
+    if magnitude == 0.0:
+        return ChangeSpec.none(q)
     f = np.zeros(q)
-    f[dim] = magnitude
-    change = ChangeSpec(tau=tau, f=f)  # judges tau whatever the magnitude
-    return ChangeSpec.none(q) if magnitude == 0.0 else change
+    f[0] = magnitude
+    return ChangeSpec(tau=0, f=f)
 
 
-def shift_grid(q: int, magnitudes, tau: int = 0) -> tuple:
-    return tuple(single_dim_shift(q, mag, tau=tau) for mag in magnitudes)
+def shift_grid(q: int, magnitudes) -> tuple:
+    return tuple(single_dim_shift(q, mag) for mag in magnitudes)
 
 
 def built_in_scenario(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -302,3 +303,10 @@ class TestScenarioValidation:
             replace(s, seed=1)
             built_in_scenario("bench-p10", m=1)
         assert [w.filename for w in caught] == [__file__] * 3
+
+    def test_calibration_does_not_repeat_rank_warning(self):
+        s = small_scenario()  # warned here, at construction
+        spec = CalibrationSpec(target_add_ic=4.0, replications=100, horizon_cap=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calibrate_h(spec, s)

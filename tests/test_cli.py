@@ -138,7 +138,7 @@ class TestParseConfig:
             "alpha_max": 0.85,
         }
         assert isinstance(parse_config(doc).base.policy.alpha, AlphaSchedule)
-        # The random policy ignores alpha but keeps it for `--policies`.
+        # The random policy ignores alpha but keeps the parsed value.
         doc["policy"] = {"name": "random", "alpha": 0.3}
         assert parse_config(doc).base.policy.alpha == 0.3
 
@@ -328,12 +328,16 @@ def test_value_errors_start_with_a_field(cls):
         ({}, ["simulate", "--horizon", "-3"], "--horizon: horizon must be >= 1"),
         ({}, ["simulate", "--threads", "0"], "--threads: must be >= 1"),
         ({}, ["--threads", "-4", "calibrate"], "--threads: must be >= 1"),
-        ({}, ["simulate", "--sigma-q", "-1"], "--sigma-q: sigma_q must be nonnegative"),
-        ({}, ["simulate", "--sigma-q", "inf"], "--sigma-q: sigma_q must be nonnegative and finite"),
-        ({}, ["simulate", "--shift", "1", "--tau", "-3"], "--tau: tau must be"),
-        ({}, ["simulate", "--shift", "nan", "--tau", "2"], "--shift: f must be a finite"),
+        ({"model": {"builtin": "bench-p10", "sigma_q": math.inf}}, ["simulate"],
+         "model.sigma_q: expected a finite number, got inf"),
+        ({"experiment": {"grid": [{"tau": -3, "f": [1.0] + [0.0] * 6}]}}, ["simulate"],
+         "experiment.grid[0].tau: tau must be"),
+        ({"experiment": {"grid": [{"tau": 2, "f": [math.nan] + [0.0] * 6}]}}, ["simulate"],
+         "experiment.grid[0].f: f must be a finite"),
+        # simulate judges grid[0] whether or not it shifts anything.
+        ({"experiment": {"grid": [{"tau": -3, "f": [0.0] * 7}]}}, ["simulate"],
+         "experiment.grid[0].tau: tau must be"),
         ({}, ["--seed", "-1", "simulate"], "--seed: seed must be >= 0"),
-        ({}, ["simulate", "--tau", "-3", "--horizon", "5"], "--tau: tau must be"),
     ],
 )
 def test_bad_model_or_flag_exits_2(tmp_path, capsys, doc, argv, message):
@@ -360,12 +364,13 @@ class TestSimulate:
             )
         assert (out1 / "stream.csv").read_bytes() == (out2 / "stream.csv").read_bytes()
 
-    def test_noiseless_zero_stream(self, cfg_path, tmp_path):
+    def test_noiseless_zero_stream(self, tmp_path):
+        doc = mini_config_doc()
+        doc["model"].update(sigma_q=0, sigma_r=0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        code = main(
-            ["--config", cfg_path, "--out", str(out), "simulate", "--horizon", "5",
-             "--shift", "0", "--sigma-q", "0", "--sigma-r", "0"]
-        )
+        code = main(["--config", str(path), "--out", str(out), "simulate", "--horizon", "5"])
         assert code == 0
         data = np.loadtxt(out / "stream.csv", delimiter=",")
         np.testing.assert_array_equal(data, np.zeros((5, 3)))
@@ -376,14 +381,19 @@ class TestSimulate:
         data = np.loadtxt(out / "stream.csv", delimiter=",")
         assert data.shape == (500, 10)
 
-    def test_tau_without_shift_is_in_control(self, cfg_path, tmp_path):
-        """--tau alone sets no shift: the stream is the in-control one."""
+    def test_tau_without_shift_is_in_control(self, tmp_path):
+        """simulate writes experiment.grid[0]; a zero f at tau 5 is in control."""
         streams = {}
-        for name, flags in [("ic", []), ("tau", ["--tau", "5"]),
-                            ("shift", ["--tau", "5", "--shift", "1"])]:
+        for name, grid in [("ic", [0.0, {"tau": 5, "f": [1.0, 0.0]}]),
+                           ("tau", [{"tau": 5, "f": [0.0, 0.0]}]),
+                           ("shift", [{"tau": 5, "f": [1.0, 0.0]}])]:
+            doc = mini_config_doc()
+            doc["experiment"]["grid"] = grid
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
             out = tmp_path / name
-            argv = ["--config", cfg_path, "--out", str(out), "simulate", "--horizon", "10"]
-            assert main(argv + flags) == 0
+            argv = ["--config", str(path), "--out", str(out), "simulate", "--horizon", "10"]
+            assert main(argv) == 0
             streams[name] = (out / "stream.csv").read_bytes()
         assert streams["tau"] == streams["ic"]
         assert streams["shift"] != streams["ic"]
@@ -421,13 +431,13 @@ class TestCalibrate:
 
 
 class TestBenchmark:
-    def test_policy_subset_rows(self, cfg_path, tmp_path):
+    def test_policy_subset_rows(self, tmp_path):
+        doc = mini_config_doc()
+        doc["policy"] = [{"name": "e_aucrss"}, {"name": "random"}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        code = main(
-            ["--config", cfg_path, "--out", str(out), "benchmark",
-             "--policies", "e_aucrss,random"]
-        )
-        assert code == 0
+        assert main(["--config", str(path), "--out", str(out), "benchmark"]) == 0
         rows = (out / "results.csv").read_text().splitlines()[1:]
         policies = sorted({r.split(",")[1] for r in rows})
         assert policies == ["e_aucrss", "random"]
@@ -438,21 +448,16 @@ class TestBenchmark:
         doc = mini_config_doc()
         doc["calibration"].update(target_add_ic=8.0, horizon_cap=40, tol=0.05)
         doc["experiment"]["replications"] = 5
+        doc["policy"] = [{"name": "e_aucrss"}, {"name": "random"}]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        code = main(
-            ["--config", str(path), "--out", str(out), "benchmark",
-             "--policies", "e_aucrss,random"]
-        )
-        assert code == 0
+        assert main(["--config", str(path), "--out", str(out), "benchmark"]) == 0
         rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
         cfg = parse_config(doc)
         direct = {
-            policy.kind: calibrate_h(
-                cfg.calibration, cfg.scenario(changes=(), policy=policy)
-            ).h
-            for policy in (cfg.base.policy, Policy(kind="random"))
+            arm.policy.kind: calibrate_h(cfg.calibration, replace(arm, changes=())).h
+            for arm in cfg.arms
         }
         assert direct["e_aucrss"] != direct["random"]
         for kind, h in direct.items():
@@ -493,10 +498,9 @@ class TestBenchmark:
         [
             ([{"label": "x"}, {"label": "x", "alpha": 0.3}], ["benchmark"],
              "policy[1]: same scenario and policy as policy[0]"),
-            ({"name": "e_aucrss"}, ["benchmark", "--policies", "random,e_aucrss,random"],
-             "--policies[2]: same scenario and policy as --policies[0]"),
-            ([{"name": "random"}], ["benchmark", "--policies", "random"],
-             "--policies: the config already lists its policy arms"),
+            ([{"name": "random"}, {"name": "e_aucrss"}, {"name": "random"}], ["benchmark"],
+             "policy[2]: same scenario and policy as policy[0]"),
+            ([], ["benchmark"], "policy: expected an object or a non-empty array"),
             ([{"name": "random"}, {"name": "e_aucrss"}], ["calibrate"],
              "policy: lists 2 arms, but this command takes one policy"),
             ([{"name": "random"}, {"name": "e_aucrss"}], ["replay", "--input", "x.csv"],
@@ -516,28 +520,34 @@ class TestBenchmark:
         assert message in err
         assert not (tmp_path / "o").exists()
 
-    def test_unknown_policy_exits_2(self, cfg_path, tmp_path, capsys):
+    def test_unknown_policy_exits_2(self, tmp_path, capsys):
         # Every entry is checked before the first calibration starts.
-        for policies in ("oracle", "e_aucrss,oracle"):
-            code = main(
-                ["--config", cfg_path, "--out", str(tmp_path / "o"), "benchmark",
-                 "--policies", policies]
-            )
+        for i, policy in enumerate(([{"name": "oracle"}],
+                                    [{"name": "e_aucrss"}, {"name": "oracle"}])):
+            doc = mini_config_doc()
+            doc["policy"] = policy
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            code = main(["--config", str(path), "--out", str(tmp_path / "o"), "benchmark"])
             assert code == 2
             out, err = capsys.readouterr()
             assert out == ""
             assert (
-                "--policies: kind must be one of ('aucrss', 'e_aucrss', 'random'), "
+                f"policy[{i}].name: kind must be one of ('aucrss', 'e_aucrss', 'random'), "
                 "got 'oracle'"
             ) in err
+            assert not (tmp_path / "o").exists()
 
 
 class TestReplay:
-    def test_round_trip(self, cfg_path, tmp_path):
+    def test_round_trip(self, tmp_path):
         out = tmp_path / "o"
-        main(["--config", cfg_path, "--out", str(out), "simulate",
-              "--horizon", "68", "--shift", "1.5", "--tau", "8"])
         doc = mini_config_doc()
+        doc["experiment"]["grid"] = [{"tau": 8, "f": [1.5, 0.0]}]
+        cfg1 = tmp_path / "cfg1.json"
+        cfg1.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg1), "--out", str(out), "simulate",
+                     "--horizon", "68"]) == 0
         doc["window"]["h"] = 8.0
         cfg2 = tmp_path / "cfg2.json"
         cfg2.write_text(json.dumps(doc))
@@ -587,6 +597,27 @@ class TestReplay:
              "--input", str(tmp_path / "none.csv")]
         )
         assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["benchmark", "--policies", "random"],
+        ["simulate", "--shift", "1"],
+        ["simulate", "--tau", "5"],
+        ["simulate", "--sigma-q", "0"],
+        ["simulate", "--sigma-r", "0"],
+    ],
+)
+def test_settings_are_not_flags(cfg_path, tmp_path, capsys, argv):
+    # Each of these is a config key: policy, experiment.grid, model.sigma_q/r.
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg_path, "--out", str(tmp_path / "o")] + argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):

@@ -199,6 +199,14 @@ class TestIngestCsv:
         stream = ingest_csv(path)
         np.testing.assert_array_equal(stream.data, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("header", ["", "a,b\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_dropped(self, tmp_path, header):
+        # Excel writes a UTF-8 byte-order mark before the first cell.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}1.0,2\n3,4\n5,6\n".encode())
+        stream = ingest_csv(path)
+        np.testing.assert_array_equal(stream.data, [[1, 2], [3, 4], [5, 6]])
+
     def test_zscore_self_reference(self, tmp_path, rng):
         path = tmp_path / "s.csv"
         data = rng.normal(size=(50, 4)) * 3 + 1

@@ -40,6 +40,9 @@ class TestModelParams:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(A=np.zeros((1, 1)), C=np.ones((1, 1)), sigma_q=-0.1, sigma_r=0.1)
+        for noise in ({"sigma_q": math.inf, "sigma_r": 0.1}, {"sigma_q": 0.1, "sigma_r": math.inf}):
+            with pytest.raises(ValueError, match="must be nonnegative and finite"):
+                ModelParams(A=np.zeros((1, 1)), C=np.ones((1, 1)), **noise)
 
     def test_arrays_immutable(self):
         m = benchmark_p10_model()

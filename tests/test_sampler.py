@@ -478,6 +478,39 @@ def _scorer_cases(rng, q):
     yield "vanishing radius", vanishing, _psd_stack(rng, 12, q)
 
 
+class TestNonFiniteScores:
+    """A NaN score would win argmax, and no comparison in the solve rejects it."""
+
+    def test_nan_omega_raises(self, rng):
+        import pocpd.sampler as sampler
+
+        inputs = make_inputs(rng, q=3, p=6, alpha=0.3)
+        inputs.__dict__["radius2"] = 1e-13  # the closed-form branch
+        om = _psd_stack(rng, 3, 3)
+        om[1, 0, 0] = np.nan
+        with pytest.raises(NumericalError, match="candidate 1 is not finite"):
+            sampler._boundary_max_array(om, inputs)
+
+    def test_nan_eigenvalue_raises(self, rng, monkeypatch):
+        # eigh rejects a NaN omega itself, so the NaN enters at the solve.
+        import pocpd.sampler as sampler
+
+        solve = sampler._secular_boundary_max
+
+        def nan_row_1(lams, xs, hinv_f, radius2):
+            lams = lams.copy()
+            lams[1, 0] = np.nan
+            return solve(lams, xs, hinv_f, radius2)
+
+        monkeypatch.setattr(sampler, "_secular_boundary_max", nan_row_1)
+        inputs = make_inputs(rng, q=3, p=6, alpha=0.3)
+        with pytest.raises(NumericalError, match="candidate 1 is not finite"):
+            sampler._boundary_max_array(_psd_stack(rng, 3, 3), inputs)
+        for select, m in ((select_greedy, 2), (select_exhaustive, 2)):
+            with pytest.raises(NumericalError, match="is not finite"):
+                select(replace(inputs), m)
+
+
 class TestFrozenReference:
     """The scorer, greedy and exhaustive decisions equal the frozen
     reference bit for bit."""
