@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -62,8 +61,8 @@ class CalibrationSpec:
             raise ValueError("replications must be >= 100")
         if self.horizon_cap < 5 * self.target_add_ic:
             raise ValueError("horizon_cap must be >= 5 * target_add_ic")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.seed < 0:
@@ -180,15 +179,12 @@ def _ic_trajectory(args) -> np.ndarray:
 
 def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:
     """(replications, horizon_cap) in-control scan-statistic trajectories."""
-    # The caller's scenario gave any rank warning when it was built.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        base = replace(
-            scenario,
-            window=replace(scenario.window, h=None),
-            horizon_cap=spec.horizon_cap,
-            seed=spec.seed,
-        )
+    base = replace(
+        scenario,
+        window=replace(scenario.window, h=None),
+        horizon_cap=spec.horizon_cap,
+        seed=spec.seed,
+    )
     jobs = [(base, rep) for rep in range(spec.replications)]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:

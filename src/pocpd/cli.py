@@ -15,11 +15,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .calibration import CalibrationSpec, calibrate_h
+from .calibration import calibrate_h
 from .config import Config, build, load_config, parse_config
 from .errors import CalibrationError, ConfigError, NumericalError
 from .harness import ResultTable, emit_outputs, ingest_csv, replay_monitor, run_scenario
 from .model import ChangeSpec, simulate_stream
+from .monitor import absolute_change
 
 __all__ = ["main", "build_parser"]
 
@@ -100,6 +101,8 @@ def _write_csv(path, matrix: np.ndarray) -> None:
 def cmd_simulate(cfg: Config, args) -> int:
     base = cfg.arms[0]  # the arms share model, grid and seed
     change = base.changes[0] if base.changes else ChangeSpec.none(base.model.q)
+    # Row n0 + tau is the first shifted row, as in benchmark's replications.
+    change = absolute_change(base, change)
     y, _ = build(
         {"horizon": "--horizon"}, simulate_stream, base.model, change, args.horizon, base.seed
     )
@@ -110,19 +113,9 @@ def cmd_simulate(cfg: Config, args) -> int:
     return EXIT_OK
 
 
-def _calibration_spec(cfg: Config, threads: int) -> CalibrationSpec:
-    spec = cfg.calibration
-    if spec is None:
-        spec = CalibrationSpec(target_add_ic=200.0, seed=cfg.arms[0].seed)
-    if threads > 1:
-        spec = replace(spec, workers=threads)
-    return spec
-
-
 def cmd_calibrate(cfg: Config, args) -> int:
-    spec = _calibration_spec(cfg, args.threads)
-    scenario = cfg.scenario(changes=())
-    result = calibrate_h(spec, scenario)
+    spec = replace(cfg.calibration, workers=args.threads)
+    result = calibrate_h(spec, cfg.base)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "calibration.json")
     result.write_report(path)
@@ -138,8 +131,8 @@ def cmd_benchmark(cfg: Config, args) -> int:
     for arm in cfg.arms:
         if arm.window.h is None:
             # Each arm at its own h, so delays compare at equal ADD_IC.
-            spec = _calibration_spec(cfg, args.threads)
-            result = calibrate_h(spec, replace(arm, changes=()))
+            spec = replace(cfg.calibration, workers=args.threads)
+            result = calibrate_h(spec, arm)
             arm = replace(arm, window=replace(arm.window, h=result.h))
             print(
                 f"{arm.name} {arm.policy.kind}: calibrated h = {result.h:.6g} "
@@ -158,7 +151,7 @@ def cmd_replay(cfg: Config, args) -> int:
     path = args.input or cfg.input_csv
     if path is None:
         raise ConfigError("replay needs --input or io.input_csv")
-    scenario = cfg.scenario(changes=())
+    scenario = cfg.base
     reference = args.reference or cfg.reference_csv
     stream = ingest_csv(path, normalization=args.normalization, reference=reference)
     record = replay_monitor(stream, scenario)

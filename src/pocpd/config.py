@@ -141,7 +141,7 @@ class Config:
     out_dir: str
     input_csv: str | None
     reference_csv: str | None
-    calibration: CalibrationSpec | None
+    calibration: CalibrationSpec
 
     @property
     def base(self) -> Scenario:
@@ -319,16 +319,18 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
     input_csv = _require(io, "input_csv", "io", str, None)
     reference_csv = _require(io, "reference_csv", "io", str, None)
 
-    cal = doc.get("calibration")
-    if cal is not None:
+    # CalibrationSpec owns the defaults, except that an unset seed follows
+    # the experiment seed.  A calibration section must set target_add_ic;
+    # without one, the target is 200.
+    kw = {"seed": shared["seed"]}
+    if doc.get("calibration") is None:
+        kw["target_add_ic"] = 200.0
+    else:
         cal = _section(doc, "calibration")
-        # CalibrationSpec owns the defaults (target_add_ic is required),
-        # except that an unset seed follows the experiment seed.
-        kw = {"seed": shared["seed"]}
         for key, types in _CALIBRATION_TYPES.items():
             if key in cal or key == "target_add_ic":
                 kw[key] = _require(cal, key, "calibration", types)
-        cal = build("calibration", CalibrationSpec, **kw)
+    cal = build("calibration", CalibrationSpec, **kw)
     return Config(
         arms=arms,
         out_dir=out_dir,

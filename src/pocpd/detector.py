@@ -54,6 +54,9 @@ class WindowConfig:
     def __post_init__(self):
         if not (0 <= self.m2 < self.m1):
             raise ValueError(f"m2 must satisfy 0 <= m2 < m1, got m1={self.m1}, m2={self.m2}")
+        # h = inf is a limit that never alarms; NaN would silently do the same.
+        if self.h is not None and np.isnan(self.h):
+            raise ValueError("h must be a number or None, got nan")
 
 
 @dataclass(frozen=True)

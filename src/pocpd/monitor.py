@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import copy
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,17 +88,6 @@ class Scenario:
         for change in self.changes:
             if change.f.shape != (self.model.q,):
                 raise ValueError(f"changes must shift vectors of length q={self.model.q}")
-        if self.m * self.window.m2 < self.model.q:
-            # Warn at the first frame outside pocpd and dataclasses: the code
-            # that built the scenario, directly, by replace() or by a helper.
-            frame, level = sys._getframe(), 1
-            while frame.f_globals.get("__name__", "").split(".")[0] in ("pocpd", "dataclasses"):
-                frame, level = frame.f_back, level + 1
-            warnings.warn(
-                f"m*m2 = {self.m * self.window.m2} < q = {self.model.q}: the "
-                "youngest scan candidates may be rank-deficient and skipped",
-                stacklevel=level,
-            )
 
 
 @dataclass

@@ -71,8 +71,10 @@ class AlphaSchedule:
                 f"alpha_max must be in [alpha_min, 1), got "
                 f"({self.alpha_min}, {self.alpha_max})"
             )
-        if self.l <= 0:
-            raise ValueError("l must be positive")
+        if not self.l > 0:
+            raise ValueError(f"l must be positive, got {self.l}")
+        if not np.isfinite(self.d):
+            raise ValueError(f"d must be a finite number, got {self.d}")
 
 
 def adaptive_alpha(t_stat: float, schedule: AlphaSchedule) -> float:

@@ -8,7 +8,6 @@ them; delete that directory to force a full recomputation.
 
 import hashlib
 import json
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -92,18 +91,16 @@ def _arm_policy(kind, alpha_spec):
 
 def _arm_scenario(arm: str, h=None) -> Scenario:
     kind, alpha_spec, m, _ = ARMS[arm]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Scenario(
-            name=arm,
-            model=benchmark_p10_model(),
-            m=m,
-            window=WindowConfig(m1=50, m2=5, h=h),
-            policy=_arm_policy(kind, alpha_spec),
-            horizon_cap=HORIZON_CAP,
-            n0=50,
-            seed=0,
-        )
+    return Scenario(
+        name=arm,
+        model=benchmark_p10_model(),
+        m=m,
+        window=WindowConfig(m1=50, m2=5, h=h),
+        policy=_arm_policy(kind, alpha_spec),
+        horizon_cap=HORIZON_CAP,
+        n0=50,
+        seed=0,
+    )
 
 
 def _arm_params(arm: str) -> dict:
@@ -477,18 +474,16 @@ class TestCriterion8SamplingProperties:
         model = ModelParams(
             A=0.5 * np.eye(q), C=np.eye(p), sigma_q=0.1, sigma_r=0.1
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            scenario = Scenario(
-                name="balance",
-                model=model,
-                m=m,
-                window=WindowConfig(m1=30, m2=2, h=None),
-                policy=Policy(kind="e_aucrss", alpha=DEFAULT_ALPHA_SCHEDULE),
-                horizon_cap=10_000,
-                n0=30,
-                seed=1,
-            )
+        scenario = Scenario(
+            name="balance",
+            model=model,
+            m=m,
+            window=WindowConfig(m1=30, m2=2, h=None),
+            policy=Policy(kind="e_aucrss", alpha=DEFAULT_ALPHA_SCHEDULE),
+            horizon_cap=10_000,
+            n0=30,
+            seed=1,
+        )
         sim_rng, mask_rng = replication_rngs(1, 7, 0)
         stream = simulate_run_stream(scenario, ChangeSpec.none(q), sim_rng)
         record = run_single(

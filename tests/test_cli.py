@@ -6,7 +6,6 @@ import math
 import re
 import shlex
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +78,8 @@ class TestParseConfig:
         assert s.changes[0].tau == math.inf
         np.testing.assert_array_equal(s.changes[0].f, np.zeros(7))
         assert (s.replications, s.horizon_cap, s.seed) == (1000, 1000, 0)
-        assert cfg.calibration is None
+        assert cfg.calibration == CalibrationSpec(target_add_ic=200.0, seed=0)
+        assert parse_config({}, seed=4).calibration.seed == 4
         spec = parse_config({"calibration": {"target_add_ic": 200}}).calibration
         assert spec == CalibrationSpec(target_add_ic=200.0, seed=0)
         assert type(spec.target_add_ic) is float
@@ -382,7 +382,9 @@ class TestSimulate:
         assert data.shape == (500, 10)
 
     def test_tau_without_shift_is_in_control(self, tmp_path):
-        """simulate writes experiment.grid[0]; a zero f at tau 5 is in control."""
+        """simulate writes experiment.grid[0]; a zero f at tau 5 is in control.
+        tau counts monitoring steps, as in benchmark: with n0 = 8 the first
+        shifted row is row 13."""
         streams = {}
         for name, grid in [("ic", [0.0, {"tau": 5, "f": [1.0, 0.0]}]),
                            ("tau", [{"tau": 5, "f": [0.0, 0.0]}]),
@@ -392,11 +394,12 @@ class TestSimulate:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc))
             out = tmp_path / name
-            argv = ["--config", str(path), "--out", str(out), "simulate", "--horizon", "10"]
+            argv = ["--config", str(path), "--out", str(out), "simulate", "--horizon", "20"]
             assert main(argv) == 0
-            streams[name] = (out / "stream.csv").read_bytes()
+            streams[name] = (out / "stream.csv").read_bytes().splitlines()
         assert streams["tau"] == streams["ic"]
-        assert streams["shift"] != streams["ic"]
+        assert streams["shift"][:13] == streams["ic"][:13]
+        assert streams["shift"][13] != streams["ic"][13]
 
     def test_global_flags_both_positions(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -456,12 +459,23 @@ class TestBenchmark:
         rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
         cfg = parse_config(doc)
         direct = {
-            arm.policy.kind: calibrate_h(cfg.calibration, replace(arm, changes=())).h
+            arm.policy.kind: calibrate_h(cfg.calibration, arm).h
             for arm in cfg.arms
         }
         assert direct["e_aucrss"] != direct["random"]
         for kind, h in direct.items():
             assert {float(r[7]) for r in rows if r[1] == kind} == {h}
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_deficient_arms_run_without_warning(self, tmp_path):
+        # m * m2 = 1 < q = 2: the scan skips rank-deficient candidates, and
+        # neither parsing nor calibrating the arms warns about it.
+        doc = mini_config_doc()
+        doc["sampling"]["m"] = 1
+        doc["policy"] = [{"name": "e_aucrss"}, {"name": "random"}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "benchmark"]) == 0
 
     def test_policy_arms_each_at_its_own_h(self, tmp_path):
         doc = mini_config_doc()
@@ -483,7 +497,7 @@ class TestBenchmark:
         ]
         cfg = parse_config(doc)
         direct = {
-            arm.name: calibrate_h(cfg.calibration, replace(arm, changes=())).h
+            arm.name: calibrate_h(cfg.calibration, arm).h
             for arm in cfg.arms
         }
         assert direct["custom-schedule"] != direct["custom-alpha=0.05"]

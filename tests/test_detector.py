@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,11 @@ class TestWindowConfig:
             WindowConfig(m1=5, m2=5)
         with pytest.raises(ValueError):
             WindowConfig(m1=5, m2=-1)
+
+    def test_h_must_not_be_nan(self):
+        with pytest.raises(ValueError, match="^h must be a number or None"):
+            WindowConfig(m1=50, m2=5, h=math.nan)
+        assert WindowConfig(m1=50, m2=5, h=math.inf).h == math.inf  # never alarms
 
     def test_valid(self):
         w = WindowConfig(m1=50, m2=5, h=12.0)

@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,23 +42,21 @@ def mini_scenario(h=6.0, replications=10, policy_kind="e_aucrss"):
         from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE
 
         policy = Policy(kind=policy_kind, alpha=DEFAULT_ALPHA_SCHEDULE)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Scenario(
-            name="mini",
-            model=model,
-            m=2,
-            window=WindowConfig(m1=12, m2=1, h=h),
-            policy=policy,
-            changes=(
-                ChangeSpec.none(2),
-                ChangeSpec(tau=0, f=np.array([1.0, 0.0])),
-            ),
-            replications=replications,
-            horizon_cap=60,
-            n0=8,
-            seed=17,
-        )
+    return Scenario(
+        name="mini",
+        model=model,
+        m=2,
+        window=WindowConfig(m1=12, m2=1, h=h),
+        policy=policy,
+        changes=(
+            ChangeSpec.none(2),
+            ChangeSpec(tau=0, f=np.array([1.0, 0.0])),
+        ),
+        replications=replications,
+        horizon_cap=60,
+        n0=8,
+        seed=17,
+    )
 
 
 class TestRunScenario:

@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,18 +27,16 @@ def mini_scenario(h=None, policy_kind="e_aucrss"):
         sigma_r=0.1,
     )
     alpha = None if policy_kind == "random" else DEFAULT_ALPHA_SCHEDULE
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Scenario(
-            name="mini",
-            model=model,
-            m=2,
-            window=WindowConfig(m1=12, m2=1, h=h),
-            policy=Policy(kind=policy_kind, alpha=alpha),
-            horizon_cap=60,
-            n0=8,
-            seed=17,
-        )
+    return Scenario(
+        name="mini",
+        model=model,
+        m=2,
+        window=WindowConfig(m1=12, m2=1, h=h),
+        policy=Policy(kind=policy_kind, alpha=alpha),
+        horizon_cap=60,
+        n0=8,
+        seed=17,
+    )
 
 
 def stream(scenario, change=SHIFT, rep=0):

@@ -9,7 +9,6 @@ absent instead of failing.  Both are caught here, cheaply.
 import importlib
 import pkgutil
 import types
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,25 +79,23 @@ LOOP_SPANS = (
 
 
 def tiny_scenario(policy_kind, h):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Scenario(
-            name="tiny",
-            model=ModelParams(
-                A=np.diag([0.5, 0.3]),
-                C=np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.4]]),
-                sigma_q=0.1,
-                sigma_r=0.1,
-            ),
-            m=2,
-            window=WindowConfig(m1=12, m2=1, h=h),
-            policy=Policy(kind=policy_kind, alpha=DEFAULT_ALPHA_SCHEDULE),
-            changes=(ChangeSpec.none(2), ChangeSpec(tau=2, f=np.array([1.0, 0.0]))),
-            replications=2,
-            horizon_cap=20,
-            n0=8,
-            seed=3,
-        )
+    return Scenario(
+        name="tiny",
+        model=ModelParams(
+            A=np.diag([0.5, 0.3]),
+            C=np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.4]]),
+            sigma_q=0.1,
+            sigma_r=0.1,
+        ),
+        m=2,
+        window=WindowConfig(m1=12, m2=1, h=h),
+        policy=Policy(kind=policy_kind, alpha=DEFAULT_ALPHA_SCHEDULE),
+        changes=(ChangeSpec.none(2), ChangeSpec(tau=2, f=np.array([1.0, 0.0]))),
+        replications=2,
+        horizon_cap=20,
+        n0=8,
+        seed=3,
+    )
 
 
 def test_monitoring_loop_reaches_traced_sites():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,11 @@ class TestAlphaSchedule:
             AlphaSchedule(d=0, l=0.0, alpha_min=0.1, alpha_max=0.5)
         with pytest.raises(ValueError):
             AlphaSchedule(d=0, l=1.0, alpha_min=0.0, alpha_max=0.5)
+        with pytest.raises(ValueError, match="^l must be positive"):
+            AlphaSchedule(d=0, l=math.nan, alpha_min=0.1, alpha_max=0.5)
+        for d in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^d must be a finite number"):
+                AlphaSchedule(d=d, l=1.0, alpha_min=0.1, alpha_max=0.5)
 
 
 class TestOmega:
