@@ -22,7 +22,6 @@ from .detector import Detector, ScanResult, WindowConfig
 from .errors import CalibrationError, ConfigError, NumericalError
 from .filtering import FilterState, StepOutput, filter_init, filter_step
 from .harness import (
-    RecordedStream,
     ResultTable,
     emit_outputs,
     ingest_csv,
@@ -65,7 +64,6 @@ __all__ = [
     "NumericalError",
     "ObservationMask",
     "Policy",
-    "RecordedStream",
     "ResultTable",
     "RunRecord",
     "SamplingDecision",

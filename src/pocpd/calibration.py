@@ -37,15 +37,17 @@ __all__ = [
 STREAM_CALIBRATION = 1
 STREAM_EVALUATION = 2
 
+# Initial bisection bracket for h, widened by halving and doubling until it
+# straddles the target, and the most bisection steps before giving up.
+H_BRACKET = (1.0, 200.0)
+MAX_ITERS = 40
+
 
 @dataclass(frozen=True)
 class CalibrationSpec:
     target_add_ic: float
     replications: int = 1000
-    h_lo: float = 1.0
-    h_hi: float = 200.0
     tol: float = 0.05
-    max_iters: int = 40
     horizon_cap: int = 1000
     seed: int = 0
     workers: int = 1
@@ -53,18 +55,12 @@ class CalibrationSpec:
     def __post_init__(self):
         if not self.target_add_ic > 0:
             raise ValueError("target_add_ic must be positive")
-        if not 0 < self.h_lo < self.h_hi:
-            raise ValueError(
-                f"h_lo must satisfy 0 < h_lo < h_hi, got ({self.h_lo}, {self.h_hi})"
-            )
         if self.replications < 100:
             raise ValueError("replications must be >= 100")
         if self.horizon_cap < 5 * self.target_add_ic:
             raise ValueError("horizon_cap must be >= 5 * target_add_ic")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.workers < 1:
@@ -229,45 +225,42 @@ def calibrate_h(
             replications=spec.replications,
         )
 
-    h_lo, h_hi = spec.h_lo, spec.h_hi
-    add_lo = achieved(h_lo)
-    add_hi = achieved(h_hi)
+    lo, hi = H_BRACKET
+    add_lo = achieved(lo)
+    add_hi = achieved(hi)
     for _ in range(60):
         if add_lo <= target:
             break
-        h_lo /= 2.0
-        add_lo = achieved(h_lo)
+        lo /= 2.0
+        add_lo = achieved(lo)
     for _ in range(60):
         if add_hi >= target:
             break
-        h_hi *= 2.0
-        add_hi = achieved(h_hi)
+        hi *= 2.0
+        add_hi = achieved(hi)
     if not (add_lo <= target <= add_hi):
         raise CalibrationError(
-            f"bracket [{h_lo:.4g}, {h_hi:.4g}] does not straddle target "
+            f"bracket [{lo:.4g}, {hi:.4g}] does not straddle target "
             f"{target} (achieved [{add_lo:.4g}, {add_hi:.4g}])"
         )
 
     if abs(add_lo - target) / target <= spec.tol:
-        return result(h_lo, 0)
+        return result(lo, 0)
 
-    best_gap, best_h, best_iteration = math.inf, None, None
-    for iteration in range(1, spec.max_iters + 1):
-        h_mid = 0.5 * (h_lo + h_hi)
-        add_mid = achieved(h_mid)
+    best_gap, best = math.inf, None  # closest to the target so far
+    for iteration in range(1, MAX_ITERS + 1):
+        mid = 0.5 * (lo + hi)
+        add_mid = achieved(mid)
         gap = abs(add_mid - target) / target
-        if gap < best_gap:
-            best_gap, best_h, best_iteration = gap, h_mid, iteration
         if gap <= spec.tol:
-            break
+            return result(mid, iteration)
+        if gap < best_gap:
+            best_gap, best = gap, mid
         if add_mid < target:
-            h_lo = h_mid
+            lo = mid
         else:
-            h_hi = h_mid
-    if best_gap > spec.tol:
-        raise CalibrationError(
-            f"bisection did not reach tol={spec.tol} in {spec.max_iters} "
-            f"iterations (best gap {best_gap:.4g} at h={best_h:.6g})",
-            best_h=best_h,
-        )
-    return result(best_h, best_iteration)
+            hi = mid
+    raise CalibrationError(
+        f"bisection did not reach tol={spec.tol} in {MAX_ITERS} "
+        f"iterations (best gap {best_gap:.4g} at h={best:.6g})"
+    )

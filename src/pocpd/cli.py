@@ -81,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Config:
-    if args.threads < 1:
-        raise ConfigError("--threads: must be >= 1")
     if args.config:
         cfg = load_config(args.config, seed=args.seed)
     else:
         cfg = parse_config({}, source="<defaults>", seed=args.seed)
+    spec = build({"workers": "--threads"}, replace, cfg.calibration, workers=args.threads)
+    cfg = replace(cfg, calibration=spec)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
@@ -103,6 +103,11 @@ def cmd_simulate(cfg: Config, args) -> int:
     change = base.changes[0] if base.changes else ChangeSpec.none(base.model.q)
     # Row n0 + tau is the first shifted row, as in benchmark's replications.
     change = absolute_change(base, change)
+    if change.magnitude > 0 and change.tau >= args.horizon:
+        raise ConfigError(
+            f"--horizon: the shift of experiment.grid[0] starts at row {int(change.tau)} "
+            f"(n0 + tau), after the last of {args.horizon} rows"
+        )
     y, _ = build(
         {"horizon": "--horizon"}, simulate_stream, base.model, change, args.horizon, base.seed
     )
@@ -114,8 +119,7 @@ def cmd_simulate(cfg: Config, args) -> int:
 
 
 def cmd_calibrate(cfg: Config, args) -> int:
-    spec = replace(cfg.calibration, workers=args.threads)
-    result = calibrate_h(spec, cfg.base)
+    result = calibrate_h(cfg.calibration, cfg.base)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "calibration.json")
     result.write_report(path)
@@ -131,8 +135,7 @@ def cmd_benchmark(cfg: Config, args) -> int:
     for arm in cfg.arms:
         if arm.window.h is None:
             # Each arm at its own h, so delays compare at equal ADD_IC.
-            spec = replace(cfg.calibration, workers=args.threads)
-            result = calibrate_h(spec, arm)
+            result = calibrate_h(cfg.calibration, arm)
             arm = replace(arm, window=replace(arm.window, h=result.h))
             print(
                 f"{arm.name} {arm.policy.kind}: calibrated h = {result.h:.6g} "
@@ -156,7 +159,7 @@ def cmd_replay(cfg: Config, args) -> int:
     stream = ingest_csv(path, normalization=args.normalization, reference=reference)
     record = replay_monitor(stream, scenario)
     out = {
-        "source": stream.source,
+        "source": str(path),
         "n0": record.n0,
         "t_stats": [float(v) for v in record.t_stats],
         "masks": [list(map(int, m)) for m in record.masks],

@@ -31,10 +31,7 @@ __all__ = ["Config", "build", "load_config", "parse_config"]
 _CALIBRATION_TYPES = {
     "target_add_ic": (int, float),
     "replications": int,
-    "h_lo": (int, float),
-    "h_hi": (int, float),
     "tol": (int, float),
-    "max_iters": int,
     "horizon_cap": int,
     "seed": int,
 }
@@ -259,6 +256,7 @@ def _parse_changes(grid, q: int, path: str) -> tuple:
         f = entry.get("f")
         if not isinstance(f, list) or len(f) != q:
             raise ConfigError(f"{where}.f: expected an array of length {q}")
+        f = [_value(v, f"{where}.f[{j}]", (int, float)) for j, v in enumerate(f)]
         tau = entry.get("tau", 0)
         changes.append(build(where, ChangeSpec, tau=math.inf if tau is None else tau, f=f))
     return tuple(changes)

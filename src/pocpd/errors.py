@@ -10,8 +10,4 @@ class NumericalError(RuntimeError):
 
 
 class CalibrationError(RuntimeError):
-    """Control-limit search failed; carries the best threshold found so far."""
-
-    def __init__(self, message: str, best_h: float | None = None):
-        super().__init__(message)
-        self.best_h = best_h
+    """Control-limit search failed, or a delay estimate had no usable run."""

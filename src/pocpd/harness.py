@@ -26,7 +26,6 @@ from .monitor import Monitor, RunRecord, Scenario, absolute_change, replication_
 __all__ = [
     "CellResult",
     "ResultTable",
-    "RecordedStream",
     "run_scenario",
     "ingest_csv",
     "replay_monitor",
@@ -69,24 +68,6 @@ class ResultTable:
             if c.policy == policy and c.f == f:
                 return c
         raise KeyError(f"no cell for policy={policy!r}, f={f}")
-
-
-@dataclass(frozen=True)
-class RecordedStream:
-    """T x p observation matrix plus the normalization that produced it."""
-
-    data: np.ndarray
-    column_mean: np.ndarray
-    column_std: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 2:
-            raise ValueError("stream data must be a 2-d matrix")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("stream contains non-finite entries")
 
 
 def run_scenario(scenario: Scenario) -> ResultTable:
@@ -206,50 +187,42 @@ def _parse_csv_matrix(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def ingest_csv(
-    path, normalization: str = "none", reference=None
-) -> RecordedStream:
-    """Load a T x p stream; `zscore-from-reference` standardizes every column
+def ingest_csv(path, normalization: str = "none", reference=None) -> np.ndarray:
+    """Load a (T, p) stream; `zscore-from-reference` standardizes every column
     by the reference file's statistics (the reference plays the role of a
     recorded in-control run)."""
     data = _parse_csv_matrix(path)
     if normalization == "none":
-        mean = np.zeros(data.shape[1])
-        std = np.ones(data.shape[1])
-    elif normalization == "zscore-from-reference":
-        ref = data if reference is None else _parse_csv_matrix(reference)
-        if ref.shape[1] != data.shape[1]:
-            raise ConfigError(
-                f"reference has {ref.shape[1]} columns, stream has {data.shape[1]}"
-            )
-        mean = ref.mean(axis=0)
-        std = ref.std(axis=0, ddof=0)
-        if np.any(std == 0):
-            bad = int(np.flatnonzero(std == 0)[0])
-            raise ConfigError(f"reference column {bad} is constant; cannot z-score")
-        data = (data - mean) / std
-    else:
+        return data
+    if normalization != "zscore-from-reference":
         raise ConfigError(f"unknown normalization {normalization!r}")
-    return RecordedStream(
-        data=data, column_mean=mean, column_std=std, source=str(path)
-    )
+    ref = data if reference is None else _parse_csv_matrix(reference)
+    if ref.shape[1] != data.shape[1]:
+        raise ConfigError(
+            f"reference has {ref.shape[1]} columns, stream has {data.shape[1]}"
+        )
+    mean = ref.mean(axis=0)
+    std = ref.std(axis=0, ddof=0)
+    if np.any(std == 0):
+        bad = int(np.flatnonzero(std == 0)[0])
+        raise ConfigError(f"reference column {bad} is constant; cannot z-score")
+    return (data - mean) / std
 
 
-def replay_monitor(stream: RecordedStream, scenario: Scenario) -> RunRecord:
-    """Run the monitoring loop over a recorded stream.
+def replay_monitor(data: np.ndarray, scenario: Scenario) -> RunRecord:
+    """Run the monitoring loop over a recorded (T, p) stream, as ingest_csv
+    returns it.
 
     Full rows are recorded; at each step the policy chooses which columns
     the filter actually observes, so replay exercises the same decision
     path as live monitoring.
     """
     p = scenario.model.p
-    if stream.data.shape[1] != p:
+    if data.ndim != 2 or data.shape[1] != p:
+        raise ConfigError(f"stream of shape {data.shape} does not have p={p} columns")
+    if data.shape[0] < scenario.n0 + scenario.window.m2 + 2:
         raise ConfigError(
-            f"stream has {stream.data.shape[1]} columns, model expects p={p}"
-        )
-    if stream.data.shape[0] < scenario.n0 + scenario.window.m2 + 2:
-        raise ConfigError(
-            f"stream of length {stream.data.shape[0]} is shorter than "
+            f"stream of length {data.shape[0]} is shorter than "
             f"n0 + m2 + 2 = {scenario.n0 + scenario.window.m2 + 2}"
         )
     if scenario.window.h is None:
@@ -257,7 +230,7 @@ def replay_monitor(stream: RecordedStream, scenario: Scenario) -> RunRecord:
         # replay would report "no alarm" whatever the data.
         raise ConfigError("window.h is not set: replay needs a calibrated control limit")
     _, mask_rng = replication_rngs(scenario.seed, STREAM_EVALUATION, 0)
-    return run_single(scenario, stream.data, mask_rng, record_masks=True)
+    return run_single(scenario, data, mask_rng, record_masks=True)
 
 
 def _fmt(value) -> str:

@@ -155,24 +155,28 @@ class ObservationMask:
         return cls(indices=tuple(range(p)), p=p)
 
 
-def stationary_covariance(
-    A: np.ndarray, Q: np.ndarray, tol: float = 1e-12, max_iters: int = 100_000
-) -> np.ndarray:
+# Convergence test of stationary_covariance: the largest entry change of a
+# sweep, and the most sweeps before giving up.
+LYAPUNOV_TOL = 1e-12
+LYAPUNOV_SWEEPS = 100_000
+
+
+def stationary_covariance(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Stationary state covariance: fixed point of S <- A S A' + Q.
 
     Converges for any stable A; raises NumericalError if the residual does not
-    fall below tol within max_iters sweeps.
+    fall below LYAPUNOV_TOL within LYAPUNOV_SWEEPS sweeps.
     """
     S = np.array(Q, dtype=float)
-    for _ in range(max_iters):
+    for _ in range(LYAPUNOV_SWEEPS):
         S_next = A @ S @ A.T + Q
         resid = float(np.max(np.abs(S_next - S)))
         S = S_next
-        if resid < tol:
+        if resid < LYAPUNOV_TOL:
             return 0.5 * (S + S.T)
     raise NumericalError(
-        f"stationary covariance iteration did not reach tol={tol} "
-        f"within {max_iters} iterations (residual {resid:.3g})"
+        f"stationary covariance iteration did not reach tol={LYAPUNOV_TOL} "
+        f"within {LYAPUNOV_SWEEPS} iterations (residual {resid:.3g})"
     )
 
 

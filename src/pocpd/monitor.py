@@ -218,6 +218,8 @@ def run_single(
     alarm time stays the first crossing.
     """
     params = scenario.model
+    if observations.ndim != 2:
+        raise ValueError(f"stream must be a (T, p) matrix, got shape {observations.shape}")
     if observations.shape[1] != params.p:
         raise ValueError(
             f"stream has {observations.shape[1]} columns, model expects p={params.p}"

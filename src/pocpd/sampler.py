@@ -123,7 +123,6 @@ class SamplingDecision:
     mask: ObservationMask
     score: float
     f_star: np.ndarray
-    alpha_used: float
 
 
 def omega(
@@ -275,7 +274,6 @@ def select_exhaustive(inputs: UcrInputs, m: int) -> SamplingDecision:
         mask=ObservationMask(indices=tuple(int(i) for i in mask_idx[best]), p=p),
         score=float(scores[best]),
         f_star=f_stars[best],
-        alpha_used=inputs.alpha,
     )
 
 
@@ -294,7 +292,6 @@ def select_greedy(inputs: UcrInputs, m: int) -> SamplingDecision:
         mask=ObservationMask(indices=tuple(sorted(chosen)), p=p),
         score=float(scores[best]),
         f_star=f_stars[best],
-        alpha_used=inputs.alpha,
     )
 
 

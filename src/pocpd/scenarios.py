@@ -71,17 +71,15 @@ def benchmark_p10_model(
 
 
 def benchmark_p30_model(
-    seed: int = 7,
-    sigma_q: float = BENCHMARK_SIGMA,
-    sigma_r: float = BENCHMARK_SIGMA,
+    sigma_q: float = BENCHMARK_SIGMA, sigma_r: float = BENCHMARK_SIGMA
 ) -> ModelParams:
-    """Sparse p = 30 / q = 15 benchmark model generated from a fixed seed.
+    """Sparse p = 30 / q = 15 benchmark model generated from the fixed seed 7.
 
     A symmetric sparse transition with unit diagonal cannot be stable, so the
     generated matrix is rescaled to spectral radius 0.95; absolute delays are
     therefore not comparable across implementations, only orderings.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     q, p = 15, 30
     a = np.eye(q)
     n_links = 12

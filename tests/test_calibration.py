@@ -54,13 +54,9 @@ class TestCalibrationSpec:
         with pytest.raises(ValueError):
             CalibrationSpec(target_add_ic=0.0)
         with pytest.raises(ValueError):
-            CalibrationSpec(target_add_ic=10.0, h_lo=5.0, h_hi=2.0)
-        with pytest.raises(ValueError):
             CalibrationSpec(target_add_ic=10.0, replications=50)
         with pytest.raises(ValueError):
             CalibrationSpec(target_add_ic=100.0, horizon_cap=200)
-        with pytest.raises(ValueError, match="max_iters"):
-            CalibrationSpec(target_add_ic=10.0, max_iters=0)
         with pytest.raises(ValueError, match="seed"):
             CalibrationSpec(target_add_ic=10.0, seed=-1)
         for workers in (0, -2):
@@ -155,33 +151,41 @@ class TestCalibrateH:
         # Statistic grows linearly 1, 2, ...: alarm_time(h) = floor(h) + 1.
         return np.tile(np.arange(1.0, horizon + 1), (n, 1))
 
-    def test_returns_endpoint_when_exact(self):
+    def _calibrate(self, target, trajectories, tol=0.05):
         spec = CalibrationSpec(
-            target_add_ic=2.0, replications=100, h_lo=1.5, h_hi=30.0, horizon_cap=40
+            target_add_ic=target, replications=100, horizon_cap=2000, tol=tol
         )
-        scenario = small_scenario()
-        res = calibrate_h(spec, scenario, trajectories=self._ramp_trajectories())
-        assert res.h == 1.5
+        return calibrate_h(spec, small_scenario(), trajectories=trajectories)
+
+    def test_returns_endpoint_when_exact(self):
+        # ADD(1.0) = 2 on the ramp: the bracket's lower end is the answer.
+        res = self._calibrate(2.0, self._ramp_trajectories())
+        assert res.h == 1.0
         assert res.achieved_add_ic == pytest.approx(2.0)
         assert res.iterations == 0
 
+    def test_bracket_widens_down(self):
+        # ADD(1.0) = 2 > 1, so the lower end halves to 0.5, where ADD = 1.
+        res = self._calibrate(1.0, self._ramp_trajectories())
+        assert (res.h, res.achieved_add_ic, res.iterations) == (0.5, 1.0, 0)
+
+    def test_bracket_widens_up(self):
+        # ADD(200) = 201 < 250 on a 1,250-step ramp, so the upper end doubles
+        # to 400 and the bisection runs inside [1, 400].
+        res = self._calibrate(250.0, self._ramp_trajectories(horizon=1250))
+        assert 200.0 < res.h < 400.0
+        assert res.achieved_add_ic == pytest.approx(250.0, rel=0.05)
+        assert res.iterations >= 1
+
     def test_bisection_on_ramp(self):
-        spec = CalibrationSpec(
-            target_add_ic=7.0, replications=100, h_lo=0.5, h_hi=30.0,
-            horizon_cap=40, tol=0.05,
-        )
-        res = calibrate_h(spec, small_scenario(), trajectories=self._ramp_trajectories())
+        res = self._calibrate(7.0, self._ramp_trajectories())
         assert res.achieved_add_ic == pytest.approx(7.0, rel=0.05)
 
     def test_impossible_bracket_raises(self):
         # Statistic is identically zero: no positive h ever alarms, so every
         # trial censors at the horizon and the target cannot be bracketed.
-        traj = np.zeros((100, 40))
-        spec = CalibrationSpec(
-            target_add_ic=8.0, replications=100, h_lo=10.0, h_hi=20.0, horizon_cap=40
-        )
         with pytest.raises(CalibrationError, match="bracket"):
-            calibrate_h(spec, small_scenario(), trajectories=traj)
+            self._calibrate(8.0, np.zeros((100, 40)))
 
     def test_crn_determinism_end_to_end(self):
         spec = CalibrationSpec(

@@ -13,7 +13,7 @@ import pytest
 
 from pocpd.calibration import CalibrationSpec, calibrate_h
 from pocpd.cli import _load, build_parser, main
-from pocpd.config import parse_config
+from pocpd.config import _KEYS, parse_config
 from pocpd.detector import WindowConfig
 from pocpd.errors import ConfigError
 from pocpd.model import ChangeSpec, ModelParams
@@ -83,6 +83,11 @@ class TestParseConfig:
         spec = parse_config({"calibration": {"target_add_ic": 200}}).calibration
         assert spec == CalibrationSpec(target_add_ic=200.0, seed=0)
         assert type(spec.target_add_ic) is float
+
+    def test_calibration_keys_are_spec_fields(self):
+        # Every CalibrationSpec field but workers (set by --threads) is a key.
+        fields = {f.name for f in dataclasses.fields(CalibrationSpec)}
+        assert set(_KEYS["calibration"]) == fields - {"workers"}
 
     def test_unknown_section_named(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -247,7 +252,8 @@ class TestParseConfig:
 @pytest.mark.parametrize(
     "section, patch, message",
     [
-        ("calibration", {"max_iters": 0, "tol": 1e-4}, "max_iters must be >= 1"),
+        # The bisection bracket and step limit are constants, not keys.
+        ("calibration", {"max_iters": 0, "tol": 1e-4}, "calibration.max_iters: unknown key"),
         ("calibration", {"seed": -1}, "seed must be >= 0"),
         ("calibration", {"workers": 2}, "calibration.workers: unknown key"),
         ("experiment", {"replications": 0},
@@ -263,26 +269,32 @@ class TestParseConfig:
         ("experiment", {"grid": [{"tau": "x", "f": [1.0, 0.0]}]}, "experiment.grid[0].tau"),
         ("experiment", {"grid": [{"tau": True, "f": [1.0, 0.0]}]}, "experiment.grid[0].tau"),
         ("experiment", {"grid": [{"tau": 2.5, "f": [1.0, 0.0]}]}, "experiment.grid[0].tau"),
-        ("experiment", {"grid": [{"f": ["a", 0.0]}]}, "experiment.grid[0].f: f must be"),
-        ("experiment", {"grid": [{"f": [{}, 0.0]}]}, "experiment.grid[0].f: f must be"),
-        ("experiment", {"grid": [{"f": [math.nan, 0.0]}]}, "experiment.grid[0].f: f must be"),
+        ("experiment", {"grid": [{"f": ["a", 0.0]}]},
+         "experiment.grid[0].f[0]: expected a finite number, got str"),
+        ("experiment", {"grid": [{"f": [{}, 0.0]}]},
+         "experiment.grid[0].f[0]: expected a finite number, got dict"),
+        ("experiment", {"grid": [{"f": [math.nan, 0.0]}]},
+         "experiment.grid[0].f[0]: expected a finite number, got nan"),
         ("model", {"sigma_q": -1.0}, "model.sigma_q: sigma_q must be nonnegative"),
         ("window", {"h": 10**400}, "window.h: expected a finite number or null, got inf"),
         ("calibration", {"target_add_ic": 10**400},
          "calibration.target_add_ic: expected a finite number, got inf"),
         ("model", {"sigma_q": math.inf}, "model.sigma_q: expected a finite number, got inf"),
-        ("calibration", {"h_hi": math.inf},
-         "calibration.h_hi: expected a finite number, got inf"),
+        ("calibration", {"h_hi": math.inf}, "calibration.h_hi: unknown key"),
         ("policy", {"alpha": {"d": math.nan, "l": 1, "alpha_min": 0.1, "alpha_max": 0.5}},
          "policy.alpha.d: expected a finite number, got nan"),
         ("policy", {"alpha": {"d": 1, "l": 1, "alpha_min": 0.1, "alpha_max": 1.5}},
          "policy.alpha.alpha_max: alpha_max must be in [alpha_min, 1)"),
         ("window", {"m2": 12}, "window.m2: m2 must satisfy 0 <= m2 < m1"),
-        ("calibration", {"h_lo": 300}, "calibration.h_lo: h_lo must satisfy 0 < h_lo < h_hi"),
+        ("calibration", {"h_lo": 300}, "calibration.h_lo: unknown key"),
         ("sampling", {"n0": 0}, "sampling.n0: n0 must be >= 1"),
         ("model", {"A": [[0.5, 0.0], [0.0, math.nan]]},
          "model.A[1][1]: expected a finite number, got nan"),
         ("experiment", {"grid": [10**400]}, "experiment.grid[0]: expected a finite number"),
+        ("experiment", {"grid": [{"tau": 3, "f": ["1.5", 0.0]}]},
+         "experiment.grid[0].f[0]: expected a finite number, got str"),
+        ("experiment", {"grid": [{"tau": 3, "f": [0.0, True]}]},
+         "experiment.grid[0].f[1]: expected a finite number, got bool"),
     ],
 )
 def test_out_of_range_config_exits_2(tmp_path, capsys, section, patch, message):
@@ -326,18 +338,24 @@ def test_value_errors_start_with_a_field(cls):
          "model.sigma_r: sigma_r must be nonnegative"),
         ({}, ["simulate", "--horizon", "0"], "--horizon: horizon must be >= 1"),
         ({}, ["simulate", "--horizon", "-3"], "--horizon: horizon must be >= 1"),
-        ({}, ["simulate", "--threads", "0"], "--threads: must be >= 1"),
-        ({}, ["--threads", "-4", "calibrate"], "--threads: must be >= 1"),
+        ({}, ["simulate", "--threads", "0"], "--threads: workers must be >= 1"),
+        ({}, ["--threads", "-4", "calibrate"], "--threads: workers must be >= 1"),
         ({"model": {"builtin": "bench-p10", "sigma_q": math.inf}}, ["simulate"],
          "model.sigma_q: expected a finite number, got inf"),
         ({"experiment": {"grid": [{"tau": -3, "f": [1.0] + [0.0] * 6}]}}, ["simulate"],
          "experiment.grid[0].tau: tau must be"),
         ({"experiment": {"grid": [{"tau": 2, "f": [math.nan] + [0.0] * 6}]}}, ["simulate"],
-         "experiment.grid[0].f: f must be a finite"),
+         "experiment.grid[0].f[0]: expected a finite number, got nan"),
         # simulate judges grid[0] whether or not it shifts anything.
         ({"experiment": {"grid": [{"tau": -3, "f": [0.0] * 7}]}}, ["simulate"],
          "experiment.grid[0].tau: tau must be"),
         ({}, ["--seed", "-1", "simulate"], "--seed: seed must be >= 0"),
+        # The shift would start at row n0 + tau = 510, after the stream ends.
+        ({"experiment": {"grid": [{"tau": 460, "f": [5.0] + [0.0] * 6}]}}, ["simulate"],
+         "--horizon: the shift of experiment.grid[0] starts at row 510 (n0 + tau), "
+         "after the last of 500 rows"),
+        ({"experiment": {"grid": [{"tau": 460, "f": [5.0] + [0.0] * 6}]}},
+         ["simulate", "--horizon", "510"], "--horizon: the shift of experiment.grid[0]"),
     ],
 )
 def test_bad_model_or_flag_exits_2(tmp_path, capsys, doc, argv, message):
@@ -422,15 +440,16 @@ class TestCalibrate:
         assert "h = " in capsys.readouterr().out
 
     def test_unreachable_tolerance_exits_3(self, tmp_path, capsys):
-        # One bisection step cannot pin a 0.01% tolerance: the search gives
-        # up and reports its best h.
+        # Over 100 replications every ADD is a multiple of 0.01, so a target
+        # of 11.995 is never within 0.01 % (0.0012): the search gives up.
         doc = mini_config_doc()
-        doc["calibration"].update({"max_iters": 1, "tol": 1e-4})
+        doc["calibration"].update({"target_add_ic": 11.995, "tol": 1e-4})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         code = main(["--config", str(path), "--out", str(tmp_path / "o"), "calibrate"])
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure: bisection did not reach tol=0.0001 in 40 iterations" in err
 
 
 class TestBenchmark:

@@ -15,7 +15,6 @@ from pocpd.calibration import (
 from pocpd.errors import ConfigError, NumericalError
 from pocpd.harness import (
     CellResult,
-    RecordedStream,
     ResultTable,
     emit_outputs,
     ingest_csv,
@@ -188,13 +187,13 @@ class TestIngestCsv:
         path = tmp_path / "z.csv"
         path.write_text("0,0\n0,0\n0,0\n")
         stream = ingest_csv(path, normalization="none")
-        np.testing.assert_array_equal(stream.data, np.zeros((3, 2)))
+        np.testing.assert_array_equal(stream, np.zeros((3, 2)))
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b\n1,2\n3,4\n")
         stream = ingest_csv(path)
-        np.testing.assert_array_equal(stream.data, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(stream, [[1, 2], [3, 4]])
 
     @pytest.mark.parametrize("header", ["", "a,b\n"], ids=["no-header", "header"])
     def test_byte_order_mark_dropped(self, tmp_path, header):
@@ -202,15 +201,15 @@ class TestIngestCsv:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + f"{header}1.0,2\n3,4\n5,6\n".encode())
         stream = ingest_csv(path)
-        np.testing.assert_array_equal(stream.data, [[1, 2], [3, 4], [5, 6]])
+        np.testing.assert_array_equal(stream, [[1, 2], [3, 4], [5, 6]])
 
     def test_zscore_self_reference(self, tmp_path, rng):
         path = tmp_path / "s.csv"
         data = rng.normal(size=(50, 4)) * 3 + 1
         np.savetxt(path, data, delimiter=",")
         stream = ingest_csv(path, normalization="zscore-from-reference")
-        assert np.all(np.abs(stream.data.mean(axis=0)) < 1e-12)
-        assert np.all(np.abs(stream.data.std(axis=0) - 1.0) < 1e-12)
+        assert np.all(np.abs(stream.mean(axis=0)) < 1e-12)
+        assert np.all(np.abs(stream.std(axis=0) - 1.0) < 1e-12)
 
     def test_zscore_external_reference_leaves_shift(self, tmp_path, rng):
         """IC reference statistics applied to a shifted run: means stay off 0."""
@@ -225,11 +224,11 @@ class TestIngestCsv:
         ref_mean = ic.mean(axis=0)
         ref_std = ic.std(axis=0)
         np.testing.assert_allclose(
-            stream.data.mean(axis=0),
+            stream.mean(axis=0),
             (oc.mean(axis=0) - ref_mean) / ref_std,
             atol=1e-10,
         )
-        assert np.all(np.abs(stream.data.mean(axis=0)) > 1.0)
+        assert np.all(np.abs(stream.mean(axis=0)) > 1.0)
 
     def test_ragged_row_located(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -268,12 +267,7 @@ class TestReplayMonitor:
         y, _ = simulate_stream(
             scenario.model, change, scenario.n0 + scenario.horizon_cap, seed=seed
         )
-        return RecordedStream(
-            data=y,
-            column_mean=np.zeros(3),
-            column_std=np.ones(3),
-            source="sim",
-        )
+        return y
 
     def _calibrated(self):
         scenario = mini_scenario(h=None)
@@ -285,34 +279,21 @@ class TestReplayMonitor:
 
     def test_too_short_rejected(self):
         scenario = mini_scenario()
-        stream = RecordedStream(
-            data=np.zeros((5, 3)),
-            column_mean=np.zeros(3),
-            column_std=np.ones(3),
-            source="x",
-        )
+        stream = np.zeros((5, 3))
         with pytest.raises(ValueError, match="shorter"):
             replay_monitor(stream, scenario)
 
     def test_wrong_width_rejected(self):
         scenario = mini_scenario()
-        stream = RecordedStream(
-            data=np.zeros((50, 5)),
-            column_mean=np.zeros(5),
-            column_std=np.ones(5),
-            source="x",
-        )
+        stream = np.zeros((50, 5))
         with pytest.raises(ConfigError, match="columns"):
             replay_monitor(stream, scenario)
+        with pytest.raises(ConfigError, match=r"^stream of shape \(50,\) does not have p=3"):
+            replay_monitor(np.zeros(50), scenario)
 
     def test_constant_zero_stream_is_robust(self):
         scenario = replace(mini_scenario(), horizon_cap=500)
-        stream = RecordedStream(
-            data=np.zeros((508, 3)),
-            column_mean=np.zeros(3),
-            column_std=np.ones(3),
-            source="zeros",
-        )
+        stream = np.zeros((508, 3))
         record = replay_monitor(stream, scenario)
         assert np.all(np.isfinite(record.t_stats))
 

@@ -145,7 +145,7 @@ class TestStationaryCovariance:
     def test_nonconvergence_raises(self):
         a = np.array([[1.0 - 1e-9]])
         with pytest.raises(NumericalError):
-            stationary_covariance(a, np.array([[1.0]]), max_iters=100)
+            stationary_covariance(a, np.array([[1.0]]))
 
 
 class TestSimulateStream:

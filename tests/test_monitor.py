@@ -111,3 +111,10 @@ def test_no_stop_reports_the_first_crossing():
     assert record.alarm_time == crossings[0] + 1
     np.testing.assert_array_equal(record.t_stats, free.t_stats)
     assert record.masks == free.masks
+
+
+def test_stream_must_be_a_matrix():
+    s = mini_scenario(h=6.0)
+    obs, rng = stream(s)
+    with pytest.raises(ValueError, match=r"^stream must be a \(T, p\) matrix, got shape \(68,\)"):
+        run_single(s, obs[:, 0], rng)

@@ -21,7 +21,6 @@ from pocpd import (
     ChangeSpec,
     ModelParams,
     Policy,
-    RecordedStream,
     Scenario,
     WindowConfig,
     calibrate_h,
@@ -110,8 +109,7 @@ def test_monitoring_loop_reaches_traced_sites():
         spec = CalibrationSpec(target_add_ic=2.0, replications=100, horizon_cap=10, tol=0.5)
         calibrate_h(spec, replace(greedy, changes=()))
         rows = simulate_stream(greedy.model, ChangeSpec.none(2), 30, seed=1)[0]
-        stream = RecordedStream(rows, np.zeros(3), np.ones(3), source="sim")
-        replay_monitor(stream, replace(greedy, window=replace(greedy.window, h=6.0)))
+        replay_monitor(rows, replace(greedy, window=replace(greedy.window, h=6.0)))
     finally:
         for path, attr, _ in tracing.TARGETS:
             owner = tracing.resolve(path)
