@@ -40,7 +40,9 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--seed", type=int, default=default, help="override the experiment seed"
     )
     parser.add_argument(
-        "--out", default=default, help="output directory (default: config io.out_dir)"
+        "--out",
+        default=argparse.SUPPRESS if suppress else ".",
+        help="output directory (default: the working directory)",
     )
     parser.add_argument(
         "--threads",
@@ -70,12 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("replay", help="monitor a recorded CSV stream")
     _add_global_flags(rep, suppress=True)
-    rep.add_argument("--input", help="stream CSV (default: config io.input_csv)")
-    rep.add_argument("--reference", help="reference CSV for z-score normalization")
+    rep.add_argument("--input", required=True, help="stream CSV")
     rep.add_argument(
-        "--normalization",
-        choices=["none", "zscore-from-reference"],
-        default="none",
+        "--reference",
+        help="in-control CSV whose column means and standard deviations z-score "
+        "the stream (it may be the --input file itself)",
     )
     return parser
 
@@ -86,10 +87,7 @@ def _load(args) -> Config:
     else:
         cfg = parse_config({}, source="<defaults>", seed=args.seed)
     spec = build({"workers": "--threads"}, replace, cfg.calibration, workers=args.threads)
-    cfg = replace(cfg, calibration=spec)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    return cfg
+    return replace(cfg, calibration=spec)
 
 
 def _write_csv(path, matrix: np.ndarray) -> None:
@@ -111,8 +109,8 @@ def cmd_simulate(cfg: Config, args) -> int:
     y, _ = build(
         {"horizon": "--horizon"}, simulate_stream, base.model, change, args.horizon, base.seed
     )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "stream.csv")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "stream.csv")
     _write_csv(path, y)
     print(f"wrote {y.shape[0]}x{y.shape[1]} stream to {path}")
     return EXIT_OK
@@ -120,8 +118,8 @@ def cmd_simulate(cfg: Config, args) -> int:
 
 def cmd_calibrate(cfg: Config, args) -> int:
     result = calibrate_h(cfg.calibration, cfg.base)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "calibration.json")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "calibration.json")
     result.write_report(path)
     print(
         f"h = {result.h:.6g} (ADD_IC {result.achieved_add_ic:.2f} over "
@@ -142,7 +140,7 @@ def cmd_benchmark(cfg: Config, args) -> int:
                 f"(ADD_IC {result.achieved_add_ic:.2f})"
             )
         table = table.merge(run_scenario(arm))
-    written = emit_outputs(table, cfg.out_dir)
+    written = emit_outputs(table, args.out)
     for cell in table.cells:
         status = f"ADD {cell.add:.2f}" if cell.add is not None else f"FAILED: {cell.error}"
         print(f"  {cell.scenario} {cell.policy:>9}  f={cell.f:<5g} {status}")
@@ -151,15 +149,11 @@ def cmd_benchmark(cfg: Config, args) -> int:
 
 
 def cmd_replay(cfg: Config, args) -> int:
-    path = args.input or cfg.input_csv
-    if path is None:
-        raise ConfigError("replay needs --input or io.input_csv")
-    scenario = cfg.base
-    reference = args.reference or cfg.reference_csv
-    stream = ingest_csv(path, normalization=args.normalization, reference=reference)
+    scenario = cfg.base  # judged before any file is read
+    stream = ingest_csv(args.input, reference=args.reference)
     record = replay_monitor(stream, scenario)
     out = {
-        "source": str(path),
+        "source": str(args.input),
         "n0": record.n0,
         "t_stats": [float(v) for v in record.t_stats],
         "masks": [list(map(int, m)) for m in record.masks],
@@ -167,8 +161,8 @@ def cmd_replay(cfg: Config, args) -> int:
         "tau_hat": record.tau_hat,
         "f_hat": None if record.f_hat is None else [float(v) for v in record.f_hat],
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    out_path = os.path.join(cfg.out_dir, "replay.json")
+    os.makedirs(args.out, exist_ok=True)
+    out_path = os.path.join(args.out, "replay.json")
     with open(out_path, "w", newline="\n") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")

@@ -46,7 +46,6 @@ _KEYS = {
     "policy": ("name", "alpha", "label"),
     "sampling": ("m", "n0"),
     "experiment": ("replications", "horizon_cap", "seed", "grid"),
-    "io": ("out_dir", "input_csv", "reference_csv"),
     "calibration": tuple(_CALIBRATION_TYPES),
 }
 
@@ -135,9 +134,6 @@ class Config:
     """
 
     arms: tuple
-    out_dir: str
-    input_csv: str | None
-    reference_csv: str | None
     calibration: CalibrationSpec
 
     @property
@@ -198,9 +194,13 @@ def _parse_model(section: dict, path: str) -> tuple[ModelParams, str]:
     return model, "custom"
 
 
-def _parse_alpha(value, path: str):
+def _parse_alpha(value, path: str) -> AlphaSchedule:
     if not isinstance(value, dict):
-        return _value(value, path, (int, float))
+        # A constant alpha is the flat schedule.
+        alpha = _value(value, path, (int, float))
+        return build(
+            {"alpha_min": path}, AlphaSchedule, d=0.0, l=1.0, alpha_min=alpha, alpha_max=alpha
+        )
     keys = ("d", "l", "alpha_min", "alpha_max")
     _check_keys(value, path, keys)
     return build(
@@ -218,8 +218,7 @@ def _parse_policy(section, path: str) -> tuple[Policy, str | None]:
         raise ConfigError(
             f"{path}.label: expected letters, digits and _.=+- only, got {label!r}"
         )
-    paths = {"kind": f"{path}.name", "alpha": f"{path}.alpha"}
-    return build(paths, Policy, kind=name, alpha=alpha), label
+    return build({"kind": f"{path}.name"}, Policy, kind=name, alpha=alpha), label
 
 
 def _parse_arms(section) -> list:
@@ -312,11 +311,6 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
         for policy, label in arms
     )
 
-    io = _section(doc, "io")
-    out_dir = _require(io, "out_dir", "io", str, ".")
-    input_csv = _require(io, "input_csv", "io", str, None)
-    reference_csv = _require(io, "reference_csv", "io", str, None)
-
     # CalibrationSpec owns the defaults, except that an unset seed follows
     # the experiment seed.  A calibration section must set target_add_ic;
     # without one, the target is 200.
@@ -329,13 +323,7 @@ def parse_config(doc: dict, source: str = "<config>", seed: int | None = None) -
             if key in cal or key == "target_add_ic":
                 kw[key] = _require(cal, key, "calibration", types)
     cal = build("calibration", CalibrationSpec, **kw)
-    return Config(
-        arms=arms,
-        out_dir=out_dir,
-        input_csv=input_csv,
-        reference_csv=reference_csv,
-        calibration=cal,
-    )
+    return Config(arms=arms, calibration=cal)
 
 
 def load_config(path, seed: int | None = None) -> Config:

@@ -187,26 +187,34 @@ def _parse_csv_matrix(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def ingest_csv(path, normalization: str = "none", reference=None) -> np.ndarray:
-    """Load a (T, p) stream; `zscore-from-reference` standardizes every column
-    by the reference file's statistics (the reference plays the role of a
-    recorded in-control run)."""
+def ingest_csv(path, reference=None) -> np.ndarray:
+    """Load a (T, p) stream; with a `reference` CSV, standardize every column
+    by the reference's statistics (the reference plays the role of a
+    recorded in-control run, and may be the stream's own file)."""
     data = _parse_csv_matrix(path)
-    if normalization == "none":
+    if reference is None:
         return data
-    if normalization != "zscore-from-reference":
-        raise ConfigError(f"unknown normalization {normalization!r}")
-    ref = data if reference is None else _parse_csv_matrix(reference)
+    ref = _parse_csv_matrix(reference)
     if ref.shape[1] != data.shape[1]:
         raise ConfigError(
             f"reference has {ref.shape[1]} columns, stream has {data.shape[1]}"
         )
-    mean = ref.mean(axis=0)
-    std = ref.std(axis=0, ddof=0)
-    if np.any(std == 0):
-        bad = int(np.flatnonzero(std == 0)[0])
-        raise ConfigError(f"reference column {bad} is constant; cannot z-score")
-    return (data - mean) / std
+    # Huge values or a tiny spread can carry finite cells past the float range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ref.mean(axis=0)
+        std = ref.std(axis=0, ddof=0)
+        if np.any(std == 0):
+            bad = int(np.flatnonzero(std == 0)[0])
+            raise ConfigError(f"reference column {bad} is constant; cannot z-score")
+        z = (data - mean) / std
+    finite = np.isfinite(z).all(axis=0)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ConfigError(
+            f"column {bad} leaves the float range when z-scored by the reference "
+            f"(reference mean {mean[bad]:g}, std {std[bad]:g})"
+        )
+    return z
 
 
 def replay_monitor(data: np.ndarray, scenario: Scenario) -> RunRecord:
@@ -230,7 +238,7 @@ def replay_monitor(data: np.ndarray, scenario: Scenario) -> RunRecord:
         # replay would report "no alarm" whatever the data.
         raise ConfigError("window.h is not set: replay needs a calibrated control limit")
     _, mask_rng = replication_rngs(scenario.seed, STREAM_EVALUATION, 0)
-    return run_single(scenario, data, mask_rng, record_masks=True)
+    return run_single(scenario, data, mask_rng)
 
 
 def _fmt(value) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,28 +34,17 @@ POLICY_NAMES = ("aucrss", "e_aucrss", "random")
 
 @dataclass(frozen=True)
 class Policy:
-    """Subset-selection policy plus its exploration level."""
+    """Subset-selection policy plus its exploration level (a constant alpha
+    is the flat schedule, alpha_min = alpha_max)."""
 
     kind: str
-    alpha: AlphaSchedule | float | None = None
+    alpha: AlphaSchedule | None = None
 
     def __post_init__(self):
         if self.kind not in POLICY_NAMES:
             raise ValueError(f"kind must be one of {POLICY_NAMES}, got {self.kind!r}")
-        if self.kind != "random":
-            if isinstance(self.alpha, AlphaSchedule):
-                pass
-            elif isinstance(self.alpha, (int, float)) and 0.0 < float(self.alpha) < 1.0:
-                pass
-            else:
-                raise ValueError(
-                    f"alpha of policy {self.kind!r} must be in (0, 1) or an AlphaSchedule"
-                )
-
-    def alpha_for(self, t_stat: float) -> float:
-        if isinstance(self.alpha, AlphaSchedule):
-            return adaptive_alpha(t_stat, self.alpha)
-        return float(self.alpha)
+        if self.kind != "random" and not isinstance(self.alpha, AlphaSchedule):
+            raise ValueError(f"alpha of policy {self.kind!r} must be an AlphaSchedule")
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,7 @@ class RunRecord:
     tau_hat: int | None  # estimated change point at the last scan
     f_hat: np.ndarray | None  # shift estimate at the last scan
     n0: int
-    masks: list = field(default_factory=list)  # per absolute step, if recorded
+    masks: list  # observed indices per absolute step
 
 
 def replication_rngs(seed: int, stream_id: int, rep: int):
@@ -140,7 +129,7 @@ class Monitor:
     n0 random warm-up steps.
     """
 
-    def __init__(self, scenario: Scenario, mask_rng, record_masks: bool = False):
+    def __init__(self, scenario: Scenario, mask_rng):
         params = scenario.model
         self.scenario = scenario
         self.state = filter_init(params)
@@ -151,7 +140,7 @@ class Monitor:
         self.scan: ScanResult | None = None
         self.t_abs = 0
         self.t_stats: list[float] = []
-        self.masks: list[tuple] | None = [] if record_masks else None
+        self.masks: list[tuple] = []
         self.alarm_time = self.tau_hat = self.f_hat = None  # as in RunRecord
 
     def advance(self, rows) -> None:
@@ -167,8 +156,7 @@ class Monitor:
                     )
                 mask = self.mask
                 self.t_abs = t_abs = self.t_abs + 1
-                if self.masks is not None:
-                    self.masks.append(mask.indices)
+                self.masks.append(mask.indices)
                 self.state, out = filter_step(self.state, params, mask, row[list(mask.indices)])
                 self.det.push_step(make_step_term(out, params.C))
                 scan = None
@@ -201,7 +189,7 @@ class Monitor:
             tau_hat=self.tau_hat,
             f_hat=self.f_hat,
             n0=self.scenario.n0,
-            masks=list(self.masks or ()),
+            masks=list(self.masks),
         )
 
 
@@ -210,7 +198,6 @@ def run_single(
     observations: np.ndarray,
     mask_rng,
     stop_at_alarm: bool = True,
-    record_masks: bool = False,
 ) -> RunRecord:
     """Run the monitoring loop over a recorded/simulated stream.
 
@@ -226,7 +213,7 @@ def run_single(
         )
     if not np.all(np.isfinite(observations)):
         raise ValueError("stream contains non-finite entries")
-    monitor = Monitor(scenario, mask_rng, record_masks)
+    monitor = Monitor(scenario, mask_rng)
     monitor.advance(observations)
     if not stop_at_alarm:
         monitor.advance(observations[monitor.t_abs :])
@@ -244,14 +231,13 @@ def _next_mask(
     params = scenario.model
     if policy.kind == "random" or scan is None or scan.tau_hat is None:
         return select_random(params.p, scenario.m, mask_rng)
-    alpha = policy.alpha_for(scan.t_stat)
     inputs = UcrInputs(
         f_hat=scan.f_hat,
         sigma_f=scan.sigma_f,
         g_next=det.g_next(scan.tau_hat),
         p_pred=state.p_pred,
         params=params,
-        alpha=alpha,
+        alpha=adaptive_alpha(scan.t_stat, policy.alpha),
     )
     if policy.kind == "aucrss":
         return select_exhaustive(inputs, scenario.m).mask

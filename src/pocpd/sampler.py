@@ -9,7 +9,12 @@ the estimate covariance plus an eigendecomposition).
 The scorer's arithmetic is pinned to the last bit: the benchmark's
 replay-p30-greedy reference has candidate scores that tie to 1e-16, so
 reassociating even one product (``b.T @ (om @ b)``) changes its masks.
-Such a rewrite is a change of results, not a speed-up.
+Such a rewrite is a change of results, not a speed-up.  The BLAS kernel
+is such a rewrite too.  Under OPENBLAS_CORETYPE=Sandybridge the
+ic-p10-greedy workload misses its seed-0 reference at full size
+(achieved_add_ic 9.68 against 10.31) and at tiny size (h 4.692 against
+4.498); under Haswell the p10 workloads pass, and replay-p30-greedy fails
+under both.
 """
 
 from __future__ import annotations

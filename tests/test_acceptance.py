@@ -27,6 +27,7 @@ from pocpd.filtering import filter_init, filter_step
 from pocpd.model import ChangeSpec, ModelParams, ObservationMask, simulate_stream
 from pocpd.monitor import Policy, Scenario, replication_rngs, run_single, simulate_run_stream
 from pocpd.sampler import (
+    AlphaSchedule,
     UcrInputs,
     chi2_quantile,
     omega,
@@ -86,7 +87,8 @@ def _arm_policy(kind, alpha_spec):
         return Policy(kind="random")
     if alpha_spec == "schedule":
         return Policy(kind=kind, alpha=DEFAULT_ALPHA_SCHEDULE)
-    return Policy(kind=kind, alpha=float(alpha_spec))
+    alpha = float(alpha_spec)
+    return Policy(kind=kind, alpha=AlphaSchedule(d=0.0, l=1.0, alpha_min=alpha, alpha_max=alpha))
 
 
 def _arm_scenario(arm: str, h=None) -> Scenario:
@@ -194,6 +196,8 @@ class TestCacheRecompute:
             ("r2", 0.4, 1000),
             ("a2_adaptive", 0.6, 400),
             ("e3_adaptive", 0.8, 1000),
+            ("e2_const010", 0.1, 400),
+            ("e2_const085", 0.1, 400),
         ],
     )
     def test_cached_alarm_times_recompute(self, arm, shift, replications):
@@ -486,9 +490,7 @@ class TestCriterion8SamplingProperties:
         )
         sim_rng, mask_rng = replication_rngs(1, 7, 0)
         stream = simulate_run_stream(scenario, ChangeSpec.none(q), sim_rng)
-        record = run_single(
-            scenario, stream, mask_rng, stop_at_alarm=False, record_masks=True
-        )
+        record = run_single(scenario, stream, mask_rng, stop_at_alarm=False)
         counts = np.zeros(p)
         for mask in record.masks[scenario.n0 :]:
             for i in mask:
@@ -514,9 +516,7 @@ class TestCriterion8SamplingProperties:
         for rep in range(50):
             sim_rng, mask_rng = replication_rngs(scenario.seed, 9, rep)
             stream = simulate_run_stream(scenario, change, sim_rng)
-            record = run_single(
-                scenario, stream, mask_rng, stop_at_alarm=False, record_masks=True
-            )
+            record = run_single(scenario, stream, mask_rng, stop_at_alarm=False)
             # Monitoring steps 50..100; sensor 0 is the only row of C
             # reading the changed state dimension.
             for mask in record.masks[scenario.n0 + 50 : scenario.n0 + 100]:

@@ -18,7 +18,7 @@ from pocpd.detector import WindowConfig
 from pocpd.errors import ConfigError
 from pocpd.model import ChangeSpec, ModelParams
 from pocpd.monitor import Policy, Scenario
-from pocpd.sampler import AlphaSchedule
+from pocpd.sampler import AlphaSchedule, adaptive_alpha
 from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, benchmark_p10_model
 
 
@@ -133,9 +133,12 @@ class TestParseConfig:
             parse_config(doc)
 
     def test_alpha_constant_and_schedule(self):
+        # A number is the flat schedule, whose alpha is that number at every T.
+        flat = AlphaSchedule(d=0.0, l=1.0, alpha_min=0.3, alpha_max=0.3)
         doc = mini_config_doc()
         doc["policy"]["alpha"] = 0.3
-        assert parse_config(doc).base.policy.alpha == 0.3
+        assert parse_config(doc).base.policy.alpha == flat
+        assert {adaptive_alpha(t, flat) for t in (0.0, 0.2, 7.0, 1e300)} == {0.3}
         doc["policy"]["alpha"] = {
             "d": 15,
             "l": 6.67,
@@ -145,7 +148,7 @@ class TestParseConfig:
         assert isinstance(parse_config(doc).base.policy.alpha, AlphaSchedule)
         # The random policy ignores alpha but keeps the parsed value.
         doc["policy"] = {"name": "random", "alpha": 0.3}
-        assert parse_config(doc).base.policy.alpha == 0.3
+        assert parse_config(doc).base.policy.alpha == flat
 
     def test_grid_objects(self):
         doc = mini_config_doc()
@@ -199,7 +202,7 @@ class TestParseConfig:
             ("custom-alpha=0.3", "e_aucrss"),
             ("custom-schedule", "e_aucrss"),
         ]
-        assert cfg.arms[1].policy.alpha == 0.3
+        assert cfg.arms[1].policy.alpha.alpha_max == 0.3
         assert cfg.arms[2].policy.alpha == DEFAULT_ALPHA_SCHEDULE
         # A single policy object may carry a label too.
         doc["policy"] = {"name": "random", "label": "r"}
@@ -216,7 +219,7 @@ class TestParseConfig:
              "policy[0].name: kind must be one of ('aucrss', 'e_aucrss', 'random'), "
              "got 'oracle'"),
             ([{"name": "random"}, {"alpha": 1.5}],
-             "policy[1].alpha: alpha of policy 'e_aucrss' must be in (0, 1)"),
+             "policy[1].alpha: alpha_min must be in (0, 1), got 1.5"),
             ([{"label": "x"}, {"label": "y"}, {"alpha": 0.3, "label": "x"}],
              "policy[2]: same scenario and policy as policy[0]"),
             ([{"name": "random"}, {"name": "random", "alpha": 0.3}],
@@ -229,12 +232,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(doc)
 
-    def test_null_paths_are_unset(self):
-        doc = {"io": {"input_csv": None, "reference_csv": None}}
-        cfg = parse_config(doc)
-        assert (cfg.input_csv, cfg.reference_csv) == (None, None)
-        with pytest.raises(ConfigError, match="io.input_csv"):
-            parse_config({"io": {"input_csv": 3}})
+    def test_io_section_is_unknown(self, tmp_path, capsys):
+        # Paths are flags only: --out, --input and --reference.
+        doc = {**mini_config_doc(), "io": {"out_dir": str(tmp_path / "o")}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "calibrate"]) == 2
+        assert "io: unknown section" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_flag_reaches_unset_calibration_seed(self, cfg_path, tmp_path):
         argv = ["--config", cfg_path, "--seed", "11", "calibrate"]
@@ -624,6 +629,55 @@ class TestReplay:
         assert code == 2
         assert "shorter" in capsys.readouterr().err
 
+    @staticmethod
+    def _config_with_h(tmp_path) -> str:
+        doc = mini_config_doc()
+        doc["window"]["h"] = 8.0
+        path = tmp_path / "cfg_h.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _replay(self, tmp_path, name, *flags):
+        """replay.json of the mini config at h = 8, without its source path."""
+        out = tmp_path / name
+        cfg = self._config_with_h(tmp_path)
+        assert main(["--config", cfg, "--out", str(out), "replay", *flags]) == 0
+        record = json.loads((out / "replay.json").read_text())
+        del record["source"]
+        return record
+
+    def test_reference_zscores_the_stream(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(80, 3)) * 0.4
+        data[40:, 0] += 1.0
+        ref = rng.normal(size=(60, 3)) * [0.2, 0.5, 1.0] + [0.3, -0.1, 2.0]
+        zscored = (data - ref.mean(axis=0)) / ref.std(axis=0)
+        paths = {}
+        for name, matrix in (("data", data), ("ref", ref), ("z", zscored)):
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(
+                "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+            )
+        got = self._replay(
+            tmp_path, "by_ref", "--input", str(paths["data"]), "--reference", str(paths["ref"])
+        )
+        assert got == self._replay(tmp_path, "z", "--input", str(paths["z"]))
+        assert got != self._replay(tmp_path, "raw", "--input", str(paths["data"]))
+
+    def test_zscore_overflow_exits_2(self, tmp_path, capsys):
+        # A tiny but nonzero reference spread carries 1e300 past the float range.
+        ref = tmp_path / "ref.csv"
+        ref.write_text("".join(f"{(i % 2) * 1e-150!r},{i},{-i}\n" for i in range(20)))
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"1e300,{i},{i}\n" for i in range(20)))
+        code = main(
+            ["--config", self._config_with_h(tmp_path), "--out", str(tmp_path / "o"),
+             "replay", "--input", str(data), "--reference", str(ref)]
+        )
+        assert code == 2
+        assert "column 0 leaves the float range" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_exits_4(self, cfg_path, tmp_path):
         code = main(
             ["--config", cfg_path, "--out", str(tmp_path / "o"), "replay",
@@ -640,10 +694,12 @@ class TestReplay:
         ["simulate", "--tau", "5"],
         ["simulate", "--sigma-q", "0"],
         ["simulate", "--sigma-r", "0"],
+        ["replay", "--input", "x.csv", "--normalization", "zscore-from-reference"],
     ],
 )
 def test_settings_are_not_flags(cfg_path, tmp_path, capsys, argv):
     # Each of these is a config key: policy, experiment.grid, model.sigma_q/r.
+    # z-scoring has no switch: giving --reference turns it on.
     with pytest.raises(SystemExit) as exc:
         main(["--config", cfg_path, "--out", str(tmp_path / "o")] + argv)
     assert exc.value.code == 2

@@ -186,7 +186,7 @@ class TestIngestCsv:
     def test_zeros_none(self, tmp_path):
         path = tmp_path / "z.csv"
         path.write_text("0,0\n0,0\n0,0\n")
-        stream = ingest_csv(path, normalization="none")
+        stream = ingest_csv(path)
         np.testing.assert_array_equal(stream, np.zeros((3, 2)))
 
     def test_header_skipped(self, tmp_path):
@@ -207,7 +207,7 @@ class TestIngestCsv:
         path = tmp_path / "s.csv"
         data = rng.normal(size=(50, 4)) * 3 + 1
         np.savetxt(path, data, delimiter=",")
-        stream = ingest_csv(path, normalization="zscore-from-reference")
+        stream = ingest_csv(path, reference=path)
         assert np.all(np.abs(stream.mean(axis=0)) < 1e-12)
         assert np.all(np.abs(stream.std(axis=0) - 1.0) < 1e-12)
 
@@ -218,9 +218,7 @@ class TestIngestCsv:
         ic_path, oc_path = tmp_path / "ic.csv", tmp_path / "oc.csv"
         np.savetxt(ic_path, ic, delimiter=",")
         np.savetxt(oc_path, oc, delimiter=",")
-        stream = ingest_csv(
-            oc_path, normalization="zscore-from-reference", reference=ic_path
-        )
+        stream = ingest_csv(oc_path, reference=ic_path)
         ref_mean = ic.mean(axis=0)
         ref_std = ic.std(axis=0)
         np.testing.assert_allclose(
@@ -253,13 +251,7 @@ class TestIngestCsv:
         path = tmp_path / "c.csv"
         path.write_text("1,5\n2,5\n3,5\n")
         with pytest.raises(ConfigError, match="column 1"):
-            ingest_csv(path, normalization="zscore-from-reference")
-
-    def test_unknown_normalization(self, tmp_path):
-        path = tmp_path / "u.csv"
-        path.write_text("1\n")
-        with pytest.raises(ConfigError, match="normalization"):
-            ingest_csv(path, normalization="minmax")
+            ingest_csv(path, reference=path)
 
 
 class TestReplayMonitor:

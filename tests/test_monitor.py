@@ -63,9 +63,9 @@ class TestMonitor:
     def test_uneven_chunks_equal_one_run(self, h):
         s = mini_scenario(h)
         obs, rng = stream(s)
-        want = run_single(s, obs, rng, record_masks=True)
+        want = run_single(s, obs, rng)
         assert (want.alarm_time is None) == (h is None)
-        monitor = Monitor(s, mask_rng(s), record_masks=True)
+        monitor = Monitor(s, mask_rng(s))
         for chunk in np.split(obs, [5, 9, 10, 31]):
             if monitor.alarm_time is not None:
                 break
@@ -84,8 +84,8 @@ class TestMonitor:
     def test_advancing_a_fork_leaves_the_original(self, policy_kind):
         s = mini_scenario(policy_kind=policy_kind)
         obs, rng = stream(s)
-        want = run_single(s, obs, rng, record_masks=True)
-        monitor = Monitor(s, mask_rng(s), record_masks=True)
+        want = run_single(s, obs, rng)
+        monitor = Monitor(s, mask_rng(s))
         monitor.advance(obs[:20])
         other = monitor.fork()
         other.advance(obs[20:] + 1.0)
@@ -102,12 +102,12 @@ def test_no_stop_reports_the_first_crossing():
     of the stream, and its alarm is the first step with T_n > h."""
     s = mini_scenario()
     obs, rng = stream(s)
-    free = run_single(s, obs, rng, stop_at_alarm=False, record_masks=True)
+    free = run_single(s, obs, rng, stop_at_alarm=False)
     h = float(np.median(free.t_stats))
     crossings = np.flatnonzero(free.t_stats > h)
     assert crossings.size >= 2
     limited = replace(s, window=replace(s.window, h=h))
-    record = run_single(limited, obs, mask_rng(s), stop_at_alarm=False, record_masks=True)
+    record = run_single(limited, obs, mask_rng(s), stop_at_alarm=False)
     assert record.alarm_time == crossings[0] + 1
     np.testing.assert_array_equal(record.t_stats, free.t_stats)
     assert record.masks == free.masks
