@@ -5,7 +5,10 @@ delay.  Every replication is simulated once with the alarm disabled and its
 full statistic trajectory stored; the alarm time for any trial h is then the
 first threshold crossing of that trajectory.  This is common-random-numbers
 bisection in its exact form: per-replication alarm times are nondecreasing
-in h by construction.
+in h by construction.  The replications are monitored in lockstep blocks
+(`monitor.advance_lockstep`), so each step makes one sampler call for the
+decisions of a whole block; the trajectories equal those of monitoring
+each replication alone.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .errors import CalibrationError, NumericalError
 from .model import ChangeSpec
-from .monitor import RunRecord, Scenario, replication_rngs, run_single, simulate_run_stream
+from .monitor import Monitor, Scenario, advance_lockstep, check_stream, replication_rngs
+from .monitor import run_single, simulate_run_stream
 
 __all__ = [
     "CalibrationSpec",
@@ -41,6 +45,13 @@ STREAM_EVALUATION = 2
 # straddles the target, and the most bisection steps before giving up.
 H_BRACKET = (1.0, 200.0)
 MAX_ITERS = 40
+
+# In-control replications advanced together: one sampler call per step
+# scores the decisions of the whole block.  Past a few dozen, larger blocks
+# save no measurable time but hold more monitors in memory: on the
+# ic-p10-greedy benchmark, blocks of 50 raised the peak RSS by 5.6 % and
+# blocks of 25 by 2.5 %, at the same speed.
+IC_BLOCK = 25
 
 
 @dataclass(frozen=True)
@@ -128,18 +139,11 @@ def run_once(
 ) -> RunLengthSample:
     """One full monitored replication; stops at the first alarm."""
     require_control_limit(scenario)
-    return RunLengthSample.of(scenario, _run_record(scenario, change, rep, stream_id).alarm_time)
-
-
-def _run_record(
-    scenario: Scenario, change: ChangeSpec, rep: int, stream_id: int
-) -> RunRecord:
-    """One replication, stopped at the first alarm; with window.h unset
-    (in-control trajectories) it runs to the horizon."""
     sim_rng, mask_rng = replication_rngs(scenario.seed, stream_id, rep)
     with replication_errors(scenario, stream_id, rep):
         observations = simulate_run_stream(scenario, change, sim_rng)
-        return run_single(scenario, observations, mask_rng)
+        record = run_single(scenario, observations, mask_rng)
+    return RunLengthSample.of(scenario, record.alarm_time)
 
 
 def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:
@@ -167,27 +171,46 @@ def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:
     )
 
 
-def _ic_trajectory(args) -> np.ndarray:
-    scenario, rep = args
+def _ic_block(args) -> np.ndarray:
+    """In-control trajectories of a block of replications, advanced in lockstep."""
+    scenario, reps = args
     ic = ChangeSpec.none(scenario.model.q)
-    return _run_record(scenario, ic, rep, STREAM_CALIBRATION).t_stats
+    monitors, streams = [], []
+    for rep in reps:
+        sim_rng, mask_rng = replication_rngs(scenario.seed, STREAM_CALIBRATION, rep)
+        with replication_errors(scenario, STREAM_CALIBRATION, rep):
+            streams.append(simulate_run_stream(scenario, ic, sim_rng))
+        check_stream(scenario, streams[-1])
+        monitors.append(Monitor(scenario, mask_rng))
+    try:
+        advance_lockstep(monitors, streams)
+    except NumericalError as exc:
+        with replication_errors(scenario, STREAM_CALIBRATION, reps[exc.index]):
+            raise  # named by the failing monitor's replication
+    return np.array([monitor.t_stats for monitor in monitors])
 
 
 def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:
-    """(replications, horizon_cap) in-control scan-statistic trajectories."""
+    """(replications, horizon_cap) in-control scan-statistic trajectories.
+
+    Replications run in lockstep blocks of IC_BLOCK, and each worker takes
+    whole blocks; every row equals a run_single of its replication, so the
+    result depends on neither the block size nor the worker count.
+    """
     base = replace(
         scenario,
         window=replace(scenario.window, h=None),
         horizon_cap=spec.horizon_cap,
         seed=spec.seed,
     )
-    jobs = [(base, rep) for rep in range(spec.replications)]
+    reps = range(spec.replications)
+    jobs = [(base, reps[i : i + IC_BLOCK]) for i in range(0, len(reps), IC_BLOCK)]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_ic_trajectory, jobs, chunksize=8))
+            blocks = list(pool.map(_ic_block, jobs))
     else:
-        rows = [_ic_trajectory(job) for job in jobs]
-    return np.vstack(rows)
+        blocks = [_ic_block(job) for job in jobs]
+    return np.vstack(blocks)
 
 
 def _alarm_times(trajectories: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

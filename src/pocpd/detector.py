@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
+from .errors import NumericalError
 from .filtering import StepOutput, rcond_from_eigvals
 
 __all__ = [
@@ -158,7 +159,10 @@ class Detector:
         # Every accepted slot has rcond >= RCOND_SKIP, so inv cannot fail.
         inv = np.linalg.inv(Ms)
         stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
-        best = np.flatnonzero(stats == stats.max())[-1]  # most recent k wins
+        top = stats.max()  # NaN if any statistic is NaN
+        if not np.isfinite(top):
+            raise NumericalError(f"scan statistic is not finite ({top})")
+        best = np.flatnonzero(stats == top)[-1]  # most recent k wins
         t_stat = float(stats[best])
         sigma_f = 0.5 * (inv[best] + inv[best].T)
         return ScanResult(

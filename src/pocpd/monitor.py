@@ -27,7 +27,15 @@ from .sampler import (
     select_random,
 )
 
-__all__ = ["Policy", "Scenario", "RunRecord", "Monitor", "run_single", "replication_rngs"]
+__all__ = [
+    "Policy",
+    "Scenario",
+    "RunRecord",
+    "Monitor",
+    "advance_lockstep",
+    "run_single",
+    "replication_rngs",
+]
 
 POLICY_NAMES = ("aucrss", "e_aucrss", "random")
 
@@ -124,9 +132,13 @@ def simulate_run_stream(
 class Monitor:
     """The monitoring loop of one stream, resumable and forkable.
 
-    `advance` consumes full p-dimensional rows; the policy decides which
-    columns the filter actually sees.  Scanning and alarms start after the
-    n0 random warm-up steps.
+    Each step has two phases.  The observe phase filters the row through the
+    decided mask, folds the step into the detector and scans; scanning and
+    alarms start after the n0 random warm-up steps.  The decide phase then
+    picks the next step's mask: the policy's choice from this scan, or a
+    random one during warm-up.  `advance` runs both phases for this monitor
+    alone, and `advance_lockstep` runs them for a block of monitors
+    together, with one sampler call per step for all their decisions.
     """
 
     def __init__(self, scenario: Scenario, mask_rng):
@@ -135,6 +147,7 @@ class Monitor:
         self.state = filter_init(params)
         self.det = Detector(params.q, scenario.window)
         self.mask_rng = mask_rng
+        self.h = scenario.window.h if scenario.window.h is not None else math.inf
         # The next step's mask; None while the decision after an alarm is pending.
         self.mask: ObservationMask | None = select_random(params.p, scenario.m, mask_rng)
         self.scan: ScanResult | None = None
@@ -145,38 +158,33 @@ class Monitor:
 
     def advance(self, rows) -> None:
         """Consume rows; stop after the first alarm (T_n > h), if it comes."""
-        scenario = self.scenario
-        params, window, n0 = scenario.model, scenario.window, scenario.n0
-        h = window.h if window.h is not None else math.inf
-        try:
-            for row in rows:
-                if self.mask is None:
-                    self.mask = _next_mask(
-                        scenario, self.det, self.state, self.scan, self.mask_rng
-                    )
-                mask = self.mask
-                self.t_abs = t_abs = self.t_abs + 1
-                self.masks.append(mask.indices)
-                self.state, out = filter_step(self.state, params, mask, row[list(mask.indices)])
-                self.det.push_step(make_step_term(out, params.C))
-                scan = None
-                if t_abs >= n0 and t_abs > window.m2 + 1:
-                    scan = self.det.scan()
-                self.scan = scan
-                mon = t_abs - n0
-                if mon >= 1:
-                    t_stat = scan.t_stat if scan is not None else 0.0
-                    self.t_stats.append(t_stat)
-                    if scan is not None and scan.tau_hat is not None:
-                        self.tau_hat = scan.tau_hat - n0
-                        self.f_hat = scan.f_hat
-                    if t_stat > h and self.alarm_time is None:
-                        self.alarm_time = mon
-                        self.mask = None
-                        return
-                self.mask = _next_mask(scenario, self.det, self.state, scan, self.mask_rng)
-        except NumericalError as exc:
-            raise NumericalError(f"absolute step {self.t_abs}: {exc}") from exc
+        advance_lockstep([self], [rows])
+
+    def observe(self, row) -> bool:
+        """The observe phase of one step, under the decided mask; True when
+        this step raises the first alarm."""
+        params, n0 = self.scenario.model, self.scenario.n0
+        mask, self.mask = self.mask, None
+        self.t_abs = t_abs = self.t_abs + 1
+        self.masks.append(mask.indices)
+        self.state, out = filter_step(self.state, params, mask, row[list(mask.indices)])
+        self.det.push_step(make_step_term(out, params.C))
+        scan = None
+        if t_abs >= n0 and t_abs > self.scenario.window.m2 + 1:
+            scan = self.det.scan()
+        self.scan = scan
+        mon = t_abs - n0
+        if mon < 1:
+            return False
+        t_stat = scan.t_stat if scan is not None else 0.0
+        self.t_stats.append(t_stat)
+        if scan is not None and scan.tau_hat is not None:
+            self.tau_hat = scan.tau_hat - n0
+            self.f_hat = scan.f_hat
+        if t_stat > self.h and self.alarm_time is None:
+            self.alarm_time = mon
+            return True
+        return False
 
     def fork(self) -> "Monitor":
         """An independent copy: advancing it leaves this monitor as it is."""
@@ -193,17 +201,52 @@ class Monitor:
         )
 
 
-def run_single(
-    scenario: Scenario,
-    observations: np.ndarray,
-    mask_rng,
-    stop_at_alarm: bool = True,
-) -> RunRecord:
-    """Run the monitoring loop over a recorded/simulated stream.
+def advance_lockstep(monitors: list, streams: list) -> None:
+    """Advance monitors of one scenario in lockstep, each over the rows of its
+    own stream, until each has raised its first alarm or read all its rows.
 
-    With stop_at_alarm=False the run goes on to the end of the stream; the
-    alarm time stays the first crossing.
+    Every step lets each monitor observe its row, then decides the next
+    masks of all that go on with one `_next_mask` call.  Each monitor's
+    results equal those of advancing it alone.  A NumericalError names the
+    absolute step, and its `index` is the failing monitor's position.
     """
+    rows = [iter(stream) for stream in streams]
+    live = list(range(len(monitors)))
+    _decide(monitors, [k for k in live if monitors[k].mask is None])  # after an alarm
+    while live:
+        going = []
+        for k in live:
+            row = next(rows[k], None)
+            if row is None:
+                continue
+            try:
+                alarm = monitors[k].observe(row)
+            except NumericalError as exc:
+                raise _at_step(monitors, k, exc) from exc
+            if not alarm:
+                going.append(k)
+        live = going
+        _decide(monitors, live)
+
+
+def _decide(monitors: list, ks: list) -> None:
+    """The decide phase: the next masks of monitors ks, in one call."""
+    if not ks:
+        return
+    try:
+        masks = _next_mask([monitors[k] for k in ks])
+    except NumericalError as exc:
+        raise _at_step(monitors, ks[exc.index], exc) from exc
+    for k, mask in zip(ks, masks):
+        monitors[k].mask = mask
+
+
+def _at_step(monitors: list, k: int, exc: NumericalError) -> NumericalError:
+    return NumericalError(f"absolute step {monitors[k].t_abs}: {exc}", index=k)
+
+
+def check_stream(scenario: Scenario, observations: np.ndarray) -> None:
+    """Reject a stream that is not a finite (T, p) matrix."""
     params = scenario.model
     if observations.ndim != 2:
         raise ValueError(f"stream must be a (T, p) matrix, got shape {observations.shape}")
@@ -213,6 +256,21 @@ def run_single(
         )
     if not np.all(np.isfinite(observations)):
         raise ValueError("stream contains non-finite entries")
+
+
+def run_single(
+    scenario: Scenario,
+    observations: np.ndarray,
+    mask_rng,
+    stop_at_alarm: bool = True,
+) -> RunRecord:
+    """Run the monitoring loop over a recorded/simulated stream: the R = 1
+    case of `advance_lockstep`.
+
+    With stop_at_alarm=False the run goes on to the end of the stream; the
+    alarm time stays the first crossing.
+    """
+    check_stream(scenario, observations)
     monitor = Monitor(scenario, mask_rng)
     monitor.advance(observations)
     if not stop_at_alarm:
@@ -220,25 +278,38 @@ def run_single(
     return monitor.record()
 
 
-def _next_mask(
-    scenario: Scenario,
-    det: Detector,
-    state,
-    scan: ScanResult | None,
-    mask_rng,
-) -> ObservationMask:
-    policy = scenario.policy
-    params = scenario.model
-    if policy.kind == "random" or scan is None or scan.tau_hat is None:
-        return select_random(params.p, scenario.m, mask_rng)
+def _next_mask(monitors: list) -> list:
+    """The next masks of monitors of one scenario.  Warm-up steps, scans
+    without an estimate and the random policy draw at random; all other
+    decisions go to the UCR sampler as one stack.  A NumericalError's
+    `index` is the failing monitor's position."""
+    scenario = monitors[0].scenario
+    policy, params = scenario.policy, scenario.model
+    masks = [None] * len(monitors)
+    ucr = []
+    for k, mon in enumerate(monitors):
+        scan = mon.scan
+        if policy.kind == "random" or scan is None or scan.tau_hat is None:
+            masks[k] = select_random(params.p, scenario.m, mon.mask_rng)
+        else:
+            ucr.append(k)
+    if not ucr:
+        return masks
+    mons = [monitors[k] for k in ucr]
     inputs = UcrInputs(
-        f_hat=scan.f_hat,
-        sigma_f=scan.sigma_f,
-        g_next=det.g_next(scan.tau_hat),
-        p_pred=state.p_pred,
+        f_hat=np.array([mon.scan.f_hat for mon in mons]),
+        sigma_f=np.array([mon.scan.sigma_f for mon in mons]),
+        g_next=np.array([mon.det.g_next(mon.scan.tau_hat) for mon in mons]),
+        p_pred=np.array([mon.state.p_pred for mon in mons]),
         params=params,
-        alpha=adaptive_alpha(scan.t_stat, policy.alpha),
+        alpha=np.array([adaptive_alpha(mon.scan.t_stat, policy.alpha) for mon in mons]),
     )
-    if policy.kind == "aucrss":
-        return select_exhaustive(inputs, scenario.m).mask
-    return select_greedy(inputs, scenario.m).mask
+    select = select_exhaustive if policy.kind == "aucrss" else select_greedy
+    try:
+        decisions = select(inputs, scenario.m)
+    except NumericalError as exc:
+        exc.index = ucr[exc.index]
+        raise
+    for k, decision in zip(ucr, decisions):
+        masks[k] = decision.mask
+    return masks

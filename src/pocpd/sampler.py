@@ -9,12 +9,17 @@ the estimate covariance plus an eigendecomposition).
 The scorer's arithmetic is pinned to the last bit: the benchmark's
 replay-p30-greedy reference has candidate scores that tie to 1e-16, so
 reassociating even one product (``b.T @ (om @ b)``) changes its masks.
-Such a rewrite is a change of results, not a speed-up.  The BLAS kernel
-is such a rewrite too.  Under OPENBLAS_CORETYPE=Sandybridge the
-ic-p10-greedy workload misses its seed-0 reference at full size
-(achieved_add_ic 9.68 against 10.31) and at tiny size (h 4.692 against
-4.498); under Haswell the p10 workloads pass, and replay-p30-greedy fails
-under both.
+Such a rewrite is a change of results, not a speed-up.  Scoring a stack of
+decisions in one call (lockstep calibration) keeps every decision's bits:
+the stacked Cholesky, eigh, inv, einsum and matmul calls do the same
+per-matrix work as single calls, and each decision's Newton iteration
+stops at the iteration where it would stop alone.  A stop shared by the
+stack gives converged decisions extra steps, and that moves their last
+bits.  The BLAS kernel is a rewrite too.  Under
+OPENBLAS_CORETYPE=Sandybridge the ic-p10-greedy workload misses its seed-0
+reference at full size (achieved_add_ic 9.68 against 10.31) and at tiny
+size (h 4.692 against 4.498); under Haswell the p10 workloads pass, and
+replay-p30-greedy fails under both.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ BOUNDARY_RTOL = 1e-6
 # Components of the rotated estimate below this (relative) are treated as
 # exactly orthogonal to the eigendirection.
 _X_TOL = 1e-13
+# Below this radius2 the confidence region has vanished: the maximizer is
+# f_hat itself, and sigma_f is never factored.
+_VANISHING_R2 = 1e-12
 
 
 def chi2_quantile(prob: float, df: int) -> float:
@@ -89,38 +97,71 @@ def adaptive_alpha(t_stat: float, schedule: AlphaSchedule) -> float:
 
 @dataclass(frozen=True)
 class UcrInputs:
-    """Everything the subset scorer needs at one decision point."""
+    """Everything the subset scorer needs at one decision point, or at a
+    stack of R of them: with a leading axis of length R on the arrays and on
+    alpha, row r is decision r.  A stack is scored in one call per greedy
+    round and gives each decision the bits it gets alone."""
 
-    f_hat: np.ndarray  # current shift estimate, (q,)
-    sigma_f: np.ndarray  # its covariance, (q, q) PD
-    g_next: np.ndarray  # one-step-ahead shift propagation, (q, q)
-    p_pred: np.ndarray  # one-step-ahead state covariance, (q, q)
+    f_hat: np.ndarray  # current shift estimate, (q,) or (R, q)
+    sigma_f: np.ndarray  # its covariance, (q, q) PD, or (R, q, q)
+    g_next: np.ndarray  # one-step-ahead shift propagation, (q, q) or (R, q, q)
+    p_pred: np.ndarray  # one-step-ahead state covariance, (q, q) or (R, q, q)
     params: ModelParams
-    alpha: float
+    alpha: float | np.ndarray  # a float, or (R,)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
+        alpha = np.asarray(self.alpha)
+        if not ((0.0 < alpha) & (alpha < 1.0)).all():
             raise ValueError(f"alpha must be strictly inside (0, 1), got {self.alpha}")
 
-    # Both cached: they do not depend on the subset, and every greedy round
+    # All cached: they do not depend on the subset, and every greedy round
     # scores a new batch with the same inputs.
     @cached_property
-    def radius2(self) -> float:
-        return chi2_quantile(1.0 - self.alpha, self.params.q)
+    def radius2(self) -> float | np.ndarray:
+        if np.ndim(self.alpha) == 0:
+            return chi2_quantile(1.0 - self.alpha, self.params.q)
+        return 2.0 * gammaincinv(self.params.q / 2.0, 1.0 - self.alpha)
+
+    @property
+    def _stack(self) -> "UcrInputs":
+        """These inputs as a stack: one decision is a stack of one."""
+        return self if self.f_hat.ndim == 2 else self._stack_of_one
 
     @cached_property
-    def whitened(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cholesky factor B of sigma_f plus the whitened estimate B^{-1} f_hat."""
+    def _stack_of_one(self) -> "UcrInputs":
+        return self._rows(None)
+
+    def _rows(self, idx) -> "UcrInputs":
+        """The decisions idx of a stack (None: a single decision as a stack
+        of one)."""
+        sub = UcrInputs(
+            self.f_hat[idx], self.sigma_f[idx], self.g_next[idx], self.p_pred[idx],
+            self.params, np.asarray(self.alpha)[idx],
+        )
+        sub.__dict__["radius2"] = np.asarray(self.radius2)[idx]
+        return sub
+
+    @cached_property
+    def _whitened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A stack's Cholesky factors B of sigma_f, (R, 1, q, q), whitened
+        estimates B^{-1} f_hat, (R, 1, q, 1), and f_hat, (R, 1, q), shaped
+        to broadcast over candidates."""
         try:
             b = np.linalg.cholesky(self.sigma_f)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError("sigma_f is not positive definite") from exc
-        # B is C-ordered, so this is the LAPACK call solve_triangular(B, f_hat,
-        # lower=True) makes, without its argument checks.
-        bf, _ = dtrtrs(b.T, self.f_hat, lower=0, trans=1)
+            for r, sigma_f in enumerate(self.sigma_f):  # name the first failure
+                try:
+                    np.linalg.cholesky(sigma_f)
+                except np.linalg.LinAlgError:
+                    raise NumericalError("sigma_f is not positive definite", index=r) from exc
+            raise
+        # B is C-ordered, so this is the LAPACK call solve_triangular(B,
+        # f_hat, lower=True) makes, without its argument checks.
+        bf = np.array([dtrtrs(br.T, f, lower=0, trans=1)[0] for br, f in zip(b, self.f_hat)])
         if not np.isfinite(bf).all():
-            raise NumericalError("f_hat is not finite")
-        return b, bf
+            bad = int(np.argmin(np.isfinite(bf).all(axis=1)))
+            raise NumericalError("f_hat is not finite", index=bad)
+        return b[:, None], bf[:, None, :, None], self.f_hat[:, None]
 
 
 @dataclass(frozen=True)
@@ -137,19 +178,29 @@ def omega(
     params: ModelParams,
 ) -> np.ndarray:
     """Projected information matrix G' C_Z' V^{-1} C_Z G for one subset."""
-    return _omega_array(np.array([mask.indices]), g_next, p_pred, params)[0]
+    return _omega_array(np.array([[mask.indices]]), g_next[None], p_pred[None], params)[0, 0]
 
 
 def _secular_boundary_max(
-    lams: np.ndarray, xs: np.ndarray, hinv_f: np.ndarray, radius2: float
+    lams: np.ndarray, xs: np.ndarray, hinv_f: np.ndarray, radius2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary maximizers in diagonalized coordinates, batched over rows.
+    """Boundary maximizers in diagonalized coordinates for a stack of
+    decisions: lams, xs and hinv_f are (R, n, q), radius2 is (R,).
 
     Solves sum_i x_i^2 / (lam_i + lambda)^2 = radius2 on the maximizer branch
     lambda < -max(lam) via the substitution t = -lambda - max(lam) >= 0,
     using a safeguarded Newton iteration on 1/sqrt of the secular sum.
     Returns (f_tilde, score) with score = sum_i lam_i (f_tilde + H^{-1}f)_i^2.
     """
+    shape = lams.shape
+    n, q = shape[1:]
+    # One row per candidate: numpy does 2-D rows faster than the stack, and
+    # a radius2 shared by all rows faster as a scalar.
+    lams, xs, hinv_f = lams.reshape(-1, q), xs.reshape(-1, q), hinv_f.reshape(-1, q)
+    shared = (radius2 == radius2[0]).all()
+    r2 = float(radius2[0]) if shared else radius2.repeat(n)
+    sqrt_c = np.sqrt(r2)
+    sqrt_c_rows = sqrt_c if shared else sqrt_c[:, None]
     d = lams.max(axis=1)[:, None] - lams  # >= 0
     ax = np.abs(xs)
     active = ax > _X_TOL * np.maximum(ax.max(axis=1), 1.0)[:, None]
@@ -157,41 +208,61 @@ def _secular_boundary_max(
     # Terms with x2 == 0 divide +0.0 by a positive number, so they are +0.0,
     # exactly the zero they would be masked to.
     safe = np.where(x2 > 0, d, 1.0)
-    sqrt_c = np.sqrt(radius2)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Closed-form bracket: at t_lo the largest single term alone reaches
         # radius2, at t_hi the whole sum is already below it.
-        t_lo = np.where(active, ax / sqrt_c - d, -np.inf).max(axis=1)
+        t_lo = np.where(active, ax / sqrt_c_rows - d, -np.inf).max(axis=1)
         # Hard case: the top eigendirections carry no estimate mass and the
         # remaining terms cannot reach the boundary radius.
         g0 = (x2 / safe**2).sum(axis=1)
-        hard = ~np.isfinite(t_lo) | ((t_lo <= 0.0) & (g0 <= radius2))
+        hard = ~np.isfinite(t_lo) | ((t_lo <= 0.0) & (g0 <= r2))
         t = np.maximum(t_lo, 0.0)
         any_hard = hard.any()
-        easy = ~hard
-        x2_e, safe_e, t_e = (x2[easy], safe[easy], t[easy]) if any_hard else (x2, safe, t)
-        if len(t_e):
-            t_min = t_e
-            t_max = np.sqrt(x2_e.sum(axis=1) / radius2)  # sum <= radius2 there
-            target = 1.0 / sqrt_c
-            for _ in range(40):
-                dt = safe_e + t_e[:, None]
-                g = (x2_e / dt**2).sum(axis=1)
-                phi = 1.0 / np.sqrt(g)
-                dphi = np.power(g, -1.5) * (x2_e / dt**3).sum(axis=1)
-                step = (target - phi) / dphi
-                done = (np.abs(step) <= 1e-13 * (1.0 + t_e)).all()
-                t_e = np.minimum(np.maximum(t_e + step, t_min), t_max)
-                if done:
-                    break
-            g = (x2_e / (safe_e + t_e[:, None]) ** 2).sum(axis=1)
-            if (np.abs(g - radius2) > BOUNDARY_RTOL * radius2).any():
-                raise NumericalError("secular equation root-find did not converge")
+        # Newton on the rows of the decisions still iterating; hard rows keep
+        # their start and never hold a decision back.  A decision stops at
+        # the first iteration where all its other rows are within tolerance,
+        # exactly as it would alone: a longer iteration would move the bits
+        # of its converged rows.
+        t_end = None  # each row's result, once some rows are set aside
+        x2_w, safe_w, hard_w, t_w, t_min = x2, safe, hard, t, t
+        t_max = np.sqrt(x2.sum(axis=1) / r2)  # sum <= radius2 there
+        target = 1.0 / sqrt_c
+        for _ in range(40):
+            dt = safe_w + t_w[:, None]
+            g = (x2_w / dt**2).sum(axis=1)
+            phi = 1.0 / np.sqrt(g)
+            dphi = np.power(g, -1.5) * (x2_w / dt**3).sum(axis=1)
+            step = (target - phi) / dphi
+            ok = np.abs(step) <= 1e-13 * (1.0 + t_w)
             if any_hard:
-                t[easy] = t_e
-            else:
-                t = t_e
+                ok |= hard_w
+            t_w = np.minimum(np.maximum(t_w + step, t_min), t_max)
+            if ok.all():
+                break
+            if len(t_w) > n:  # several decisions left: set the stopped ones aside
+                go = (~ok).reshape(-1, n).any(axis=1).repeat(n)
+                if not go.all():
+                    if t_end is None:
+                        t_end, rows = t.copy(), np.arange(len(t))
+                    t_end[rows] = t_w
+                    rows, x2_w, safe_w, hard_w, t_w, t_min, t_max = (
+                        a[go] for a in (rows, x2_w, safe_w, hard_w, t_w, t_min, t_max)
+                    )
+                    if not shared:
+                        target = target[go]
+        if t_end is not None:
+            t_end[rows] = t_w
+            t_w = t_end
+        t = np.where(hard, t, t_w) if any_hard else t_w
+        g = (x2 / (safe + t[:, None]) ** 2).sum(axis=1)
+        off = np.abs(g - r2) > BOUNDARY_RTOL * r2
+        if any_hard:
+            off &= ~hard
+        if off.any():
+            raise NumericalError(
+                "secular equation root-find did not converge", index=int(np.argmax(off)) // n
+            )
 
         denom = d + t[:, None]
         pos = denom > 0
@@ -201,11 +272,11 @@ def _secular_boundary_max(
         for i in np.flatnonzero(hard):
             top = int(np.argmax(lams[i]))
             rest = float((ft[i] ** 2).sum() - ft[i, top] ** 2)
-            extra = np.sqrt(max(radius2 - rest, 0.0))
+            extra = np.sqrt(max(radius2[i // n] - rest, 0.0))
             sign = 1.0 if hinv_f[i, top] >= 0 else -1.0
             ft[i, top] = sign * extra
     scores = (lams * (ft + hinv_f) ** 2).sum(axis=1)
-    return ft, scores
+    return ft.reshape(shape), scores.reshape(shape[:2])
 
 
 def solve_ellipsoid_max(
@@ -219,85 +290,136 @@ def solve_ellipsoid_max(
 def _omega_array(
     mask_idx: np.ndarray, g_next: np.ndarray, p_pred: np.ndarray, params: ModelParams
 ) -> np.ndarray:
-    """omega for a batch of equal-size subsets, (n, m) indices -> (n, q, q)."""
-    c_zs = params.C[mask_idx]  # (n, m, q)
-    v = np.einsum("nij,jk,nlk->nil", c_zs, p_pred, c_zs)
-    v += params.sigma_r**2 * np.eye(mask_idx.shape[1])
+    """omega for stacks of equal-size subsets: (R, n, m) indices with (R, q, q)
+    g_next and p_pred -> (R, n, q, q)."""
+    c_zs = params.C[mask_idx]  # (R, n, m, q)
+    v = np.einsum("rnij,rjk,rnlk->rnil", c_zs, p_pred, c_zs)
+    v += params.sigma_r**2 * np.eye(mask_idx.shape[-1])
     bad = innovation_singular(v, params.sigma_r**2)
     if bad is not False and bad.any():
-        offender = tuple(int(i) for i in mask_idx[int(np.flatnonzero(bad)[0])])
-        raise NumericalError(f"innovation covariance singular for mask {offender}")
+        r, i = np.argwhere(bad)[0]
+        offender = tuple(int(k) for k in mask_idx[r, i])
+        raise NumericalError(
+            f"innovation covariance singular for mask {offender}", index=int(r)
+        )
     vinv = np.linalg.inv(v)
-    w = np.einsum("nji,njk,nkl->nil", c_zs, vinv, c_zs)
-    return g_next.T @ w @ g_next
+    w = np.einsum("rnji,rnjk,rnkl->rnil", c_zs, vinv, c_zs)
+    return g_next.transpose(0, 2, 1)[:, None] @ w @ g_next[:, None]
 
 
 def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
-    """Scores and boundary maximizers for a stack of projected information
-    matrices, (n, q, q) -> ((n,), (n, q))."""
-    radius2 = inputs.radius2
-    f_hat = inputs.f_hat
-    if radius2 < 1e-12:
-        scores = np.einsum("i,nij,j->n", f_hat, om, f_hat)
-        f_stars = np.broadcast_to(f_hat, (len(om), len(f_hat))).copy()
+    """Scores and boundary maximizers of projected information matrices:
+    (n, q, q) -> ((n,), (n, q)) for one decision, (R, n, q, q) -> ((R, n),
+    (R, n, q)) for a stack of R."""
+    stack = inputs._stack
+    n_dec, q = stack.f_hat.shape
+    shape = om.shape[:-2]
+    om = om.reshape(n_dec, -1, q, q)
+    tiny = stack.radius2 < _VANISHING_R2
+    if not tiny.any():
+        scores, f_stars = _region_max(om, stack)
     else:
-        b, bf = inputs.whitened
-        m = b.T @ om @ b
-        lams, vecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
-        # PSD repair: small negative eigenvalues are rounding noise.
-        if (lams < -1e-10 * max(float(np.abs(lams).max()), 1.0)).any():
-            raise NumericalError(
-                f"projected information matrix indefinite: min eig {lams.min():.3g}"
-            )
-        lams = np.maximum(lams, 0.0)
-        hinv_f = vecs.transpose(0, 2, 1) @ bf
-        xs = lams * hinv_f
-        ft, scores = _secular_boundary_max(lams, xs, hinv_f, radius2)
-        f_stars = (b @ vecs @ ft[..., None])[..., 0] + f_hat
+        f_hat = stack.f_hat[tiny]
+        scores = np.empty(om.shape[:2])
+        f_stars = np.empty(om.shape[:3])
+        scores[tiny] = np.einsum("ri,rnij,rj->rn", f_hat, om[tiny], f_hat)
+        f_stars[tiny] = f_hat[:, None]
+        wide = np.flatnonzero(~tiny)
+        if wide.size:
+            try:
+                scores[wide], f_stars[wide] = _region_max(om[wide], stack._rows(wide))
+            except NumericalError as exc:
+                exc.index = int(wide[exc.index])
+                raise
     # argmax would pick a NaN score, and no comparison rejects one.
     if not np.isfinite(scores).all():
-        bad = int(np.flatnonzero(~np.isfinite(scores))[0])
-        raise NumericalError(f"UCR score of candidate {bad} is not finite")
-    return scores, f_stars
+        r, i = np.argwhere(~np.isfinite(scores))[0]
+        raise NumericalError(f"UCR score of candidate {i} is not finite", index=int(r))
+    return scores.reshape(shape), f_stars.reshape(shape + (q,))
+
+
+def _region_max(om: np.ndarray, stack: UcrInputs):
+    """_boundary_max_array for a stack whose regions do not vanish."""
+    b, bf, f_hat = stack._whitened
+    m = b.swapaxes(2, 3) @ om @ b
+    lams, vecs = np.linalg.eigh(0.5 * (m + m.swapaxes(2, 3)))
+    # PSD repair: small negative eigenvalues are rounding noise.  Below
+    # -1e-10 some decision may exceed its own threshold; check each.
+    if lams.min() < -1e-10:
+        low = lams.min(axis=(1, 2))
+        indefinite = low < -1e-10 * np.maximum(np.abs(lams).max(axis=(1, 2)), 1.0)
+        if indefinite.any():
+            r = int(np.argmax(indefinite))
+            raise NumericalError(
+                f"projected information matrix indefinite: min eig {low[r]:.3g}", index=r
+            )
+    lams = np.maximum(lams, 0.0)
+    hinv_f = (vecs.swapaxes(2, 3) @ bf)[..., 0]
+    xs = lams * hinv_f
+    ft, scores = _secular_boundary_max(lams, xs, hinv_f, stack.radius2)
+    return scores, (b @ vecs @ ft[..., None])[..., 0] + f_hat
 
 
 def _score_mask_array(mask_idx: np.ndarray, inputs: UcrInputs):
-    """Scores and boundary maximizers for a batch of equal-size subsets."""
-    om = _omega_array(mask_idx, inputs.g_next, inputs.p_pred, inputs.params)
-    return _boundary_max_array(om, inputs)
+    """Scores and boundary maximizers of equal-size subsets: (n, m) indices
+    for one decision, (R, n, m) for a stack of R."""
+    stack = inputs._stack
+    idx = mask_idx.reshape(len(stack.f_hat), -1, mask_idx.shape[-1])
+    om = _omega_array(idx, stack.g_next, stack.p_pred, stack.params)
+    return _boundary_max_array(om.reshape(mask_idx.shape[:-1] + om.shape[-2:]), inputs)
 
 
-def select_exhaustive(inputs: UcrInputs, m: int) -> SamplingDecision:
+def _best(inputs: UcrInputs, cands: np.ndarray, scores, f_stars, n: int):
+    """Each decision's first best of its n candidates: a SamplingDecision, or
+    a list of them for a stack."""
+    shape = (len(inputs._stack.f_hat), n)
+    cands, f_stars = cands.reshape(shape + (-1,)), f_stars.reshape(shape + (-1,))
+    scores = scores.reshape(shape)
+    out = [
+        SamplingDecision(
+            mask=ObservationMask(indices=cands[r, k].tolist(), p=inputs.params.p),
+            score=float(scores[r, k]),
+            f_star=f_stars[r, k],
+        )
+        for r, k in enumerate(scores.argmax(axis=1))
+    ]
+    return out if inputs.f_hat.ndim == 2 else out[0]
+
+
+def select_exhaustive(inputs: UcrInputs, m: int):
     """Best subset over all C(p, m) masks; ties go to the lexicographically
-    smallest index set."""
+    smallest index set (argmax keeps the first).  A stack of R decisions
+    gives a list of R SamplingDecisions."""
     p = inputs.params.p
     _check_subset_size(m, p)
-    mask_idx = np.array(list(itertools.combinations(range(p), m)), dtype=np.intp)
-    scores, f_stars = _score_mask_array(mask_idx, inputs)
-    best = int(scores.argmax())  # first max = lexicographically smallest
-    return SamplingDecision(
-        mask=ObservationMask(indices=tuple(int(i) for i in mask_idx[best]), p=p),
-        score=float(scores[best]),
-        f_star=f_stars[best],
-    )
+    combos = np.array(list(itertools.combinations(range(p), m)), dtype=np.intp)
+    cands = combos[None].repeat(len(inputs._stack.f_hat), axis=0)
+    cands = cands.reshape(inputs.f_hat.shape[:-1] + combos.shape)
+    return _best(inputs, cands, *_score_mask_array(cands, inputs), len(combos))
 
 
-def select_greedy(inputs: UcrInputs, m: int) -> SamplingDecision:
-    """Grow the subset one index per round, keeping the best extension."""
+def select_greedy(inputs: UcrInputs, m: int):
+    """Grow the subset one index per round, keeping the best extension (the
+    smallest candidate index on ties).  A stack of R decisions gives a list
+    of R SamplingDecisions, with one scorer call per round for all of them."""
     p = inputs.params.p
     _check_subset_size(m, p)
-    chosen: list[int] = []
-    for _ in range(m):
-        pool = [k for k in range(p) if k not in chosen]
-        mask_idx = np.array([sorted(chosen + [k]) for k in pool], dtype=np.intp)
-        scores, f_stars = _score_mask_array(mask_idx, inputs)
-        best = int(scores.argmax())  # first max = smallest candidate index
-        chosen.append(pool[best])
-    return SamplingDecision(
-        mask=ObservationMask(indices=tuple(sorted(chosen)), p=p),
-        score=float(scores[best]),
-        f_star=f_stars[best],
-    )
+    lead = inputs.f_hat.shape[:-1]
+    n_dec = len(inputs._stack.f_hat)
+    decs = np.arange(n_dec)
+    taken = np.zeros((n_dec, p), dtype=bool)
+    chosen = np.empty((n_dec, 0), dtype=np.intp)
+    for k in range(m):
+        # Each decision's chosen set plus each index it lacks, ascending.
+        pool = (~taken).nonzero()[1].reshape(n_dec, p - k, 1)
+        cands = np.concatenate((chosen[:, None].repeat(p - k, axis=1), pool), axis=2)
+        cands.sort(axis=2)
+        scores, f_stars = _score_mask_array(cands.reshape(lead + cands.shape[1:]), inputs)
+        best = scores.reshape(n_dec, -1).argmax(axis=1)
+        taken[decs, pool[decs, best, 0]] = True
+        chosen = cands[decs, best]
+    # The last round's best candidate is the chosen set.
+    return _best(inputs, cands, scores, f_stars, p - m + 1)
 
 
 def select_random(p: int, m: int, rng: np.random.Generator) -> ObservationMask:

@@ -1,11 +1,17 @@
+import functools
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pocpd.calibration as calibration
+import pocpd.monitor as monitor
+import pocpd.sampler as sampler
 from pocpd.calibration import (
+    STREAM_CALIBRATION,
     STREAM_EVALUATION,
     CalibrationSpec,
     RunLengthSample,
@@ -17,7 +23,14 @@ from pocpd.calibration import (
 from pocpd.detector import WindowConfig
 from pocpd.errors import CalibrationError, NumericalError
 from pocpd.model import ChangeSpec, ModelParams
-from pocpd.monitor import Policy, Scenario, replication_rngs, run_single, simulate_run_stream
+from pocpd.monitor import (
+    Monitor,
+    Policy,
+    Scenario,
+    replication_rngs,
+    run_single,
+    simulate_run_stream,
+)
 from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, built_in_scenario
 
 
@@ -258,6 +271,120 @@ def test_numerical_failure_names_its_source():
         match=r"seed 9, stream lane 2, replication 3, absolute step 1: .*singular",
     ):
         run_once(scenario, ChangeSpec.none(2), 3, stream_id=STREAM_EVALUATION)
+
+
+def bench_arm(model, m, kind, horizon):
+    """An in-control benchmark arm with a short warm-up, and its spec."""
+    if kind == "random":
+        policy = Policy(kind="random")
+    else:
+        policy = Policy(kind=kind, alpha=DEFAULT_ALPHA_SCHEDULE)
+    scenario = replace(built_in_scenario(model, m=m, policy=policy, seed=5), n0=10, changes=())
+    spec = CalibrationSpec(
+        target_add_ic=horizon / 5, replications=100, horizon_cap=horizon, seed=5
+    )
+    return scenario, spec
+
+
+def one_by_one(scenario, spec):
+    """ic_trajectories as a loop of run_single calls, one replication each."""
+    base = replace(
+        scenario,
+        window=replace(scenario.window, h=None),
+        horizon_cap=spec.horizon_cap,
+        seed=spec.seed,
+    )
+    ic = ChangeSpec.none(base.model.q)
+    rows = []
+    for rep in range(spec.replications):
+        sim_rng, mask_rng = replication_rngs(spec.seed, STREAM_CALIBRATION, rep)
+        rows.append(run_single(base, simulate_run_stream(base, ic, sim_rng), mask_rng).t_stats)
+    return np.vstack(rows)
+
+
+@functools.lru_cache
+def reference_trajectories(*arm):
+    return one_by_one(*bench_arm(*arm))
+
+
+class TestLockstepBlocks:
+    """ic_trajectories advances replications in lockstep blocks, one
+    sampler call per step for all their decisions.  Every row must equal a
+    run_single of its replication bit for bit, whatever the block size and
+    the worker count."""
+
+    GREEDY = ("bench-p10", 2, "e_aucrss", 20)
+
+    @pytest.mark.parametrize(
+        "arm",
+        [
+            ("bench-p10", 2, "random", 20),
+            ("bench-p10", 2, "e_aucrss", 20),
+            ("bench-p10", 2, "aucrss", 10),
+            ("bench-p10", 3, "random", 20),
+            ("bench-p10", 3, "e_aucrss", 20),
+            ("bench-p10", 3, "aucrss", 10),
+            ("bench-p30", 2, "e_aucrss", 10),
+        ],
+        ids=lambda arm: f"{arm[0]}-m{arm[1]}-{arm[2]}",
+    )
+    def test_equals_run_single_loop(self, arm):
+        got = ic_trajectories(*bench_arm(*arm))
+        assert got.tobytes() == reference_trajectories(*arm).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 128])
+    def test_block_size_does_not_matter(self, monkeypatch, block):
+        monkeypatch.setattr(calibration, "IC_BLOCK", block)
+        got = ic_trajectories(*bench_arm(*self.GREEDY))
+        assert got.tobytes() == reference_trajectories(*self.GREEDY).tobytes()
+
+    def test_workers_take_whole_blocks(self, monkeypatch):
+        monkeypatch.setattr(calibration, "IC_BLOCK", 7)
+        scenario, spec = bench_arm(*self.GREEDY)
+        got = ic_trajectories(scenario, replace(spec, workers=2))
+        assert got.tobytes() == reference_trajectories(*self.GREEDY).tobytes()
+
+    def test_failure_names_its_replication(self, monkeypatch):
+        """A NaN injected into one decision of a stacked sampler call is
+        reported with the seed, lane, replication and step of that decision:
+        the named replication, run alone to that step, is the monitor whose
+        decision failed."""
+        monkeypatch.setattr(calibration, "IC_BLOCK", 7)
+        seen = {"calls": 0}
+        next_mask, solve = monitor._next_mask, sampler._secular_boundary_max
+
+        def watch(monitors):
+            seen["calls"] += 1
+            seen["ucr"] = [m for m in monitors if m.scan and m.scan.tau_hat is not None]
+            return next_mask(monitors)
+
+        def poison(lams, xs, hinv_f, radius2):
+            # Decision 2 of a stack, once the run is a few blocks in.
+            if seen["calls"] >= 40 and len(lams) >= 3 and "victim" not in seen:
+                seen["victim"] = seen["ucr"][2]
+                lams = lams.copy()
+                lams[2, 1, 0] = np.nan
+            return solve(lams, xs, hinv_f, radius2)
+
+        monkeypatch.setattr(monitor, "_next_mask", watch)
+        monkeypatch.setattr(sampler, "_secular_boundary_max", poison)
+        scenario, spec = bench_arm(*self.GREEDY)
+        with pytest.raises(
+            NumericalError,
+            match=r"^seed 5, stream lane 1, replication \d+, absolute step \d+: "
+            r"UCR score of candidate 1 is not finite$",
+        ) as info:
+            ic_trajectories(scenario, spec)
+        found = re.search(r"replication (\d+), absolute step (\d+)", str(info.value))
+        rep, step = map(int, found.groups())
+        victim = seen["victim"]
+        assert rep >= 7 and step == victim.t_abs
+        base = replace(scenario, horizon_cap=spec.horizon_cap, seed=spec.seed)
+        sim_rng, mask_rng = replication_rngs(spec.seed, STREAM_CALIBRATION, rep)
+        alone = Monitor(base, mask_rng)
+        alone.advance(simulate_run_stream(base, ChangeSpec.none(base.model.q), sim_rng)[:step])
+        assert alone.t_stats == victim.t_stats
+        assert alone.scan.f_hat.tobytes() == victim.scan.f_hat.tobytes()
 
 
 class TestSeeding:

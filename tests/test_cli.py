@@ -678,6 +678,19 @@ class TestReplay:
         assert "column 0 leaves the float range" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_statistic_exits_3(self, tmp_path, capsys):
+        # Finite but huge values make the scan statistics NaN.
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"1e300,{i},{i}\n" for i in range(20)))
+        code = main(
+            ["--config", self._config_with_h(tmp_path), "--out", str(tmp_path / "o"),
+             "replay", "--input", str(data)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"absolute step \d+: scan statistic is not finite", err), err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_exits_4(self, cfg_path, tmp_path):
         code = main(
             ["--config", cfg_path, "--out", str(tmp_path / "o"), "replay",

@@ -8,6 +8,7 @@ from pocpd.detector import WindowConfig
 from pocpd.model import ChangeSpec, ModelParams
 from pocpd.monitor import (
     Monitor,
+    advance_lockstep,
     Policy,
     Scenario,
     replication_rngs,
@@ -118,3 +119,20 @@ def test_stream_must_be_a_matrix():
     obs, rng = stream(s)
     with pytest.raises(ValueError, match=r"^stream must be a \(T, p\) matrix, got shape \(68,\)"):
         run_single(s, obs[:, 0], rng)
+
+
+@pytest.mark.parametrize("policy_kind", ["e_aucrss", "aucrss", "random"])
+def test_lockstep_equals_separate_runs(policy_kind):
+    """A block of monitors over streams of different lengths, some of which
+    alarm early, gives each monitor the record it gets alone."""
+    s = mini_scenario(h=8.0, policy_kind=policy_kind)
+    runs = [stream(s, change=ChangeSpec.none(2), rep=rep) for rep in range(6)]
+    rows = [obs[: 20 + 8 * rep] for rep, (obs, _) in enumerate(runs)]
+    monitors = [Monitor(s, mask_rng(s, rep)) for rep in range(6)]
+    advance_lockstep(monitors, rows)
+    alarms = 0
+    for rep, monitor in enumerate(monitors):
+        want = run_single(s, rows[rep], mask_rng(s, rep))
+        assert_same_record(monitor.record(), want)
+        alarms += want.alarm_time is not None
+    assert 0 < alarms < 6

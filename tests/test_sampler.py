@@ -504,7 +504,7 @@ class TestNonFiniteScores:
 
         def nan_row_1(lams, xs, hinv_f, radius2):
             lams = lams.copy()
-            lams[1, 0] = np.nan
+            lams[0, 1, 0] = np.nan  # (decision, candidate, eigenvalue)
             return solve(lams, xs, hinv_f, radius2)
 
         monkeypatch.setattr(sampler, "_secular_boundary_max", nan_row_1)
@@ -514,6 +514,77 @@ class TestNonFiniteScores:
         for select, m in ((select_greedy, 2), (select_exhaustive, 2)):
             with pytest.raises(NumericalError, match="is not finite"):
                 select(replace(inputs), m)
+
+
+def _stack(singles):
+    """One stacked UcrInputs from single decisions with the same params."""
+    stack = UcrInputs(
+        f_hat=np.array([s.f_hat for s in singles]),
+        sigma_f=np.array([s.sigma_f for s in singles]),
+        g_next=np.array([s.g_next for s in singles]),
+        p_pred=np.array([s.p_pred for s in singles]),
+        params=singles[0].params,
+        alpha=np.array([s.alpha for s in singles]),
+    )
+    stack.__dict__["radius2"] = np.array([s.radius2 for s in singles])
+    return stack
+
+
+def _decision_stack(rng, q, n_dec=7):
+    """Single decisions on one model: random ones, a zero estimate (every
+    candidate on the hard branch) and a vanishing region."""
+    params = random_stable_model(rng, q=q, p=q + 3)
+    singles = [
+        replace(make_inputs(rng, q, q + 3, float(rng.uniform(0.05, 0.9))), params=params)
+        for _ in range(n_dec)
+    ]
+    singles[2] = replace(singles[2], f_hat=np.zeros(q))
+    singles[4] = replace(singles[4])
+    singles[4].__dict__["radius2"] = 1e-13
+    return singles
+
+
+class TestStackedDecisions:
+    """A stack of R decisions gives each the decision, score and maximizer
+    it gets alone, bit for bit: its Newton iteration stops where it would
+    alone, and a failure names the decision that failed."""
+
+    @pytest.mark.parametrize("q", [3, 7, 15])
+    def test_stack_equals_single_decisions(self, rng, q):
+        for _ in range(4):
+            singles = _decision_stack(rng, q)
+            for select, m in ((select_greedy, 3), (select_exhaustive, 2)):
+                got = select(_stack(singles), m)
+                assert len(got) == len(singles)
+                for single, decision in zip(singles, got):
+                    want = select(single, m)
+                    assert decision.mask == want.mask
+                    assert np.float64(decision.score).tobytes() == np.float64(want.score).tobytes()
+                    assert decision.f_star.tobytes() == want.f_star.tobytes()
+
+    def test_sigma_f_failure_names_the_decision(self, rng):
+        singles = _decision_stack(rng, 3)
+        singles[3] = replace(singles[3], sigma_f=-np.eye(3))
+        with pytest.raises(NumericalError, match="not positive definite") as info:
+            select_greedy(_stack(singles), 2)
+        assert info.value.index == 3
+
+    def test_non_finite_score_names_the_decision(self, rng, monkeypatch):
+        import pocpd.sampler as sampler
+
+        solve = sampler._secular_boundary_max
+
+        def nan_in_last(lams, xs, hinv_f, radius2):
+            lams = lams.copy()
+            lams[-1, 1, 0] = np.nan
+            return solve(lams, xs, hinv_f, radius2)
+
+        monkeypatch.setattr(sampler, "_secular_boundary_max", nan_in_last)
+        singles = _decision_stack(rng, 3)
+        # Decision 4's region vanishes, so the solve sees the other six.
+        with pytest.raises(NumericalError, match="candidate 1 is not finite") as info:
+            select_exhaustive(_stack(singles), 2)
+        assert info.value.index == 6
 
 
 class TestFrozenReference:
