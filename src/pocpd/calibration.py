@@ -50,7 +50,8 @@ MAX_ITERS = 40
 # scores the decisions of the whole block.  Past a few dozen, larger blocks
 # save no measurable time but hold more monitors in memory: on the
 # ic-p10-greedy benchmark, blocks of 50 raised the peak RSS by 5.6 % and
-# blocks of 25 by 2.5 %, at the same speed.
+# blocks of 25 by 2.5 %, at the same speed.  Exhaustive search scores
+# C(p, m) candidates per decision, so its blocks are smaller (_ic_block_size).
 IC_BLOCK = 25
 
 
@@ -171,31 +172,48 @@ def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:
     )
 
 
+def _ic_replication(scenario: Scenario, rep: int) -> tuple[Monitor, np.ndarray]:
+    """A fresh monitor and the in-control stream of one replication."""
+    sim_rng, mask_rng = replication_rngs(scenario.seed, STREAM_CALIBRATION, rep)
+    with replication_errors(scenario, STREAM_CALIBRATION, rep):
+        stream = simulate_run_stream(scenario, ChangeSpec.none(scenario.model.q), sim_rng)
+    check_stream(scenario, stream)
+    return Monitor(scenario, mask_rng), stream
+
+
 def _ic_block(args) -> np.ndarray:
     """In-control trajectories of a block of replications, advanced in lockstep."""
     scenario, reps = args
-    ic = ChangeSpec.none(scenario.model.q)
-    monitors, streams = [], []
-    for rep in reps:
-        sim_rng, mask_rng = replication_rngs(scenario.seed, STREAM_CALIBRATION, rep)
-        with replication_errors(scenario, STREAM_CALIBRATION, rep):
-            streams.append(simulate_run_stream(scenario, ic, sim_rng))
-        check_stream(scenario, streams[-1])
-        monitors.append(Monitor(scenario, mask_rng))
+    monitors, streams = zip(*(_ic_replication(scenario, rep) for rep in reps))
     try:
         advance_lockstep(monitors, streams)
-    except NumericalError as exc:
-        with replication_errors(scenario, STREAM_CALIBRATION, reps[exc.index]):
-            raise  # named by the failing monitor's replication
+    except NumericalError:
+        # Each replication fails alone as it fails in the block, and alone
+        # it names its seed, lane, replication and step.
+        for rep in reps:
+            monitor, stream = _ic_replication(scenario, rep)
+            with replication_errors(scenario, STREAM_CALIBRATION, rep):
+                monitor.advance(stream)
+        raise
     return np.array([monitor.t_stats for monitor in monitors])
+
+
+def _ic_block_size(scenario: Scenario) -> int:
+    """Replications per lockstep block: IC_BLOCK, or for exhaustive search
+    as many as score about IC_BLOCK * p candidates per call, the most that
+    IC_BLOCK greedy decisions score (at least one)."""
+    p, m = scenario.model.p, scenario.m
+    if scenario.policy.kind != "aucrss":
+        return IC_BLOCK
+    return max(1, IC_BLOCK * p // math.comb(p, m))
 
 
 def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:
     """(replications, horizon_cap) in-control scan-statistic trajectories.
 
-    Replications run in lockstep blocks of IC_BLOCK, and each worker takes
-    whole blocks; every row equals a run_single of its replication, so the
-    result depends on neither the block size nor the worker count.
+    Replications run in lockstep blocks of _ic_block_size, and each worker
+    takes whole blocks; every row equals a run_single of its replication,
+    so the result depends on neither the block size nor the worker count.
     """
     base = replace(
         scenario,
@@ -204,7 +222,8 @@ def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:
         seed=spec.seed,
     )
     reps = range(spec.replications)
-    jobs = [(base, reps[i : i + IC_BLOCK]) for i in range(0, len(reps), IC_BLOCK)]
+    size = _ic_block_size(base)
+    jobs = [(base, reps[i : i + size]) for i in range(0, len(reps), size)]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             blocks = list(pool.map(_ic_block, jobs))

@@ -6,15 +6,7 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed (singular system, non-convergent iteration).
-
-    `index` is the failing member of a batch, when one failed: the decision
-    of a stacked sampler call, or the monitor of a lockstep block.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """A numerical routine failed (singular system, non-convergent iteration)."""
 
 
 class CalibrationError(RuntimeError):

@@ -157,8 +157,12 @@ class Monitor:
         self.alarm_time = self.tau_hat = self.f_hat = None  # as in RunRecord
 
     def advance(self, rows) -> None:
-        """Consume rows; stop after the first alarm (T_n > h), if it comes."""
-        advance_lockstep([self], [rows])
+        """Consume rows; stop after the first alarm (T_n > h), if it comes.
+        A NumericalError names the absolute step."""
+        try:
+            advance_lockstep([self], [rows])
+        except NumericalError as exc:
+            raise NumericalError(f"absolute step {self.t_abs}: {exc}") from exc
 
     def observe(self, row) -> bool:
         """The observe phase of one step, under the decided mask; True when
@@ -206,43 +210,25 @@ def advance_lockstep(monitors: list, streams: list) -> None:
     own stream, until each has raised its first alarm or read all its rows.
 
     Every step lets each monitor observe its row, then decides the next
-    masks of all that go on with one `_next_mask` call.  Each monitor's
-    results equal those of advancing it alone.  A NumericalError names the
-    absolute step, and its `index` is the failing monitor's position.
+    masks of all that go on with one `_next_mask` call.  A mask left
+    pending by an alarm is decided when the monitor's next row comes.  Each
+    monitor's results equal those of advancing it alone, which is how to
+    find the monitor that raised a NumericalError.
     """
     rows = [iter(stream) for stream in streams]
     live = list(range(len(monitors)))
-    _decide(monitors, [k for k in live if monitors[k].mask is None])  # after an alarm
     while live:
-        going = []
-        for k in live:
-            row = next(rows[k], None)
-            if row is None:
-                continue
-            try:
-                alarm = monitors[k].observe(row)
-            except NumericalError as exc:
-                raise _at_step(monitors, k, exc) from exc
-            if not alarm:
-                going.append(k)
-        live = going
-        _decide(monitors, live)
+        step = [(k, row) for k in live if (row := next(rows[k], None)) is not None]
+        _decide([monitors[k] for k, _ in step if monitors[k].mask is None])
+        live = [k for k, row in step if not monitors[k].observe(row)]
+        _decide([monitors[k] for k in live])
 
 
-def _decide(monitors: list, ks: list) -> None:
-    """The decide phase: the next masks of monitors ks, in one call."""
-    if not ks:
-        return
-    try:
-        masks = _next_mask([monitors[k] for k in ks])
-    except NumericalError as exc:
-        raise _at_step(monitors, ks[exc.index], exc) from exc
-    for k, mask in zip(ks, masks):
-        monitors[k].mask = mask
-
-
-def _at_step(monitors: list, k: int, exc: NumericalError) -> NumericalError:
-    return NumericalError(f"absolute step {monitors[k].t_abs}: {exc}", index=k)
+def _decide(monitors: list) -> None:
+    """The decide phase: the next masks of these monitors, in one call."""
+    if monitors:
+        for monitor, mask in zip(monitors, _next_mask(monitors)):
+            monitor.mask = mask
 
 
 def check_stream(scenario: Scenario, observations: np.ndarray) -> None:
@@ -281,8 +267,7 @@ def run_single(
 def _next_mask(monitors: list) -> list:
     """The next masks of monitors of one scenario.  Warm-up steps, scans
     without an estimate and the random policy draw at random; all other
-    decisions go to the UCR sampler as one stack.  A NumericalError's
-    `index` is the failing monitor's position."""
+    decisions go to the UCR sampler as one stack."""
     scenario = monitors[0].scenario
     policy, params = scenario.policy, scenario.model
     masks = [None] * len(monitors)
@@ -305,11 +290,6 @@ def _next_mask(monitors: list) -> list:
         alpha=np.array([adaptive_alpha(mon.scan.t_stat, policy.alpha) for mon in mons]),
     )
     select = select_exhaustive if policy.kind == "aucrss" else select_greedy
-    try:
-        decisions = select(inputs, scenario.m)
-    except NumericalError as exc:
-        exc.index = ucr[exc.index]
-        raise
-    for k, decision in zip(ucr, decisions):
+    for k, decision in zip(ucr, select(inputs, scenario.m)):
         masks[k] = decision.mask
     return masks

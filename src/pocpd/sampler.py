@@ -99,8 +99,9 @@ def adaptive_alpha(t_stat: float, schedule: AlphaSchedule) -> float:
 class UcrInputs:
     """Everything the subset scorer needs at one decision point, or at a
     stack of R of them: with a leading axis of length R on the arrays and on
-    alpha, row r is decision r.  A stack is scored in one call per greedy
-    round and gives each decision the bits it gets alone."""
+    alpha, row r is decision r.  The scorer reads one decision as a stack of
+    one, scores a stack in one call per greedy round and gives each decision
+    the bits it gets alone."""
 
     f_hat: np.ndarray  # current shift estimate, (q,) or (R, q)
     sigma_f: np.ndarray  # its covariance, (q, q) PD, or (R, q, q)
@@ -118,50 +119,42 @@ class UcrInputs:
     # scores a new batch with the same inputs.
     @cached_property
     def radius2(self) -> float | np.ndarray:
-        if np.ndim(self.alpha) == 0:
-            return chi2_quantile(1.0 - self.alpha, self.params.q)
-        return 2.0 * gammaincinv(self.params.q / 2.0, 1.0 - self.alpha)
-
-    @property
-    def _stack(self) -> "UcrInputs":
-        """These inputs as a stack: one decision is a stack of one."""
-        return self if self.f_hat.ndim == 2 else self._stack_of_one
+        """chi2_quantile(1 - alpha, q) of each decision."""
+        return 2.0 * gammaincinv(self.params.q / 2.0, 1.0 - np.asarray(self.alpha))
 
     @cached_property
-    def _stack_of_one(self) -> "UcrInputs":
-        return self._rows(None)
-
-    def _rows(self, idx) -> "UcrInputs":
-        """The decisions idx of a stack (None: a single decision as a stack
-        of one)."""
-        sub = UcrInputs(
-            self.f_hat[idx], self.sigma_f[idx], self.g_next[idx], self.p_pred[idx],
-            self.params, np.asarray(self.alpha)[idx],
+    def _stacked(self) -> tuple[np.ndarray, ...]:
+        """f_hat, sigma_f, g_next, p_pred and radius2 as stacks: (R, q),
+        (R, q, q) three times and (R,)."""
+        q = self.params.q
+        return (
+            self.f_hat.reshape(-1, q),
+            self.sigma_f.reshape(-1, q, q),
+            self.g_next.reshape(-1, q, q),
+            self.p_pred.reshape(-1, q, q),
+            np.reshape(self.radius2, -1),
         )
-        sub.__dict__["radius2"] = np.asarray(self.radius2)[idx]
-        return sub
 
     @cached_property
-    def _whitened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A stack's Cholesky factors B of sigma_f, (R, 1, q, q), whitened
-        estimates B^{-1} f_hat, (R, 1, q, 1), and f_hat, (R, 1, q), shaped
-        to broadcast over candidates."""
+    def _whitened(self) -> tuple[np.ndarray, ...]:
+        """The decisions whose region does not vanish, (W,), with their
+        Cholesky factors B of sigma_f, (W, 1, q, q), whitened estimates
+        B^{-1} f_hat, (W, 1, q, 1), and f_hat, (W, 1, q), shaped to
+        broadcast over candidates."""
+        f_hat, sigma_f, _, _, radius2 = self._stacked
+        wide = np.flatnonzero(radius2 >= _VANISHING_R2)
+        f_hat = f_hat[wide]
         try:
-            b = np.linalg.cholesky(self.sigma_f)
+            b = np.linalg.cholesky(sigma_f[wide])
         except np.linalg.LinAlgError as exc:
-            for r, sigma_f in enumerate(self.sigma_f):  # name the first failure
-                try:
-                    np.linalg.cholesky(sigma_f)
-                except np.linalg.LinAlgError:
-                    raise NumericalError("sigma_f is not positive definite", index=r) from exc
-            raise
+            raise NumericalError("sigma_f is not positive definite") from exc
         # B is C-ordered, so this is the LAPACK call solve_triangular(B,
         # f_hat, lower=True) makes, without its argument checks.
-        bf = np.array([dtrtrs(br.T, f, lower=0, trans=1)[0] for br, f in zip(b, self.f_hat)])
+        bf = np.array([dtrtrs(br.T, f, lower=0, trans=1)[0] for br, f in zip(b, f_hat)])
+        bf = bf.reshape(f_hat.shape)
         if not np.isfinite(bf).all():
-            bad = int(np.argmin(np.isfinite(bf).all(axis=1)))
-            raise NumericalError("f_hat is not finite", index=bad)
-        return b[:, None], bf[:, None, :, None], self.f_hat[:, None]
+            raise NumericalError("f_hat is not finite")
+        return wide, b[:, None], bf[:, None, :, None], f_hat[:, None]
 
 
 @dataclass(frozen=True)
@@ -194,13 +187,10 @@ def _secular_boundary_max(
     """
     shape = lams.shape
     n, q = shape[1:]
-    # One row per candidate: numpy does 2-D rows faster than the stack, and
-    # a radius2 shared by all rows faster as a scalar.
+    # One row per candidate, each with its decision's radius2.
     lams, xs, hinv_f = lams.reshape(-1, q), xs.reshape(-1, q), hinv_f.reshape(-1, q)
-    shared = (radius2 == radius2[0]).all()
-    r2 = float(radius2[0]) if shared else radius2.repeat(n)
+    r2 = radius2.repeat(n)
     sqrt_c = np.sqrt(r2)
-    sqrt_c_rows = sqrt_c if shared else sqrt_c[:, None]
     d = lams.max(axis=1)[:, None] - lams  # >= 0
     ax = np.abs(xs)
     active = ax > _X_TOL * np.maximum(ax.max(axis=1), 1.0)[:, None]
@@ -212,7 +202,7 @@ def _secular_boundary_max(
     with np.errstate(divide="ignore", invalid="ignore"):
         # Closed-form bracket: at t_lo the largest single term alone reaches
         # radius2, at t_hi the whole sum is already below it.
-        t_lo = np.where(active, ax / sqrt_c_rows - d, -np.inf).max(axis=1)
+        t_lo = np.where(active, ax / sqrt_c[:, None] - d, -np.inf).max(axis=1)
         # Hard case: the top eigendirections carry no estimate mass and the
         # remaining terms cannot reach the boundary radius.
         g0 = (x2 / safe**2).sum(axis=1)
@@ -246,11 +236,9 @@ def _secular_boundary_max(
                     if t_end is None:
                         t_end, rows = t.copy(), np.arange(len(t))
                     t_end[rows] = t_w
-                    rows, x2_w, safe_w, hard_w, t_w, t_min, t_max = (
-                        a[go] for a in (rows, x2_w, safe_w, hard_w, t_w, t_min, t_max)
+                    rows, x2_w, safe_w, hard_w, t_w, t_min, t_max, target = (
+                        a[go] for a in (rows, x2_w, safe_w, hard_w, t_w, t_min, t_max, target)
                     )
-                    if not shared:
-                        target = target[go]
         if t_end is not None:
             t_end[rows] = t_w
             t_w = t_end
@@ -260,9 +248,7 @@ def _secular_boundary_max(
         if any_hard:
             off &= ~hard
         if off.any():
-            raise NumericalError(
-                "secular equation root-find did not converge", index=int(np.argmax(off)) // n
-            )
+            raise NumericalError("secular equation root-find did not converge")
 
         denom = d + t[:, None]
         pos = denom > 0
@@ -272,7 +258,7 @@ def _secular_boundary_max(
         for i in np.flatnonzero(hard):
             top = int(np.argmax(lams[i]))
             rest = float((ft[i] ** 2).sum() - ft[i, top] ** 2)
-            extra = np.sqrt(max(radius2[i // n] - rest, 0.0))
+            extra = np.sqrt(max(r2[i] - rest, 0.0))
             sign = 1.0 if hinv_f[i, top] >= 0 else -1.0
             ft[i, top] = sign * extra
     scores = (lams * (ft + hinv_f) ** 2).sum(axis=1)
@@ -297,11 +283,8 @@ def _omega_array(
     v += params.sigma_r**2 * np.eye(mask_idx.shape[-1])
     bad = innovation_singular(v, params.sigma_r**2)
     if bad is not False and bad.any():
-        r, i = np.argwhere(bad)[0]
-        offender = tuple(int(k) for k in mask_idx[r, i])
-        raise NumericalError(
-            f"innovation covariance singular for mask {offender}", index=int(r)
-        )
+        offender = tuple(int(k) for k in mask_idx[tuple(np.argwhere(bad)[0])])
+        raise NumericalError(f"innovation covariance singular for mask {offender}")
     vinv = np.linalg.inv(v)
     w = np.einsum("rnji,rnjk,rnkl->rnil", c_zs, vinv, c_zs)
     return g_next.transpose(0, 2, 1)[:, None] @ w @ g_next[:, None]
@@ -311,70 +294,60 @@ def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
     """Scores and boundary maximizers of projected information matrices:
     (n, q, q) -> ((n,), (n, q)) for one decision, (R, n, q, q) -> ((R, n),
     (R, n, q)) for a stack of R."""
-    stack = inputs._stack
-    n_dec, q = stack.f_hat.shape
+    f_hat, _, _, _, radius2 = inputs._stacked
+    q = f_hat.shape[1]
     shape = om.shape[:-2]
-    om = om.reshape(n_dec, -1, q, q)
-    tiny = stack.radius2 < _VANISHING_R2
-    if not tiny.any():
-        scores, f_stars = _region_max(om, stack)
-    else:
-        f_hat = stack.f_hat[tiny]
-        scores = np.empty(om.shape[:2])
-        f_stars = np.empty(om.shape[:3])
-        scores[tiny] = np.einsum("ri,rnij,rj->rn", f_hat, om[tiny], f_hat)
-        f_stars[tiny] = f_hat[:, None]
-        wide = np.flatnonzero(~tiny)
-        if wide.size:
-            try:
-                scores[wide], f_stars[wide] = _region_max(om[wide], stack._rows(wide))
-            except NumericalError as exc:
-                exc.index = int(wide[exc.index])
-                raise
+    om = om.reshape(len(f_hat), -1, q, q)
+    scores = np.empty(om.shape[:2])
+    f_stars = np.empty(om.shape[:3])
+    # A vanished region's maximizer is f_hat itself.
+    tiny = np.flatnonzero(radius2 < _VANISHING_R2)
+    scores[tiny] = np.einsum("ri,rnij,rj->rn", f_hat[tiny], om[tiny], f_hat[tiny])
+    f_stars[tiny] = f_hat[tiny, None]
+    wide, b, bf, f_wide = inputs._whitened
+    scores[wide], f_stars[wide] = _region_max(om[wide], b, bf, f_wide, radius2[wide])
     # argmax would pick a NaN score, and no comparison rejects one.
     if not np.isfinite(scores).all():
-        r, i = np.argwhere(~np.isfinite(scores))[0]
-        raise NumericalError(f"UCR score of candidate {i} is not finite", index=int(r))
+        i = np.argwhere(~np.isfinite(scores))[0, 1]
+        raise NumericalError(f"UCR score of candidate {i} is not finite")
     return scores.reshape(shape), f_stars.reshape(shape + (q,))
 
 
-def _region_max(om: np.ndarray, stack: UcrInputs):
-    """_boundary_max_array for a stack whose regions do not vanish."""
-    b, bf, f_hat = stack._whitened
+def _region_max(om, b, bf, f_hat, radius2):
+    """_boundary_max_array for a stack of decisions whose regions do not
+    vanish, given their whitening (UcrInputs._whitened)."""
     m = b.swapaxes(2, 3) @ om @ b
     lams, vecs = np.linalg.eigh(0.5 * (m + m.swapaxes(2, 3)))
     # PSD repair: small negative eigenvalues are rounding noise.  Below
     # -1e-10 some decision may exceed its own threshold; check each.
-    if lams.min() < -1e-10:
+    if lams.min(initial=0.0) < -1e-10:
         low = lams.min(axis=(1, 2))
         indefinite = low < -1e-10 * np.maximum(np.abs(lams).max(axis=(1, 2)), 1.0)
         if indefinite.any():
-            r = int(np.argmax(indefinite))
             raise NumericalError(
-                f"projected information matrix indefinite: min eig {low[r]:.3g}", index=r
+                f"projected information matrix indefinite: min eig {low[indefinite][0]:.3g}"
             )
     lams = np.maximum(lams, 0.0)
     hinv_f = (vecs.swapaxes(2, 3) @ bf)[..., 0]
     xs = lams * hinv_f
-    ft, scores = _secular_boundary_max(lams, xs, hinv_f, stack.radius2)
+    ft, scores = _secular_boundary_max(lams, xs, hinv_f, radius2)
     return scores, (b @ vecs @ ft[..., None])[..., 0] + f_hat
 
 
 def _score_mask_array(mask_idx: np.ndarray, inputs: UcrInputs):
-    """Scores and boundary maximizers of equal-size subsets: (n, m) indices
-    for one decision, (R, n, m) for a stack of R."""
-    stack = inputs._stack
-    idx = mask_idx.reshape(len(stack.f_hat), -1, mask_idx.shape[-1])
-    om = _omega_array(idx, stack.g_next, stack.p_pred, stack.params)
-    return _boundary_max_array(om.reshape(mask_idx.shape[:-1] + om.shape[-2:]), inputs)
+    """Scores and boundary maximizers of equal-size subsets, (R, n, m)
+    indices for a stack of R decisions, in the form of `inputs`: ((n,),
+    (n, q)) for one decision, ((R, n), (R, n, q)) for a stack."""
+    _, _, g_next, p_pred, _ = inputs._stacked
+    om = _omega_array(mask_idx, g_next, p_pred, inputs.params)
+    return _boundary_max_array(om.reshape(inputs.f_hat.shape[:-1] + om.shape[1:]), inputs)
 
 
-def _best(inputs: UcrInputs, cands: np.ndarray, scores, f_stars, n: int):
-    """Each decision's first best of its n candidates: a SamplingDecision, or
-    a list of them for a stack."""
-    shape = (len(inputs._stack.f_hat), n)
-    cands, f_stars = cands.reshape(shape + (-1,)), f_stars.reshape(shape + (-1,))
-    scores = scores.reshape(shape)
+def _best(inputs: UcrInputs, cands: np.ndarray, scores, f_stars):
+    """Each decision's first best of its candidates, (R, n, m): a
+    SamplingDecision, or a list of them for a stack."""
+    scores = scores.reshape(cands.shape[:2])
+    f_stars = f_stars.reshape(cands.shape[:2] + (-1,))
     out = [
         SamplingDecision(
             mask=ObservationMask(indices=cands[r, k].tolist(), p=inputs.params.p),
@@ -393,9 +366,8 @@ def select_exhaustive(inputs: UcrInputs, m: int):
     p = inputs.params.p
     _check_subset_size(m, p)
     combos = np.array(list(itertools.combinations(range(p), m)), dtype=np.intp)
-    cands = combos[None].repeat(len(inputs._stack.f_hat), axis=0)
-    cands = cands.reshape(inputs.f_hat.shape[:-1] + combos.shape)
-    return _best(inputs, cands, *_score_mask_array(cands, inputs), len(combos))
+    cands = combos[None].repeat(len(inputs._stacked[0]), axis=0)
+    return _best(inputs, cands, *_score_mask_array(cands, inputs))
 
 
 def select_greedy(inputs: UcrInputs, m: int):
@@ -404,8 +376,7 @@ def select_greedy(inputs: UcrInputs, m: int):
     of R SamplingDecisions, with one scorer call per round for all of them."""
     p = inputs.params.p
     _check_subset_size(m, p)
-    lead = inputs.f_hat.shape[:-1]
-    n_dec = len(inputs._stack.f_hat)
+    n_dec = len(inputs._stacked[0])
     decs = np.arange(n_dec)
     taken = np.zeros((n_dec, p), dtype=bool)
     chosen = np.empty((n_dec, 0), dtype=np.intp)
@@ -414,12 +385,12 @@ def select_greedy(inputs: UcrInputs, m: int):
         pool = (~taken).nonzero()[1].reshape(n_dec, p - k, 1)
         cands = np.concatenate((chosen[:, None].repeat(p - k, axis=1), pool), axis=2)
         cands.sort(axis=2)
-        scores, f_stars = _score_mask_array(cands.reshape(lead + cands.shape[1:]), inputs)
+        scores, f_stars = _score_mask_array(cands, inputs)
         best = scores.reshape(n_dec, -1).argmax(axis=1)
         taken[decs, pool[decs, best, 0]] = True
         chosen = cands[decs, best]
     # The last round's best candidate is the chosen set.
-    return _best(inputs, cands, scores, f_stars, p - m + 1)
+    return _best(inputs, cands, scores, f_stars)
 
 
 def select_random(p: int, m: int, rng: np.random.Generator) -> ObservationMask:

@@ -1,6 +1,5 @@
 import functools
 import math
-import re
 import warnings
 from dataclasses import replace
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 import pocpd.calibration as calibration
-import pocpd.monitor as monitor
 import pocpd.sampler as sampler
 from pocpd.calibration import (
     STREAM_CALIBRATION,
@@ -345,46 +343,47 @@ class TestLockstepBlocks:
         assert got.tobytes() == reference_trajectories(*self.GREEDY).tobytes()
 
     def test_failure_names_its_replication(self, monkeypatch):
-        """A NaN injected into one decision of a stacked sampler call is
-        reported with the seed, lane, replication and step of that decision:
-        the named replication, run alone to that step, is the monitor whose
-        decision failed."""
+        """A NaN injected into one replication's decision inside a stacked
+        sampler call is reported with that replication's seed, lane and
+        step."""
         monkeypatch.setattr(calibration, "IC_BLOCK", 7)
-        seen = {"calls": 0}
-        next_mask, solve = monitor._next_mask, sampler._secular_boundary_max
+        scenario, spec = bench_arm(*self.GREEDY)
+        rep, step = 9, 22  # the third replication of the second block
+        solve = sampler._secular_boundary_max
+        # The rows the replication's last greedy round scores after `step`,
+        # when it runs alone; in a block its rows carry the same bits.
+        calls = []
 
-        def watch(monitors):
-            seen["calls"] += 1
-            seen["ucr"] = [m for m in monitors if m.scan and m.scan.tau_hat is not None]
-            return next_mask(monitors)
-
-        def poison(lams, xs, hinv_f, radius2):
-            # Decision 2 of a stack, once the run is a few blocks in.
-            if seen["calls"] >= 40 and len(lams) >= 3 and "victim" not in seen:
-                seen["victim"] = seen["ucr"][2]
-                lams = lams.copy()
-                lams[2, 1, 0] = np.nan
+        def record(lams, xs, hinv_f, radius2):
+            calls.append(lams.copy())
             return solve(lams, xs, hinv_f, radius2)
 
-        monkeypatch.setattr(monitor, "_next_mask", watch)
-        monkeypatch.setattr(sampler, "_secular_boundary_max", poison)
-        scenario, spec = bench_arm(*self.GREEDY)
-        with pytest.raises(
-            NumericalError,
-            match=r"^seed 5, stream lane 1, replication \d+, absolute step \d+: "
-            r"UCR score of candidate 1 is not finite$",
-        ) as info:
-            ic_trajectories(scenario, spec)
-        found = re.search(r"replication (\d+), absolute step (\d+)", str(info.value))
-        rep, step = map(int, found.groups())
-        victim = seen["victim"]
-        assert rep >= 7 and step == victim.t_abs
-        base = replace(scenario, horizon_cap=spec.horizon_cap, seed=spec.seed)
+        monkeypatch.setattr(sampler, "_secular_boundary_max", record)
+        base = replace(scenario, window=replace(scenario.window, h=None),
+                       horizon_cap=spec.horizon_cap, seed=spec.seed)
         sim_rng, mask_rng = replication_rngs(spec.seed, STREAM_CALIBRATION, rep)
         alone = Monitor(base, mask_rng)
-        alone.advance(simulate_run_stream(base, ChangeSpec.none(base.model.q), sim_rng)[:step])
-        assert alone.t_stats == victim.t_stats
-        assert alone.scan.f_hat.tobytes() == victim.scan.f_hat.tobytes()
+        stream = simulate_run_stream(base, ChangeSpec.none(base.model.q), sim_rng)
+        alone.advance(stream[: step - 1])
+        calls.clear()
+        alone.advance(stream[step - 1 : step])
+        assert len(calls) == 2 and len(calls[-1]) == 1  # two rounds of one decision
+        key = calls[-1][0]
+
+        def poison(lams, xs, hinv_f, radius2):
+            hit = [r for r in range(len(lams)) if np.array_equal(lams[r], key)]
+            if hit:
+                lams = lams.copy()
+                lams[hit, 1, 0] = np.nan
+            return solve(lams, xs, hinv_f, radius2)
+
+        monkeypatch.setattr(sampler, "_secular_boundary_max", poison)
+        with pytest.raises(
+            NumericalError,
+            match=rf"^seed 5, stream lane 1, replication {rep}, absolute step {step}: "
+            r"UCR score of candidate 1 is not finite$",
+        ):
+            ic_trajectories(scenario, spec)
 
 
 class TestSeeding:

@@ -114,6 +114,33 @@ def test_no_stop_reports_the_first_crossing():
     assert record.masks == free.masks
 
 
+@pytest.mark.parametrize("policy_kind", ["e_aucrss", "random"])
+def test_alarm_on_the_last_row_decides_nothing_more(policy_kind, monkeypatch):
+    """With the alarm on the stream's last row, stop_at_alarm=False makes the
+    same sampler calls as stopping: the decision after an alarm waits for a
+    row that never comes."""
+    import pocpd.monitor as monitor
+
+    s = mini_scenario(h=8.0, policy_kind=policy_kind)
+    obs, rng = stream(s)
+    alarm = run_single(s, obs, rng).alarm_time
+    obs = obs[: s.n0 + alarm]  # the alarm falls on the last row
+    calls = []
+    for name in ("select_greedy", "select_random"):
+        fn = getattr(monitor, name)
+        monkeypatch.setattr(
+            monitor, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+        )
+    counts = []
+    for stop in (True, False):
+        calls.clear()
+        record = run_single(s, obs, mask_rng(s), stop_at_alarm=stop)
+        assert record.alarm_time == alarm
+        counts.append(list(calls))
+    assert counts[0] == counts[1]
+    assert "select_greedy" in counts[0] or policy_kind == "random"
+
+
 def test_stream_must_be_a_matrix():
     s = mini_scenario(h=6.0)
     obs, rng = stream(s)
