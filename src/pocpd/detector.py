@@ -6,10 +6,22 @@ For every candidate change point k in a sliding window the detector keeps
     m_mat(k)  -- sum of G' C_Z' V^{-1} C_Z G over the same steps.
 The shift estimate is f_hat = m_mat^{-1} s_vec, and the scan statistic is the
 quadratic form s_vec' m_mat^{-1} s_vec maximized over candidates.
+
+A detector holds a stack of R streams that advance in lockstep: its ring
+arrays are (R, m1, q, q), (R, m1, q) and (R, m1), and the rows share one
+ring index and n.  One stream is the stack of one: `Detector(q, window)`
+keeps its arrays, terms and scans without the leading axis, and runs the
+same stacked code.  Each row gets the bits it gets alone, because the
+stacked matmul, eigvalsh, inv and einsum calls do the per-matrix work of
+single calls.  Forms that look equal can break that: f_hat by
+np.einsum("rij,rj->ri") moves last bits where a stacked matmul keeps them,
+and a transposed, non-contiguous operand can send a stacked matmul off its
+BLAS path.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,112 +77,221 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class StepTerm:
-    """Per-step factors feeding the accumulators."""
+    """Per-step factors feeding the accumulators, of one stream or, with a
+    leading axis of length R, of a stack."""
 
-    a_tilde: np.ndarray  # closed-loop transition of this step, (q, q)
-    u: np.ndarray  # C_Z' V^{-1} r, shape (q,)
-    w: np.ndarray  # C_Z' V^{-1} C_Z, shape (q, q)
+    a_tilde: np.ndarray  # closed-loop transition of this step, (q, q) or (R, q, q)
+    u: np.ndarray  # C_Z' V^{-1} r, (q,) or (R, q)
+    w: np.ndarray  # C_Z' V^{-1} C_Z, (q, q) or (R, q, q)
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    t_stat: float
-    tau_hat: int | None
+    """One scan.  Of one stream: the statistic, the argmax candidate and its
+    estimate, or (0.0, None, None, None) when no candidate is accepted.  Of a
+    stack of R: t_stat (R,), tau_hat a tuple of R candidates or None, f_hat
+    (R, q) and sigma_f (R, q, q), with 0.0 and NaN in rows without one."""
+
+    t_stat: float | np.ndarray
+    tau_hat: int | None | tuple
     f_hat: np.ndarray | None
     sigma_f: np.ndarray | None
 
+    @classmethod
+    def none(cls, rows: int, q: int) -> "ScanResult":
+        """A stack of R scans without an accepted candidate."""
+        return cls(np.zeros(rows), (None,) * rows, np.full((rows, q), np.nan),
+                   np.full((rows, q, q), np.nan))
 
-def make_step_term(out: StepOutput, C: np.ndarray) -> StepTerm:
-    """Fold a filter step output into the detector's per-step factors,
-    reusing the filter's Cholesky factor of V."""
-    c_z = C[list(out.mask.indices), :]
-    vinv_r = dpotrs(out.v_chol, out.residual, lower=1)[0]
-    vinv_cz = dpotrs(out.v_chol, c_z, lower=1)[0]
-    return StepTerm(a_tilde=out.a_tilde_used, u=c_z.T @ vinv_r, w=c_z.T @ vinv_cz)
+    @classmethod
+    def concat(cls, scans: list) -> "ScanResult":
+        """The rows of stacked scans, in order, as one stack."""
+        if len(scans) == 1:
+            return scans[0]
+        return cls(
+            np.concatenate([s.t_stat for s in scans]),
+            sum((s.tau_hat for s in scans), ()),
+            np.concatenate([s.f_hat for s in scans]),
+            np.concatenate([s.sigma_f for s in scans]),
+        )
+
+    def take(self, rows: list) -> "ScanResult":
+        """The given rows of a stack, as a stack; all its rows in order are
+        the stack itself."""
+        if rows == list(range(len(self.tau_hat))):
+            return self
+        return ScanResult(self.t_stat[rows], tuple(self.tau_hat[r] for r in rows),
+                          self.f_hat[rows], self.sigma_f[rows])
+
+    def row(self, r: int) -> "ScanResult":
+        """Row r of a stack, as one stream's scan."""
+        if self.tau_hat[r] is None:
+            return ScanResult(0.0, None, None, None)
+        return ScanResult(float(self.t_stat[r]), self.tau_hat[r], self.f_hat[r], self.sigma_f[r])
+
+
+def make_step_term(out: StepOutput | list, C: np.ndarray) -> StepTerm:
+    """Fold one filter step output, or a list of R of them with masks of one
+    size, into the detector's per-step factors (one stream's, or a stack),
+    reusing the filter's Cholesky factors of V."""
+    outs = [out] if isinstance(out, StepOutput) else out
+    c_z = C[np.array([o.mask.indices for o in outs])]  # (R, m, q)
+    rhs = np.concatenate([np.array([o.residual for o in outs])[..., None], c_z], axis=-1)
+    # One dpotrs per stream solves for r and C_Z together.  Stacking the
+    # transposes keeps each solution in the Fortran order dpotrs returns: a
+    # C-ordered stack sends the products for u down another BLAS path, which
+    # moves last bits.
+    vinv = np.array([
+        dpotrs(o.v_chol, b, lower=1)[0].T for o, b in zip(outs, rhs)
+    ]).swapaxes(-1, -2)
+    czt = c_z.swapaxes(-1, -2)
+    term = (np.array([o.a_tilde_used for o in outs]), (czt @ vinv[..., :1])[..., 0],
+            czt @ vinv[..., 1:])
+    return StepTerm(*(t[0] for t in term)) if outs is not out else StepTerm(*term)
 
 
 class Detector:
-    """Ring-buffered accumulators over candidate change points.
+    """Ring-buffered accumulators over candidate change points of one stream,
+    or of a stack of `rows` streams at the same step.
 
-    Pure in spirit: one detector belongs to one stream, and steps are pushed
-    strictly in time order.
+    Pure in spirit: steps are pushed strictly in time order, one (stacked)
+    StepTerm per step.
     """
 
-    def __init__(self, q: int, window: WindowConfig):
+    # The arrays with a row axis; the slot index _k is shared by the rows.
+    _ROW_ARRAYS = ("_G", "_s", "_M", "_lo", "_hi", "_a_prev")
+
+    def __init__(self, q: int, window: WindowConfig, rows: int | None = None):
         self.window = window
+        self.rows = rows  # None for one stream
+        lead = () if rows is None else (rows,)
         nslots = window.m1  # at most m1 - 1 live candidates
-        self._G = np.zeros((nslots, q, q))
-        self._s = np.zeros((nslots, q))
-        self._M = np.zeros((nslots, q, q))
+        self._G = np.zeros(lead + (nslots, q, q))
+        self._s = np.zeros(lead + (nslots, q))
+        self._M = np.zeros(lead + (nslots, q, q))
         self._k = np.full(nslots, -1, dtype=np.int64)
         # Certified eigenvalue bounds of each slot's M: lambda_min(M) >= _lo
         # (M only gains PSD terms, so a past lambda_min stays a lower bound)
         # and lambda_max(M) <= _hi (each term adds at most its trace).
-        self._lo = np.zeros(nslots)
-        self._hi = np.zeros(nslots)
+        self._lo = np.zeros(lead + (nslots,))
+        self._hi = np.zeros(lead + (nslots,))
         self._eye = np.eye(q)
         self._a_prev: np.ndarray | None = None
         self.n = 0  # time of the last pushed step
 
+    @classmethod
+    def concat(cls, detectors: list) -> "Detector":
+        """The rows of stacked detectors at one step, in order, as one stack
+        (a single detector is its own stack)."""
+        steps = sorted({det.n for det in detectors})
+        if len(steps) > 1:
+            raise ValueError(f"stacked detectors must be at the same step, got n = {steps}")
+        if len(detectors) == 1:
+            return detectors[0]
+        stack = copy.copy(detectors[0])
+        for name in cls._ROW_ARRAYS:
+            if getattr(stack, name) is not None:
+                setattr(stack, name, np.concatenate([getattr(d, name) for d in detectors]))
+        stack._k = stack._k.copy()
+        stack.rows = len(stack._G)
+        return stack
+
+    def take(self, rows: list) -> "Detector":
+        """A copy of the given rows of a stack, as a stack; all its rows in
+        order are the stack itself."""
+        if rows == list(range(self.rows)):
+            return self
+        stack = copy.copy(self)
+        for name in self._ROW_ARRAYS:
+            if getattr(self, name) is not None:
+                setattr(stack, name, getattr(self, name)[rows])
+        stack._k = self._k.copy()
+        stack.rows = len(rows)
+        return stack
+
     def push_step(self, term: StepTerm) -> None:
-        """Fold the step at time n = self.n + 1 into every live candidate.
+        """Fold the step at time n = self.n + 1 into every live candidate of
+        every row.
 
         Every slot is updated, without gathering the live ones: a slot whose
         candidate just left the window, or that was never opened, holds
         values nobody reads until it is reopened.
         """
         n = self.n + 1
-        nslots = self._k.shape[0]
+        nslots, q = self._k.shape[0], self._eye.shape[0]
+        rows = self._lo.size // nslots
+        # The arrays with one leading row axis, also for one stream; the
+        # ring arrays as views, so writes go through.  A term with another
+        # number of rows fails to reshape.
+        G = self._G.reshape(rows, nslots, q, q)
+        s, M = self._s.reshape(rows, nslots, q), self._M.reshape(rows, nslots, q, q)
+        lo, hi = self._lo.reshape(rows, nslots), self._hi.reshape(rows, nslots)
+        u, w = term.u.reshape(rows, 1, q, 1), term.w.reshape(rows, 1, q, q)
         if self._a_prev is not None:
-            self._G = self._a_prev @ self._G + self._eye
+            G = self._a_prev.reshape(rows, 1, q, q) @ G
+            G += self._eye
+            self._G = G.reshape(self._G.shape)
         # Candidate k = n - m1 leaves the window; open k = n - 1 with
         # G(n, n-1) = I.  Its slot held k - m1, already out of the window.
         self._k[n % nslots] = -1
         slot = (n - 1) % nslots
-        self._G[slot] = self._eye
-        self._s[slot] = 0.0
-        self._M[slot] = 0.0
-        self._lo[slot] = 0.0
-        self._hi[slot] = 0.0
+        G[:, slot] = self._eye
+        for arr in (s, M, lo, hi):
+            arr[:, slot] = 0.0
         self._k[slot] = n - 1
-        gt = self._G.transpose(0, 2, 1)
-        self._s += gt @ term.u
-        added = gt @ term.w @ self._G
-        self._M += added
-        self._hi += np.trace(added, axis1=1, axis2=2)
+        gt = G.swapaxes(-1, -2)
+        s += (gt @ u)[..., 0]
+        added = gt @ w @ G
+        M += added
+        hi += added.trace(axis1=-2, axis2=-1)
         self._a_prev = term.a_tilde
         self.n = n
 
-    def g_next(self, k: int) -> np.ndarray:
-        """G(n+1, k) for the sampler's one-step-ahead projection."""
+    def g_next(self, k, rows=None) -> np.ndarray:
+        """G(n+1, k) for the sampler's one-step-ahead projection.  On a stack,
+        k holds one candidate per row of `rows` (all rows by default), and
+        the result is (len(k), q, q)."""
         if self._a_prev is None:
             raise RuntimeError("no step pushed yet")
+        k = np.asarray(k)
         slot = k % self._k.shape[0]
-        if self._k[slot] != k:
+        if np.any(self._k[slot] != k):
             raise KeyError(f"candidate k={k} is not live at n={self.n}")
-        return self._a_prev @ self._G[slot] + self._eye
+        lead = () if self.rows is None else (np.arange(self.rows) if rows is None else rows,)
+        return self._a_prev[lead] @ self._G[lead + (slot,)] + self._eye
 
     def scan(self) -> ScanResult:
-        """Maximize the GLRT over the window; ties go to the most recent k."""
-        slots = self._accepted(self._window_slots())
-        if slots.size == 0:
-            return ScanResult(0.0, None, None, None)
-        ks, Ms, ss = self._k[slots], self._M[slots], self._s[slots]
+        """Maximize the GLRT over the window of each row; ties go to the most
+        recent k."""
+        nslots, q = self._k.shape[0], self._eye.shape[0]
+        rows = self._lo.size // nslots
+        ring = self._accepted(self._window_slots())
+        ss = self._s.reshape(-1, q)[ring]
         # Every accepted slot has rcond >= RCOND_SKIP, so inv cannot fail.
-        inv = np.linalg.inv(Ms)
+        inv = np.linalg.inv(self._M.reshape(-1, q, q)[ring])
         stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
-        top = stats.max()  # NaN if any statistic is NaN
-        if not np.isfinite(top):
-            raise NumericalError(f"scan statistic is not finite ({top})")
-        best = np.flatnonzero(stats == top)[-1]  # most recent k wins
-        t_stat = float(stats[best])
-        sigma_f = 0.5 * (inv[best] + inv[best].T)
-        return ScanResult(
-            t_stat=t_stat,
-            tau_hat=int(ks[best]),
-            f_hat=sigma_f @ ss[best],
-            sigma_f=sigma_f,
-        )
+        if stats.size == 0:
+            result = ScanResult.none(rows, q)
+        else:
+            top = stats.max()  # NaN if any statistic is NaN
+            if not np.isfinite(top):
+                raise NumericalError(f"scan statistic is not finite ({top})")
+            # Sorted stably by row, then statistic, each row's best candidate
+            # comes last in its row, and of equal ones the most recent k.
+            row = ring // nslots
+            order = np.lexsort((stats, row))
+            last = np.searchsorted(row, np.arange(1, rows + 1)) - 1
+            hit = np.flatnonzero(row[last] == np.arange(rows))
+            best = order[last[hit]]
+            sigma_f = 0.5 * (inv[best] + inv[best].swapaxes(-1, -2))
+            t_stat, f_hat = stats[best], (sigma_f @ ss[best][..., None])[..., 0]
+            if hit.size < rows:  # rows without an accepted candidate
+                blank = ScanResult.none(rows, q)
+                blank.t_stat[hit], blank.f_hat[hit], blank.sigma_f[hit] = t_stat, f_hat, sigma_f
+                t_stat, f_hat, sigma_f = blank.t_stat, blank.f_hat, blank.sigma_f
+            taus = dict(zip(hit.tolist(), self._k[ring[best] % nslots].tolist()))
+            result = ScanResult(t_stat, tuple(taus.get(r) for r in range(rows)), f_hat, sigma_f)
+        return result if self.rows is not None else result.row(0)
 
     def _window_slots(self) -> np.ndarray:
         """Slots of the candidates n - m1 < k < n - m2, oldest k first.
@@ -183,18 +304,22 @@ class Detector:
         return ks % self._k.shape[0]
 
     def _accepted(self, slots: np.ndarray) -> np.ndarray:
-        """The slots whose M passes the RCOND_SKIP eigenvalue test.
+        """The slots whose M passes the RCOND_SKIP eigenvalue test, row by
+        row and oldest k first, as flat indices row * m1 + slot into the
+        rows' rings (for one stream, the slots).
 
         Slots whose certified bounds already clear the test are accepted as
         they are; only the rest pay for eigvalsh, which also refreshes their
         bounds.
         """
-        certified = self._lo[slots] > _CERTIFY_MARGIN * RCOND_SKIP * self._hi[slots]
-        check = slots[~certified]
+        nslots, q = self._k.shape[0], self._eye.shape[0]
+        ring = np.arange(0, self._lo.size, nslots)[:, None] + slots
+        lo, hi = self._lo.reshape(-1), self._hi.reshape(-1)  # views
+        certified = lo[ring] > _CERTIFY_MARGIN * RCOND_SKIP * hi[ring]
+        check = ring[~certified]
         if check.size:
-            vals = np.linalg.eigvalsh(self._M[check])
-            self._lo[check] = vals[:, 0]
-            self._hi[check] = np.abs(vals).max(axis=-1)
+            vals = np.linalg.eigvalsh(self._M.reshape(-1, q, q)[check])
+            lo[check] = vals[:, 0]
+            hi[check] = np.abs(vals).max(axis=-1)
             certified[~certified] = rcond_from_eigvals(vals) >= RCOND_SKIP
-        return slots[certified]
-
+        return ring[certified]

@@ -77,7 +77,7 @@ def filter_step(
     idx = list(mask.indices)
     c_z = params.C[idx, :]
     P = state.p_pred
-    v_mat = c_z @ P @ c_z.T + params.sigma_r**2 * np.eye(len(idx))
+    v_mat = c_z @ P @ c_z.T + params.obs_cov[: len(idx), : len(idx)]
     v_mat = 0.5 * (v_mat + v_mat.T)
     if innovation_singular(v_mat, params.sigma_r**2):
         raise NumericalError(
@@ -93,7 +93,7 @@ def filter_step(
         )
     # K = P C_Z' V^{-1}, via the Cholesky factor of the m x m innovation.
     k_gain = dpotrs(chol, c_z @ P.T, lower=1, overwrite_b=1)[0].T
-    a_tilde = params.A @ (np.eye(params.q) - k_gain @ c_z)
+    a_tilde = params.A @ (params.identity - k_gain @ c_z)
     residual = y_obs - c_z @ state.x_pred
     x_next = a_tilde @ state.x_pred + params.A @ (k_gain @ y_obs)
     # Joseph-form covariance propagation: the A K R K' A' term keeps P the

@@ -28,10 +28,13 @@ __all__ = [
 ]
 
 
-def _frozen_array(obj, value: np.ndarray, name: str) -> None:
-    arr = np.array(value, dtype=float)
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
+    return arr
+
+
+def _frozen_array(obj, value: np.ndarray, name: str) -> None:
+    object.__setattr__(obj, name, _read_only(np.array(value, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -75,20 +78,28 @@ class ModelParams:
     def q(self) -> int:
         return self.A.shape[0]
 
-    @property
+    # The constant matrices below are built once per parameter set and are
+    # read-only: every filter step, scorer call and simulation shares them.
+    @cached_property
     def state_cov(self) -> np.ndarray:
         """Q = sigma_q^2 I."""
-        return self.sigma_q**2 * np.eye(self.q)
+        return _read_only(self.sigma_q**2 * np.eye(self.q))
+
+    @cached_property
+    def obs_cov(self) -> np.ndarray:
+        """R = sigma_r^2 I, (p, p); the leading (m, m) block is that of any
+        m observed sensors."""
+        return _read_only(self.sigma_r**2 * np.eye(self.p))
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        """The (q, q) identity."""
+        return _read_only(np.eye(self.q))
 
     @cached_property
     def stationary_cov(self) -> np.ndarray:
-        """Stationary state covariance, solved once per parameter set.
-
-        Read-only: every filter and simulation of this model shares it.
-        """
-        cov = stationary_covariance(self.A, self.state_cov)
-        cov.setflags(write=False)
-        return cov
+        """Stationary state covariance, solved once per parameter set."""
+        return _read_only(stationary_covariance(self.A, self.state_cov))
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))

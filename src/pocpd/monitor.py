@@ -1,4 +1,4 @@
-"""Single-stream monitoring loop: filter -> detector -> alarm -> next subset.
+"""Monitoring loop: filter -> detector -> alarm -> next subset.
 
 Time bookkeeping: a run consists of n0 warm-up steps with random subsets
 followed by monitored steps.  Monitoring step n (n = 1, 2, ...) corresponds
@@ -16,7 +16,7 @@ import numpy as np
 
 from .detector import Detector, ScanResult, WindowConfig, make_step_term
 from .errors import NumericalError
-from .filtering import filter_init, filter_step
+from .filtering import StepOutput, filter_init, filter_step
 from .model import ChangeSpec, ModelParams, ObservationMask, simulate_stream
 from .sampler import (
     AlphaSchedule,
@@ -136,21 +136,23 @@ class Monitor:
     decided mask, folds the step into the detector and scans; scanning and
     alarms start after the n0 random warm-up steps.  The decide phase then
     picks the next step's mask: the policy's choice from this scan, or a
-    random one during warm-up.  `advance` runs both phases for this monitor
-    alone, and `advance_lockstep` runs them for a block of monitors
-    together, with one sampler call per step for all their decisions.
+    random one during warm-up.  A monitor is one row of a lockstep block:
+    its detector and last scan are stacks of one, which `advance_lockstep`
+    joins into the block's stacks, pushes and scans once per step for the
+    whole block, and hands back when the monitor leaves the block.
+    `advance` is the block of one.
     """
 
     def __init__(self, scenario: Scenario, mask_rng):
         params = scenario.model
         self.scenario = scenario
         self.state = filter_init(params)
-        self.det = Detector(params.q, scenario.window)
+        self.det = Detector(params.q, scenario.window, rows=1)
         self.mask_rng = mask_rng
         self.h = scenario.window.h if scenario.window.h is not None else math.inf
         # The next step's mask; None while the decision after an alarm is pending.
         self.mask: ObservationMask | None = select_random(params.p, scenario.m, mask_rng)
-        self.scan: ScanResult | None = None
+        self.scan = ScanResult.none(1, params.q)
         self.t_abs = 0
         self.t_stats: list[float] = []
         self.masks: list[tuple] = []
@@ -164,27 +166,27 @@ class Monitor:
         except NumericalError as exc:
             raise NumericalError(f"absolute step {self.t_abs}: {exc}") from exc
 
-    def observe(self, row) -> bool:
-        """The observe phase of one step, under the decided mask; True when
-        this step raises the first alarm."""
-        params, n0 = self.scenario.model, self.scenario.n0
+    def _filter(self, row) -> StepOutput:
+        """Filter the next row through the decided mask."""
         mask, self.mask = self.mask, None
-        self.t_abs = t_abs = self.t_abs + 1
+        self.t_abs += 1
         self.masks.append(mask.indices)
-        self.state, out = filter_step(self.state, params, mask, row[list(mask.indices)])
-        self.det.push_step(make_step_term(out, params.C))
-        scan = None
-        if t_abs >= n0 and t_abs > self.scenario.window.m2 + 1:
-            scan = self.det.scan()
-        self.scan = scan
-        mon = t_abs - n0
+        self.state, out = filter_step(
+            self.state, self.scenario.model, mask, row[list(mask.indices)]
+        )
+        return out
+
+    def _note(self, scan: ScanResult, r: int) -> bool:
+        """Record row r of this step's stacked scan; True when it raises the
+        first alarm."""
+        mon = self.t_abs - self.scenario.n0
         if mon < 1:
             return False
-        t_stat = scan.t_stat if scan is not None else 0.0
+        t_stat = float(scan.t_stat[r])
         self.t_stats.append(t_stat)
-        if scan is not None and scan.tau_hat is not None:
-            self.tau_hat = scan.tau_hat - n0
-            self.f_hat = scan.f_hat
+        if scan.tau_hat[r] is not None:
+            self.tau_hat = scan.tau_hat[r] - self.scenario.n0
+            self.f_hat = scan.f_hat[r]
         if t_stat > self.h and self.alarm_time is None:
             self.alarm_time = mon
             return True
@@ -206,29 +208,64 @@ class Monitor:
 
 
 def advance_lockstep(monitors: list, streams: list) -> None:
-    """Advance monitors of one scenario in lockstep, each over the rows of its
-    own stream, until each has raised its first alarm or read all its rows.
+    """Advance monitors of one scenario, all at the same step, in lockstep,
+    each over the rows of its own stream, until each has raised its first
+    alarm or read all its rows.  Monitors at different steps raise
+    ValueError.
 
-    Every step lets each monitor observe its row, then decides the next
-    masks of all that go on with one `_next_mask` call.  A mask left
-    pending by an alarm is decided when the monitor's next row comes.  Each
-    monitor's results equal those of advancing it alone, which is how to
-    find the monitor that raised a NumericalError.
+    The block holds one stacked detector and scan for the monitors still in
+    it.  Every step filters each monitor's row, then pushes one stacked step
+    term and makes one scan for the block, then decides the next masks of
+    all that go on with one `_next_mask` call.  A monitor leaves the block,
+    taking its detector row and scan, when it alarms or its stream ends.  A
+    mask left pending by an alarm is decided when the monitor's next row
+    comes.  Each monitor's results equal those of advancing it alone, which
+    is how to find the monitor that raised a NumericalError.
     """
-    rows = [iter(stream) for stream in streams]
-    live = list(range(len(monitors)))
-    while live:
-        step = [(k, row) for k in live if (row := next(rows[k], None)) is not None]
-        _decide([monitors[k] for k, _ in step if monitors[k].mask is None])
-        live = [k for k, row in step if not monitors[k].observe(row)]
-        _decide([monitors[k] for k in live])
+    scenario = monitors[0].scenario
+    params, n0, m2 = scenario.model, scenario.n0, scenario.window.m2
+    det = Detector.concat([mon.det for mon in monitors])
+    scan = ScanResult.concat([mon.scan for mon in monitors])
+    for mon in monitors:
+        mon.det = mon.scan = None  # lent to the block until the monitor leaves
+    block = list(zip(monitors, map(iter, streams)))
+    while block:
+        rows = [next(it, None) for _, it in block]
+        block, det, scan = _leave(block, det, scan, [row is not None for row in rows])
+        if not block:
+            break
+        rows = [row for row in rows if row is not None]
+        mons = [mon for mon, _ in block]
+        _decide(mons, scan, det, [r for r, mon in enumerate(mons) if mon.mask is None])
+        det.push_step(make_step_term([mon._filter(row) for mon, row in zip(mons, rows)], params.C))
+        t_abs = mons[0].t_abs
+        if t_abs >= n0 and t_abs > m2 + 1:
+            scan = det.scan()
+        else:
+            scan = ScanResult.none(len(mons), params.q)
+        alarms = [mon._note(scan, r) for r, mon in enumerate(mons)]
+        block, det, scan = _leave(block, det, scan, [not alarm for alarm in alarms])
+        _decide([mon for mon, _ in block], scan, det, range(len(block)))
 
 
-def _decide(monitors: list) -> None:
-    """The decide phase: the next masks of these monitors, in one call."""
-    if monitors:
-        for monitor, mask in zip(monitors, _next_mask(monitors)):
-            monitor.mask = mask
+def _leave(block: list, det: Detector, scan: ScanResult, stay: list) -> tuple:
+    """Hand the monitors that do not stay their detector rows and scans, and
+    return the block, the detector and the scan of those that do."""
+    if all(stay):
+        return block, det, scan
+    for r, (mon, _) in enumerate(block):
+        if not stay[r]:
+            mon.det, mon.scan = det.take([r]), scan.take([r])
+    keep = [r for r, kept in enumerate(stay) if kept]
+    return [block[r] for r in keep], det.take(keep), scan.take(keep)
+
+
+def _decide(monitors: list, scan: ScanResult, det: Detector, rows) -> None:
+    """The decide phase: the next masks of these block rows, in one call."""
+    rows = list(rows)
+    if rows:
+        for r, mask in zip(rows, _next_mask(monitors, scan, det, rows)):
+            monitors[r].mask = mask
 
 
 def check_stream(scenario: Scenario, observations: np.ndarray) -> None:
@@ -264,32 +301,30 @@ def run_single(
     return monitor.record()
 
 
-def _next_mask(monitors: list) -> list:
-    """The next masks of monitors of one scenario.  Warm-up steps, scans
-    without an estimate and the random policy draw at random; all other
-    decisions go to the UCR sampler as one stack."""
+def _next_mask(monitors: list, scan: ScanResult, det: Detector, rows: list) -> list:
+    """The next masks of the given rows of a block, whose monitors, stacked
+    scan and stacked detector these are.  Warm-up steps, scans without an
+    estimate and the random policy draw at random; all other decisions go to
+    the UCR sampler as one stack."""
     scenario = monitors[0].scenario
     policy, params = scenario.policy, scenario.model
-    masks = [None] * len(monitors)
+    masks = {}
     ucr = []
-    for k, mon in enumerate(monitors):
-        scan = mon.scan
-        if policy.kind == "random" or scan is None or scan.tau_hat is None:
-            masks[k] = select_random(params.p, scenario.m, mon.mask_rng)
+    for r in rows:
+        if policy.kind == "random" or scan.tau_hat[r] is None:
+            masks[r] = select_random(params.p, scenario.m, monitors[r].mask_rng)
         else:
-            ucr.append(k)
-    if not ucr:
-        return masks
-    mons = [monitors[k] for k in ucr]
-    inputs = UcrInputs(
-        f_hat=np.array([mon.scan.f_hat for mon in mons]),
-        sigma_f=np.array([mon.scan.sigma_f for mon in mons]),
-        g_next=np.array([mon.det.g_next(mon.scan.tau_hat) for mon in mons]),
-        p_pred=np.array([mon.state.p_pred for mon in mons]),
-        params=params,
-        alpha=np.array([adaptive_alpha(mon.scan.t_stat, policy.alpha) for mon in mons]),
-    )
-    select = select_exhaustive if policy.kind == "aucrss" else select_greedy
-    for k, decision in zip(ucr, select(inputs, scenario.m)):
-        masks[k] = decision.mask
-    return masks
+            ucr.append(r)
+    if ucr:
+        inputs = UcrInputs(
+            f_hat=scan.f_hat[ucr],
+            sigma_f=scan.sigma_f[ucr],
+            g_next=det.g_next([scan.tau_hat[r] for r in ucr], ucr),
+            p_pred=np.array([monitors[r].state.p_pred for r in ucr]),
+            params=params,
+            alpha=np.array([adaptive_alpha(scan.t_stat[r], policy.alpha) for r in ucr]),
+        )
+        select = select_exhaustive if policy.kind == "aucrss" else select_greedy
+        for r, decision in zip(ucr, select(inputs, scenario.m)):
+            masks[r] = decision.mask
+    return [masks[r] for r in rows]

@@ -280,7 +280,8 @@ def _omega_array(
     g_next and p_pred -> (R, n, q, q)."""
     c_zs = params.C[mask_idx]  # (R, n, m, q)
     v = np.einsum("rnij,rjk,rnlk->rnil", c_zs, p_pred, c_zs)
-    v += params.sigma_r**2 * np.eye(mask_idx.shape[-1])
+    m = mask_idx.shape[-1]
+    v += params.obs_cov[:m, :m]
     bad = innovation_singular(v, params.sigma_r**2)
     if bad is not False and bad.any():
         offender = tuple(int(k) for k in mask_idx[tuple(np.argwhere(bad)[0])])
