@@ -105,23 +105,14 @@ class ScanResult:
 
     @classmethod
     def concat(cls, scans: list) -> "ScanResult":
-        """The rows of stacked scans, in order, as one stack."""
-        if len(scans) == 1:
-            return scans[0]
-        return cls(
-            np.concatenate([s.t_stat for s in scans]),
-            sum((s.tau_hat for s in scans), ()),
-            np.concatenate([s.f_hat for s in scans]),
-            np.concatenate([s.sigma_f for s in scans]),
-        )
+        """The rows of stacks, in order, as one stack."""
+        return cls(np.concatenate([s.t_stat for s in scans]), sum((s.tau_hat for s in scans), ()),
+                   np.concatenate([s.f_hat for s in scans]), np.concatenate([s.sigma_f for s in scans]))
 
     def take(self, rows: list) -> "ScanResult":
-        """The given rows of a stack, as a stack; all its rows in order are
-        the stack itself."""
-        if rows == list(range(len(self.tau_hat))):
-            return self
-        return ScanResult(self.t_stat[rows], tuple(self.tau_hat[r] for r in rows),
-                          self.f_hat[rows], self.sigma_f[rows])
+        """The given rows of a stack, as a stack."""
+        tau_hat = tuple(self.tau_hat[r] for r in rows)
+        return ScanResult(self.t_stat[rows], tau_hat, self.f_hat[rows], self.sigma_f[rows])
 
     def row(self, r: int) -> "ScanResult":
         """Row r of a stack, as one stream's scan."""
@@ -132,8 +123,8 @@ class ScanResult:
 
 def make_step_term(out: StepOutput | list, C: np.ndarray) -> StepTerm:
     """Fold one filter step output, or a list of R of them with masks of one
-    size, into the detector's per-step factors (one stream's, or a stack),
-    reusing the filter's Cholesky factors of V."""
+    size, into the per-step factors of one stream, or of a stack, reusing
+    the filter's Cholesky factors of V."""
     outs = [out] if isinstance(out, StepOutput) else out
     c_z = C[np.array([o.mask.indices for o in outs])]  # (R, m, q)
     rhs = np.concatenate([np.array([o.residual for o in outs])[..., None], c_z], axis=-1)
@@ -141,10 +132,8 @@ def make_step_term(out: StepOutput | list, C: np.ndarray) -> StepTerm:
     # transposes keeps each solution in the Fortran order dpotrs returns: a
     # C-ordered stack sends the products for u down another BLAS path, which
     # moves last bits.
-    vinv = np.array([
-        dpotrs(o.v_chol, b, lower=1)[0].T for o, b in zip(outs, rhs)
-    ]).swapaxes(-1, -2)
-    czt = c_z.swapaxes(-1, -2)
+    vinv = np.array([dpotrs(o.v_chol, b, lower=1)[0].T for o, b in zip(outs, rhs)])
+    czt, vinv = c_z.swapaxes(-1, -2), vinv.swapaxes(-1, -2)
     term = (np.array([o.a_tilde_used for o in outs]), (czt @ vinv[..., :1])[..., 0],
             czt @ vinv[..., 1:])
     return StepTerm(*(t[0] for t in term)) if outs is not out else StepTerm(*term)
@@ -158,9 +147,6 @@ class Detector:
     StepTerm per step.
     """
 
-    # The arrays with a row axis; the slot index _k is shared by the rows.
-    _ROW_ARRAYS = ("_G", "_s", "_M", "_lo", "_hi", "_a_prev")
-
     def __init__(self, q: int, window: WindowConfig, rows: int | None = None):
         self.window = window
         self.rows = rows  # None for one stream
@@ -169,7 +155,7 @@ class Detector:
         self._G = np.zeros(lead + (nslots, q, q))
         self._s = np.zeros(lead + (nslots, q))
         self._M = np.zeros(lead + (nslots, q, q))
-        self._k = np.full(nslots, -1, dtype=np.int64)
+        self._k = np.full(nslots, -1, dtype=np.int64)  # shared by the rows
         # Certified eigenvalue bounds of each slot's M: lambda_min(M) >= _lo
         # (M only gains PSD terms, so a past lambda_min stays a lower bound)
         # and lambda_max(M) <= _hi (each term adds at most its trace).
@@ -181,32 +167,22 @@ class Detector:
 
     @classmethod
     def concat(cls, detectors: list) -> "Detector":
-        """The rows of stacked detectors at one step, in order, as one stack
-        (a single detector is its own stack)."""
+        """A copy of the rows of stacks at one step, in order, as one stack."""
         steps = sorted({det.n for det in detectors})
         if len(steps) > 1:
             raise ValueError(f"stacked detectors must be at the same step, got n = {steps}")
-        if len(detectors) == 1:
-            return detectors[0]
-        stack = copy.copy(detectors[0])
-        for name in cls._ROW_ARRAYS:
-            if getattr(stack, name) is not None:
-                setattr(stack, name, np.concatenate([getattr(d, name) for d in detectors]))
-        stack._k = stack._k.copy()
-        stack.rows = len(stack._G)
-        return stack
+        return detectors[0]._with_rows(lambda a: np.concatenate([getattr(d, a) for d in detectors]))
 
     def take(self, rows: list) -> "Detector":
-        """A copy of the given rows of a stack, as a stack; all its rows in
-        order are the stack itself."""
-        if rows == list(range(self.rows)):
-            return self
+        """A copy of the given rows of a stack, as a stack."""
+        return self._with_rows(lambda a: getattr(self, a)[rows])
+
+    def _with_rows(self, rows_of) -> "Detector":
         stack = copy.copy(self)
-        for name in self._ROW_ARRAYS:
-            if getattr(self, name) is not None:
-                setattr(stack, name, getattr(self, name)[rows])
-        stack._k = self._k.copy()
-        stack.rows = len(rows)
+        for a in ("_G", "_s", "_M", "_lo", "_hi", "_a_prev"):
+            if getattr(self, a) is not None:
+                setattr(stack, a, rows_of(a))
+        stack._k, stack.rows = self._k.copy(), len(stack._lo)
         return stack
 
     def push_step(self, term: StepTerm) -> None:
@@ -248,16 +224,15 @@ class Detector:
         self.n = n
 
     def g_next(self, k, rows=None) -> np.ndarray:
-        """G(n+1, k) for the sampler's one-step-ahead projection.  On a stack,
-        k holds one candidate per row of `rows` (all rows by default), and
-        the result is (len(k), q, q)."""
+        """G(n+1, k) for the sampler's one-step-ahead projection; of a stack,
+        one candidate k per row of `rows`, as (len(rows), q, q)."""
         if self._a_prev is None:
             raise RuntimeError("no step pushed yet")
         k = np.asarray(k)
         slot = k % self._k.shape[0]
         if np.any(self._k[slot] != k):
             raise KeyError(f"candidate k={k} is not live at n={self.n}")
-        lead = () if self.rows is None else (np.arange(self.rows) if rows is None else rows,)
+        lead = () if self.rows is None else (rows,)
         return self._a_prev[lead] @ self._G[lead + (slot,)] + self._eye
 
     def scan(self) -> ScanResult:
@@ -270,9 +245,8 @@ class Detector:
         # Every accepted slot has rcond >= RCOND_SKIP, so inv cannot fail.
         inv = np.linalg.inv(self._M.reshape(-1, q, q)[ring])
         stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
-        if stats.size == 0:
-            result = ScanResult.none(rows, q)
-        else:
+        result, tau_hat = ScanResult.none(rows, q), [None] * rows
+        if stats.size:
             top = stats.max()  # NaN if any statistic is NaN
             if not np.isfinite(top):
                 raise NumericalError(f"scan statistic is not finite ({top})")
@@ -284,13 +258,11 @@ class Detector:
             hit = np.flatnonzero(row[last] == np.arange(rows))
             best = order[last[hit]]
             sigma_f = 0.5 * (inv[best] + inv[best].swapaxes(-1, -2))
-            t_stat, f_hat = stats[best], (sigma_f @ ss[best][..., None])[..., 0]
-            if hit.size < rows:  # rows without an accepted candidate
-                blank = ScanResult.none(rows, q)
-                blank.t_stat[hit], blank.f_hat[hit], blank.sigma_f[hit] = t_stat, f_hat, sigma_f
-                t_stat, f_hat, sigma_f = blank.t_stat, blank.f_hat, blank.sigma_f
-            taus = dict(zip(hit.tolist(), self._k[ring[best] % nslots].tolist()))
-            result = ScanResult(t_stat, tuple(taus.get(r) for r in range(rows)), f_hat, sigma_f)
+            result.t_stat[hit], result.sigma_f[hit] = stats[best], sigma_f
+            result.f_hat[hit] = (sigma_f @ ss[best][..., None])[..., 0]
+            for r, k in zip(hit.tolist(), self._k[ring[best] % nslots].tolist()):
+                tau_hat[r] = k
+        result = ScanResult(result.t_stat, tuple(tau_hat), result.f_hat, result.sigma_f)
         return result if self.rows is not None else result.row(0)
 
     def _window_slots(self) -> np.ndarray:

@@ -236,7 +236,7 @@ def advance_lockstep(monitors: list, streams: list) -> None:
             break
         rows = [row for row in rows if row is not None]
         mons = [mon for mon, _ in block]
-        _decide(mons, scan, det, [r for r, mon in enumerate(mons) if mon.mask is None])
+        _next_mask(mons, scan, det, [r for r, mon in enumerate(mons) if mon.mask is None])
         det.push_step(make_step_term([mon._filter(row) for mon, row in zip(mons, rows)], params.C))
         t_abs = mons[0].t_abs
         if t_abs >= n0 and t_abs > m2 + 1:
@@ -245,7 +245,7 @@ def advance_lockstep(monitors: list, streams: list) -> None:
             scan = ScanResult.none(len(mons), params.q)
         alarms = [mon._note(scan, r) for r, mon in enumerate(mons)]
         block, det, scan = _leave(block, det, scan, [not alarm for alarm in alarms])
-        _decide([mon for mon, _ in block], scan, det, range(len(block)))
+        _next_mask([mon for mon, _ in block], scan, det, range(len(block)))
 
 
 def _leave(block: list, det: Detector, scan: ScanResult, stay: list) -> tuple:
@@ -258,14 +258,6 @@ def _leave(block: list, det: Detector, scan: ScanResult, stay: list) -> tuple:
             mon.det, mon.scan = det.take([r]), scan.take([r])
     keep = [r for r, kept in enumerate(stay) if kept]
     return [block[r] for r in keep], det.take(keep), scan.take(keep)
-
-
-def _decide(monitors: list, scan: ScanResult, det: Detector, rows) -> None:
-    """The decide phase: the next masks of these block rows, in one call."""
-    rows = list(rows)
-    if rows:
-        for r, mask in zip(rows, _next_mask(monitors, scan, det, rows)):
-            monitors[r].mask = mask
 
 
 def check_stream(scenario: Scenario, observations: np.ndarray) -> None:
@@ -301,30 +293,31 @@ def run_single(
     return monitor.record()
 
 
-def _next_mask(monitors: list, scan: ScanResult, det: Detector, rows: list) -> list:
-    """The next masks of the given rows of a block, whose monitors, stacked
-    scan and stacked detector these are.  Warm-up steps, scans without an
-    estimate and the random policy draw at random; all other decisions go to
-    the UCR sampler as one stack."""
+def _next_mask(monitors: list, scan: ScanResult, det: Detector, rows) -> None:
+    """The decide phase: the next masks of these rows of a block, whose
+    monitors, stacked scan and stacked detector these are, in one call.
+    Warm-up steps, scans without an estimate and the random policy draw at
+    random; all other decisions go to the UCR sampler as one stack."""
+    if not rows:
+        return
     scenario = monitors[0].scenario
     policy, params = scenario.policy, scenario.model
-    masks = {}
     ucr = []
     for r in rows:
         if policy.kind == "random" or scan.tau_hat[r] is None:
-            masks[r] = select_random(params.p, scenario.m, monitors[r].mask_rng)
+            monitors[r].mask = select_random(params.p, scenario.m, monitors[r].mask_rng)
         else:
             ucr.append(r)
-    if ucr:
-        inputs = UcrInputs(
-            f_hat=scan.f_hat[ucr],
-            sigma_f=scan.sigma_f[ucr],
-            g_next=det.g_next([scan.tau_hat[r] for r in ucr], ucr),
-            p_pred=np.array([monitors[r].state.p_pred for r in ucr]),
-            params=params,
-            alpha=np.array([adaptive_alpha(scan.t_stat[r], policy.alpha) for r in ucr]),
-        )
-        select = select_exhaustive if policy.kind == "aucrss" else select_greedy
-        for r, decision in zip(ucr, select(inputs, scenario.m)):
-            masks[r] = decision.mask
-    return [masks[r] for r in rows]
+    if not ucr:
+        return
+    inputs = UcrInputs(
+        f_hat=scan.f_hat[ucr],
+        sigma_f=scan.sigma_f[ucr],
+        g_next=det.g_next([scan.tau_hat[r] for r in ucr], ucr),
+        p_pred=np.array([monitors[r].state.p_pred for r in ucr]),
+        params=params,
+        alpha=np.array([adaptive_alpha(scan.t_stat[r], policy.alpha) for r in ucr]),
+    )
+    select = select_exhaustive if policy.kind == "aucrss" else select_greedy
+    for r, decision in zip(ucr, select(inputs, scenario.m)):
+        monitors[r].mask = decision.mask

@@ -1,0 +1,133 @@
+"""A stacked Detector equals one single-stream Detector per row, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pocpd.detector import Detector, StepTerm, WindowConfig
+from pocpd.errors import NumericalError
+
+
+def stacked(terms: list) -> StepTerm:
+    return StepTerm(*(np.array([getattr(t, f) for t in terms]) for f in ("a_tilde", "u", "w")))
+
+
+def random_term(rng, q: int, w=None) -> StepTerm:
+    """A step term whose w, when drawn afresh, has a random rank and rcond on
+    both sides of RCOND_SKIP (as in test_certified_screen_matches_exact)."""
+    if w is None:
+        rank = int(rng.integers(0, q + 1))
+        b = rng.normal(size=(q, rank)) * 10.0 ** rng.uniform(-6, 0, size=rank)
+        w = 10.0 ** rng.uniform(-3, 3) * (b @ b.T)
+    a = np.zeros((q, q)) if rng.random() < 0.3 else 0.9 * rng.normal(size=(q, q)) / q
+    return StepTerm(a_tilde=a, u=rng.normal(size=q), w=w)
+
+
+def assert_rows_equal(stack: Detector, got, singles: list, wants: list) -> None:
+    """Row r of the stack's scan, ring and bounds equals singles[r]'s."""
+    for r, (det, want) in enumerate(zip(singles, wants)):
+        row = got.row(r)
+        assert (row.t_stat, row.tau_hat) == (want.t_stat, want.tau_hat)
+        for g, w in ((row.f_hat, want.f_hat), (row.sigma_f, want.sigma_f)):
+            if w is None:
+                assert g is None
+            else:
+                np.testing.assert_array_equal(g, w)
+        if want.tau_hat is None:
+            assert got.t_stat[r] == 0.0 and np.isnan(got.f_hat[r]).all()
+        for name in ("_G", "_s", "_M", "_lo", "_hi"):
+            np.testing.assert_array_equal(getattr(stack, name)[r], getattr(det, name))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from([3, 7, 15]),
+    rows=st.sampled_from([1, 2, 7]),
+    m1=st.integers(2, 12),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_stack_equals_single_detectors(seed, q, rows, m1, data):
+    """Scans, g_next, rings and certified bounds of a stack equal those of
+    one detector per row.  Rows draw their own terms, so some have no
+    accepted candidate while others do, and the bounds go stale between
+    scans on a random subset of steps."""
+    m2 = data.draw(st.integers(0, m1 - 1))
+    steps = data.draw(st.integers(1, 3 * m1))
+    rng = np.random.default_rng(seed)
+    window = WindowConfig(m1=m1, m2=m2)
+    singles = [Detector(q, window) for _ in range(rows)]
+    stack = Detector(q, window, rows=rows)
+    ws = [None] * rows
+    for _ in range(steps):
+        terms = [random_term(rng, q, w if rng.random() < 0.4 else None) for w in ws]
+        ws = [t.w for t in terms]
+        for det, term in zip(singles, terms):
+            det.push_step(term)
+        stack.push_step(stacked(terms))
+        if rng.random() < 0.3:
+            continue
+        got = stack.scan()
+        assert_rows_equal(stack, got, singles, [det.scan() for det in singles])
+        live = [r for r in range(rows) if got.tau_hat[r] is not None]
+        if live:
+            g = stack.g_next([got.tau_hat[r] for r in live], live)
+            for i, r in enumerate(live):
+                np.testing.assert_array_equal(g[i], singles[r].g_next(got.tau_hat[r]))
+
+
+def test_ties_go_to_the_most_recent_k_in_each_row():
+    """Row 0 ties k = 0 and k = 1 exactly, row 1 prefers k = 0, row 2 has no
+    accepted candidate."""
+    q, zero, eye = 3, np.zeros((3, 3)), np.eye(3)
+    e = np.array([1.0, 0.0, 0.0])
+    rows = [
+        # k = 0: s = 2e, M = 4I, statistic 1; k = 1: s = e, M = I, statistic 1.
+        [StepTerm(zero, e, 3.0 * eye), StepTerm(zero, e, eye)],
+        [StepTerm(zero, 3.0 * e, eye), StepTerm(zero, 0.0 * e, eye)],
+        [StepTerm(zero, e, 0.0 * eye), StepTerm(zero, e, 0.0 * eye)],
+    ]
+    singles = [Detector(q, WindowConfig(m1=20, m2=0)) for _ in rows]
+    stack = Detector(q, WindowConfig(m1=20, m2=0), rows=len(rows))
+    for step in range(2):
+        for det, terms in zip(singles, rows):
+            det.push_step(terms[step])
+        stack.push_step(stacked([terms[step] for terms in rows]))
+    got = stack.scan()
+    assert got.tau_hat == (1, 0, None)
+    assert got.t_stat[0] == 1.0
+    assert_rows_equal(stack, got, singles, [det.scan() for det in singles])
+
+
+def test_nan_in_one_row_fails_the_stack():
+    rng = np.random.default_rng(3)
+    stack = Detector(3, WindowConfig(m1=10, m2=0), rows=3)
+    for _ in range(4):
+        terms = [random_term(rng, 3, np.eye(3)) for _ in range(3)]
+        stack.push_step(stacked(terms))
+    assert all(k is not None for k in stack.scan().tau_hat)
+    terms = [random_term(rng, 3, np.eye(3)) for _ in range(3)]
+    terms[1] = StepTerm(terms[1].a_tilde, np.array([np.nan, 0.0, 0.0]), terms[1].w)
+    stack.push_step(stacked(terms))
+    with pytest.raises(NumericalError, match="^scan statistic is not finite"):
+        stack.scan()
+
+
+def test_concat_and_take_move_rows():
+    """concat joins stacks at one step, take copies rows out of a stack, and
+    stacks at different steps do not join."""
+    rng = np.random.default_rng(4)
+    window = WindowConfig(m1=6, m2=1)
+    parts = [Detector(3, window, rows=1) for _ in range(3)]
+    for _ in range(5):
+        for det in parts:
+            det.push_step(stacked([random_term(rng, 3, np.eye(3))]))
+    joined = Detector.concat(parts)
+    assert joined.rows == 3 and joined.n == 5
+    alone = joined.take([1])
+    alone.push_step(stacked([random_term(rng, 3, np.eye(3))]))
+    for name in ("_G", "_s", "_M", "_lo", "_hi", "_a_prev"):
+        np.testing.assert_array_equal(getattr(joined, name)[1], getattr(parts[1], name)[0])
+    with pytest.raises(ValueError, match="^stacked detectors must be at the same step"):
+        Detector.concat([alone, joined])

@@ -15,7 +15,7 @@ from pocpd.monitor import (
     run_single,
     simulate_run_stream,
 )
-from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE
+from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, benchmark_p10_model, benchmark_p30_model
 
 SHIFT = ChangeSpec(tau=0, f=np.array([1.0, 0.0]))
 
@@ -148,18 +148,53 @@ def test_stream_must_be_a_matrix():
         run_single(s, obs[:, 0], rng)
 
 
-@pytest.mark.parametrize("policy_kind", ["e_aucrss", "aucrss", "random"])
-def test_lockstep_equals_separate_runs(policy_kind):
+def dimension_scenario(q, policy_kind):
+    """mini_scenario's settings on a model with q = 2, 3, 7 or 15."""
+    s = mini_scenario(policy_kind=policy_kind)
+    if q == 3:
+        c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.4, 0.2]])
+        s = replace(s, model=ModelParams(A=np.diag([0.5, 0.3, 0.2]), C=c, sigma_q=0.1, sigma_r=0.1))
+    elif q == 7:
+        s = replace(s, model=benchmark_p10_model())
+    elif q == 15:  # a longer warm-up fills the window: 15 of bench-p30's 30 rows of C copy another
+        s = replace(s, model=benchmark_p30_model(), window=WindowConfig(m1=40, m2=1), n0=40)
+    assert s.model.q == q
+    return s
+
+
+@pytest.mark.parametrize(
+    "policy_kind,q",
+    [
+        pytest.param(kind, q, id=kind if q == 2 else f"{kind}-q{q}")
+        for q in (2, 3, 7, 15)
+        for kind in ("e_aucrss", "aucrss", "random")
+    ],
+)
+def test_lockstep_equals_separate_runs(policy_kind, q):
     """A block of monitors over streams of different lengths, some of which
-    alarm early, gives each monitor the record it gets alone."""
-    s = mini_scenario(h=8.0, policy_kind=policy_kind)
-    runs = [stream(s, change=ChangeSpec.none(2), rep=rep) for rep in range(6)]
-    rows = [obs[: 20 + 8 * rep] for rep, (obs, _) in enumerate(runs)]
+    alarm early, gives each monitor the record it gets alone: one stacked
+    detector per block observes as one detector per monitor."""
+    s = dimension_scenario(q, policy_kind)
+    runs = [stream(s, change=ChangeSpec.none(q), rep=rep) for rep in range(6)]
+    rows = [obs[: s.n0 + 12 + 6 * rep] for rep, (obs, _) in enumerate(runs)]
+    # h between the runs' largest statistics: some monitors alarm, some not.
+    peaks = [run_single(s, rows[rep], mask_rng(s, rep)).t_stats.max() for rep in range(6)]
+    s = replace(s, window=replace(s.window, h=float(np.median(peaks))))
     monitors = [Monitor(s, mask_rng(s, rep)) for rep in range(6)]
     advance_lockstep(monitors, rows)
     alarms = 0
     for rep, monitor in enumerate(monitors):
         want = run_single(s, rows[rep], mask_rng(s, rep))
         assert_same_record(monitor.record(), want)
+        assert want.tau_hat is not None
         alarms += want.alarm_time is not None
     assert 0 < alarms < 6
+
+
+def test_lockstep_needs_monitors_at_one_step():
+    s = mini_scenario()
+    obs, _ = stream(s)
+    ahead, behind = Monitor(s, mask_rng(s, 0)), Monitor(s, mask_rng(s, 1))
+    ahead.advance(obs[:3])
+    with pytest.raises(ValueError, match=r"^stacked detectors must be at the same step, got n = \[0, 3\]"):
+        advance_lockstep([ahead, behind], [obs[3:], obs])
