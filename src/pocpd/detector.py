@@ -22,7 +22,7 @@ BLAS path.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
@@ -126,7 +126,7 @@ def make_step_term(out: StepOutput | list, C: np.ndarray) -> StepTerm:
     size, into the per-step factors of one stream, or of a stack, reusing
     the filter's Cholesky factors of V."""
     outs = [out] if isinstance(out, StepOutput) else out
-    c_z = C[np.array([o.mask.indices for o in outs])]  # (R, m, q)
+    c_z = C[[o.mask.indices for o in outs]]  # (R, m, q)
     rhs = np.concatenate([np.array([o.residual for o in outs])[..., None], c_z], axis=-1)
     # One dpotrs per stream solves for r and C_Z together.  Stacking the
     # transposes keeps each solution in the Fortran order dpotrs returns: a
@@ -245,25 +245,35 @@ class Detector:
         # Every accepted slot has rcond >= RCOND_SKIP, so inv cannot fail.
         inv = np.linalg.inv(self._M.reshape(-1, q, q)[ring])
         stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
-        result, tau_hat = ScanResult.none(rows, q), [None] * rows
-        if stats.size:
+        if stats.size == 0:
+            result = ScanResult.none(rows, q)
+        else:
             top = stats.max()  # NaN if any statistic is NaN
             if not np.isfinite(top):
                 raise NumericalError(f"scan statistic is not finite ({top})")
-            # Sorted stably by row, then statistic, each row's best candidate
-            # comes last in its row, and of equal ones the most recent k.
-            row = ring // nslots
-            order = np.lexsort((stats, row))
-            last = np.searchsorted(row, np.arange(1, rows + 1)) - 1
-            hit = np.flatnonzero(row[last] == np.arange(rows))
-            best = order[last[hit]]
-            sigma_f = 0.5 * (inv[best] + inv[best].swapaxes(-1, -2))
-            result.t_stat[hit], result.sigma_f[hit] = stats[best], sigma_f
-            result.f_hat[hit] = (sigma_f @ ss[best][..., None])[..., 0]
-            for r, k in zip(hit.tolist(), self._k[ring[best] % nslots].tolist()):
-                tau_hat[r] = k
-        result = ScanResult(result.t_stat, tuple(tau_hat), result.f_hat, result.sigma_f)
+            result = self._best(ring, stats, inv, ss, rows)
         return result if self.rows is not None else result.row(0)
+
+    def _best(self, ring, stats, inv, ss, rows: int) -> ScanResult:
+        """The stacked scan of each row's best accepted candidate; rows
+        without one get ScanResult.none's 0.0, None and NaN."""
+        nslots = self._k.shape[0]
+        # Sorted stably by row, then statistic, each row's best candidate
+        # comes last in its row, and of equal ones the most recent k.
+        row = ring // nslots
+        order = np.lexsort((stats, row))
+        last = np.searchsorted(row, np.arange(1, rows + 1)) - 1
+        hit = np.flatnonzero(row[last] == np.arange(rows))
+        best = order[last[hit]]
+        sigma_f = 0.5 * (inv[best] + inv[best].swapaxes(-1, -2))
+        f_hat = (sigma_f @ ss[best][..., None])[..., 0]
+        tau_hat = self._k[ring[best] % nslots].tolist()
+        if hit.size == rows:
+            return ScanResult(stats[best], tuple(tau_hat), f_hat, sigma_f)
+        none = ScanResult.none(rows, f_hat.shape[1])
+        none.t_stat[hit], none.f_hat[hit], none.sigma_f[hit] = stats[best], f_hat, sigma_f
+        tau_hat = dict(zip(hit.tolist(), tau_hat))
+        return replace(none, tau_hat=tuple(tau_hat.get(r) for r in range(rows)))
 
     def _window_slots(self) -> np.ndarray:
         """Slots of the candidates n - m1 < k < n - m2, oldest k first.

@@ -228,36 +228,39 @@ def advance_lockstep(monitors: list, streams: list) -> None:
     scan = ScanResult.concat([mon.scan for mon in monitors])
     for mon in monitors:
         mon.det = mon.scan = None  # lent to the block until the monitor leaves
-    block = list(zip(monitors, map(iter, streams)))
-    while block:
-        rows = [next(it, None) for _, it in block]
-        block, det, scan = _leave(block, det, scan, [row is not None for row in rows])
-        if not block:
-            break
-        rows = [row for row in rows if row is not None]
-        mons = [mon for mon, _ in block]
-        _next_mask(mons, scan, det, [r for r, mon in enumerate(mons) if mon.mask is None])
+    mons, iters = list(monitors), [iter(stream) for stream in streams]
+    idle = ScanResult.none(len(mons), params.q)  # the scan of steps without one
+    while mons:
+        rows = [next(it, None) for it in iters]
+        if any(row is None for row in rows):
+            mons, iters, det, scan = _leave(mons, iters, det, scan, [row is None for row in rows])
+            rows = [row for row in rows if row is not None]
+            if not mons:
+                break
+        pending = [r for r, mon in enumerate(mons) if mon.mask is None]
+        if pending:
+            _next_mask(mons, scan, det, pending)
         det.push_step(make_step_term([mon._filter(row) for mon, row in zip(mons, rows)], params.C))
         t_abs = mons[0].t_abs
         if t_abs >= n0 and t_abs > m2 + 1:
             scan = det.scan()
         else:
-            scan = ScanResult.none(len(mons), params.q)
+            if len(idle.tau_hat) != len(mons):
+                idle = ScanResult.none(len(mons), params.q)
+            scan = idle
         alarms = [mon._note(scan, r) for r, mon in enumerate(mons)]
-        block, det, scan = _leave(block, det, scan, [not alarm for alarm in alarms])
-        _next_mask([mon for mon, _ in block], scan, det, range(len(block)))
+        if any(alarms):
+            mons, iters, det, scan = _leave(mons, iters, det, scan, alarms)
+        _next_mask(mons, scan, det, range(len(mons)))
 
 
-def _leave(block: list, det: Detector, scan: ScanResult, stay: list) -> tuple:
-    """Hand the monitors that do not stay their detector rows and scans, and
-    return the block, the detector and the scan of those that do."""
-    if all(stay):
-        return block, det, scan
-    for r, (mon, _) in enumerate(block):
-        if not stay[r]:
-            mon.det, mon.scan = det.take([r]), scan.take([r])
-    keep = [r for r, kept in enumerate(stay) if kept]
-    return [block[r] for r in keep], det.take(keep), scan.take(keep)
+def _leave(monitors: list, iters: list, det: Detector, scan: ScanResult, gone: list) -> tuple:
+    """Hand the monitors that go their detector rows and scans, and return
+    the block (monitors, row iterators, detector, scan) of those that stay."""
+    for r in np.flatnonzero(gone):
+        monitors[r].det, monitors[r].scan = det.take([r]), scan.take([r])
+    keep = [r for r, g in enumerate(gone) if not g]
+    return [monitors[r] for r in keep], [iters[r] for r in keep], det.take(keep), scan.take(keep)
 
 
 def check_stream(scenario: Scenario, observations: np.ndarray) -> None:
