@@ -106,8 +106,12 @@ class ScanResult:
     @classmethod
     def concat(cls, scans: list) -> "ScanResult":
         """The rows of stacks, in order, as one stack."""
-        return cls(np.concatenate([s.t_stat for s in scans]), sum((s.tau_hat for s in scans), ()),
-                   np.concatenate([s.f_hat for s in scans]), np.concatenate([s.sigma_f for s in scans]))
+        return cls(
+            np.concatenate([s.t_stat for s in scans]),
+            sum((s.tau_hat for s in scans), ()),
+            np.concatenate([s.f_hat for s in scans]),
+            np.concatenate([s.sigma_f for s in scans]),
+        )
 
     def take(self, rows: list) -> "ScanResult":
         """The given rows of a stack, as a stack."""
@@ -171,7 +175,9 @@ class Detector:
         steps = sorted({det.n for det in detectors})
         if len(steps) > 1:
             raise ValueError(f"stacked detectors must be at the same step, got n = {steps}")
-        return detectors[0]._with_rows(lambda a: np.concatenate([getattr(d, a) for d in detectors]))
+        return detectors[0]._with_rows(
+            lambda a: np.concatenate([getattr(d, a) for d in detectors])
+        )
 
     def take(self, rows: list) -> "Detector":
         """A copy of the given rows of a stack, as a stack."""

@@ -153,10 +153,13 @@ def dimension_scenario(q, policy_kind):
     s = mini_scenario(policy_kind=policy_kind)
     if q == 3:
         c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.4, 0.2]])
-        s = replace(s, model=ModelParams(A=np.diag([0.5, 0.3, 0.2]), C=c, sigma_q=0.1, sigma_r=0.1))
+        model = ModelParams(A=np.diag([0.5, 0.3, 0.2]), C=c, sigma_q=0.1, sigma_r=0.1)
+        s = replace(s, model=model)
     elif q == 7:
         s = replace(s, model=benchmark_p10_model())
-    elif q == 15:  # a longer warm-up fills the window: 15 of bench-p30's 30 rows of C copy another
+    elif q == 15:
+        # 15 of bench-p30's 30 rows of C copy another: a longer warm-up and
+        # window give the candidates full rank.
         s = replace(s, model=benchmark_p30_model(), window=WindowConfig(m1=40, m2=1), n0=40)
     assert s.model.q == q
     return s
@@ -196,5 +199,6 @@ def test_lockstep_needs_monitors_at_one_step():
     obs, _ = stream(s)
     ahead, behind = Monitor(s, mask_rng(s, 0)), Monitor(s, mask_rng(s, 1))
     ahead.advance(obs[:3])
-    with pytest.raises(ValueError, match=r"^stacked detectors must be at the same step, got n = \[0, 3\]"):
+    message = r"^stacked detectors must be at the same step, got n = \[0, 3\]"
+    with pytest.raises(ValueError, match=message):
         advance_lockstep([ahead, behind], [obs[3:], obs])
