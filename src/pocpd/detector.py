@@ -22,7 +22,7 @@ BLAS path.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
@@ -236,50 +236,45 @@ class Detector:
             raise RuntimeError("no step pushed yet")
         k = np.asarray(k)
         slot = k % self._k.shape[0]
-        if np.any(self._k[slot] != k):
+        if (self._k[slot] != k).any():
             raise KeyError(f"candidate k={k} is not live at n={self.n}")
         lead = () if self.rows is None else (rows,)
         return self._a_prev[lead] @ self._G[lead + (slot,)] + self._eye
 
     def scan(self) -> ScanResult:
         """Maximize the GLRT over the window of each row; ties go to the most
-        recent k."""
-        nslots, q = self._k.shape[0], self._eye.shape[0]
-        rows = self._lo.size // nslots
-        ring = self._accepted(self._window_slots())
-        ss = self._s.reshape(-1, q)[ring]
+        recent k.  Rows without an accepted candidate get ScanResult.none's
+        0.0, None and NaN."""
+        q = self._eye.shape[0]
+        slots = self._window_slots()
+        ring, accepted = self._screen(slots)
+        flat = ring[accepted]
+        ss = self._s.reshape(-1, q)[flat]
         # Every accepted slot has rcond >= RCOND_SKIP, so inv cannot fail.
-        inv = np.linalg.inv(self._M.reshape(-1, q, q)[ring])
+        inv = np.linalg.inv(self._M.reshape(-1, q, q)[flat])
         stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
-        if stats.size == 0:
-            result = ScanResult.none(rows, q)
-        else:
-            top = stats.max()  # NaN if any statistic is NaN
-            if not np.isfinite(top):
-                raise NumericalError(f"scan statistic is not finite ({top})")
-            result = self._best(ring, stats, inv, ss, rows)
+        if not np.isfinite(stats).all():
+            raise NumericalError(f"scan statistic is not finite ({stats.max()})")
+        # The statistics laid out as (row, window column), oldest k first,
+        # with a column of -inf after the window: a row's best candidate is
+        # its last column holding its largest value, so of equal ones the
+        # most recent k, and the -inf column for a row without one.
+        rows, width = accepted.shape
+        full = np.full((rows, width + 1), -np.inf)
+        full[:, :width][accepted] = stats
+        best = width - full[:, ::-1].argmax(axis=1)
+        hit = best < width
+        # Where each hit row's best sits in stats: the accepted cells up to it.
+        pick = accepted.cumsum().reshape(rows, width)[hit, best[hit]] - 1
+        result = ScanResult.none(rows, q)
+        sigma_f = inv[pick]
+        sigma_f = 0.5 * (sigma_f + sigma_f.swapaxes(-1, -2))
+        result.t_stat[hit], result.sigma_f[hit] = stats[pick], sigma_f
+        result.f_hat[hit] = (sigma_f @ ss[pick][..., None])[..., 0]
+        ks = self._k[slots].tolist() + [None]
+        result = ScanResult(result.t_stat, tuple(map(ks.__getitem__, best.tolist())),
+                            result.f_hat, result.sigma_f)
         return result if self.rows is not None else result.row(0)
-
-    def _best(self, ring, stats, inv, ss, rows: int) -> ScanResult:
-        """The stacked scan of each row's best accepted candidate; rows
-        without one get ScanResult.none's 0.0, None and NaN."""
-        nslots = self._k.shape[0]
-        # Sorted stably by row, then statistic, each row's best candidate
-        # comes last in its row, and of equal ones the most recent k.
-        row = ring // nslots
-        order = np.lexsort((stats, row))
-        last = np.searchsorted(row, np.arange(1, rows + 1)) - 1
-        hit = np.flatnonzero(row[last] == np.arange(rows))
-        best = order[last[hit]]
-        sigma_f = 0.5 * (inv[best] + inv[best].swapaxes(-1, -2))
-        f_hat = (sigma_f @ ss[best][..., None])[..., 0]
-        tau_hat = self._k[ring[best] % nslots].tolist()
-        if hit.size == rows:
-            return ScanResult(stats[best], tuple(tau_hat), f_hat, sigma_f)
-        none = ScanResult.none(rows, f_hat.shape[1])
-        none.t_stat[hit], none.f_hat[hit], none.sigma_f[hit] = stats[best], f_hat, sigma_f
-        tau_hat = dict(zip(hit.tolist(), tau_hat))
-        return replace(none, tau_hat=tuple(tau_hat.get(r) for r in range(rows)))
 
     def _window_slots(self) -> np.ndarray:
         """Slots of the candidates n - m1 < k < n - m2, oldest k first.
@@ -292,9 +287,15 @@ class Detector:
         return ks % self._k.shape[0]
 
     def _accepted(self, slots: np.ndarray) -> np.ndarray:
-        """The slots whose M passes the RCOND_SKIP eigenvalue test, row by
-        row and oldest k first, as flat indices row * m1 + slot into the
-        rows' rings (for one stream, the slots).
+        """The flat indices of the accepted slots of `_screen`, row by row and
+        oldest k first."""
+        ring, accepted = self._screen(slots)
+        return ring[accepted]
+
+    def _screen(self, slots: np.ndarray) -> tuple:
+        """The window slots of every row as (rows, len(slots)) flat indices
+        row * m1 + slot into the rows' rings (for one stream, the slots),
+        and the mask of those whose M passes the RCOND_SKIP eigenvalue test.
 
         Slots whose certified bounds already clear the test are accepted as
         they are; only the rest pay for eigvalsh, which also refreshes their
@@ -310,4 +311,4 @@ class Detector:
             lo[check] = vals[:, 0]
             hi[check] = np.abs(vals).max(axis=-1)
             certified[~certified] = rcond_from_eigvals(vals) >= RCOND_SKIP
-        return ring[certified]
+        return ring, certified

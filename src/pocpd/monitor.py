@@ -229,7 +229,6 @@ def advance_lockstep(monitors: list, streams: list) -> None:
     for mon in monitors:
         mon.det = mon.scan = None  # lent to the block until the monitor leaves
     mons, iters = list(monitors), [iter(stream) for stream in streams]
-    idle = ScanResult.none(len(mons), params.q)  # the scan of steps without one
     while mons:
         rows = [next(it, None) for it in iters]
         if any(row is None for row in rows):
@@ -241,13 +240,11 @@ def advance_lockstep(monitors: list, streams: list) -> None:
         if pending:
             _next_mask(mons, scan, det, pending)
         det.push_step(make_step_term([mon._filter(row) for mon, row in zip(mons, rows)], params.C))
+        # Until the first scan, the block's scan stays its monitors' initial
+        # ScanResult.none.
         t_abs = mons[0].t_abs
         if t_abs >= n0 and t_abs > m2 + 1:
             scan = det.scan()
-        else:
-            if len(idle.tau_hat) != len(mons):
-                idle = ScanResult.none(len(mons), params.q)
-            scan = idle
         alarms = [mon._note(scan, r) for r, mon in enumerate(mons)]
         if any(alarms):
             mons, iters, det, scan = _leave(mons, iters, det, scan, alarms)

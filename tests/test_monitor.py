@@ -179,10 +179,14 @@ def test_lockstep_equals_separate_runs(policy_kind, q):
     detector per block observes as one detector per monitor."""
     s = dimension_scenario(q, policy_kind)
     runs = [stream(s, change=ChangeSpec.none(q), rep=rep) for rep in range(6)]
-    rows = [obs[: s.n0 + 12 + 6 * rep] for rep, (obs, _) in enumerate(runs)]
-    # h between the runs' largest statistics: some monitors alarm, some not.
-    peaks = [run_single(s, rows[rep], mask_rng(s, rep)).t_stats.max() for rep in range(6)]
-    s = replace(s, window=replace(s.window, h=float(np.median(peaks))))
+    if q == 2:
+        rows, h = [obs[: 20 + 8 * rep] for rep, (obs, _) in enumerate(runs)], 8.0
+    else:
+        rows = [obs[: s.n0 + 12 + 6 * rep] for rep, (obs, _) in enumerate(runs)]
+        # h between the runs' largest statistics: some monitors alarm, some not.
+        peaks = [run_single(s, rows[rep], mask_rng(s, rep)).t_stats.max() for rep in range(6)]
+        h = float(np.median(peaks))
+    s = replace(s, window=replace(s.window, h=h))
     monitors = [Monitor(s, mask_rng(s, rep)) for rep in range(6)]
     advance_lockstep(monitors, rows)
     alarms = 0
