@@ -224,12 +224,15 @@ def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:
     reps = range(spec.replications)
     size = _ic_block_size(base)
     jobs = [(base, reps[i : i + size]) for i in range(0, len(reps), size)]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            blocks = list(pool.map(_ic_block, jobs))
-    else:
-        blocks = [_ic_block(job) for job in jobs]
-    return np.vstack(blocks)
+    return np.vstack(list(map_blocks(_ic_block, jobs, spec.workers)))
+
+
+def map_blocks(fn, jobs, workers: int = 1):
+    """fn of each job, in order: here, or in a pool of `workers` processes."""
+    if workers == 1:
+        return map(fn, jobs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _alarm_times(trajectories: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -139,7 +139,7 @@ def cmd_benchmark(cfg: Config, args) -> int:
                 f"{arm.name} {arm.policy.kind}: calibrated h = {result.h:.6g} "
                 f"(ADD_IC {result.achieved_add_ic:.2f})"
             )
-        table = table.merge(run_scenario(arm))
+        table = table.merge(run_scenario(arm, cfg.calibration.workers))
     written = emit_outputs(table, args.out)
     for cell in table.cells:
         status = f"ADD {cell.add:.2f}" if cell.add is not None else f"FAILED: {cell.error}"

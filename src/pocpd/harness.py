@@ -1,12 +1,12 @@
 """Experiment sweeps, metric tables, CSV emission, and replay of recorded data.
 
 A scenario fixes the model, window, policy, and a grid of change specs.
-`run_scenario` fills one table cell per change spec, replication by
-replication: the rows a replication's cells share, up to the earliest change
-point, are monitored once and then forked per cell.  Cells that fail record
-the reason and the sweep keeps going.  `ingest_csv` + `replay_monitor` run
-the same monitoring loop over recorded (or externally simulated) streams,
-with subset masking applied in software.
+`run_scenario` fills one table cell per change spec from lockstep blocks of
+replications, as calibration runs them: a block monitors its cells' shared
+rows, up to the earliest change point, once, then forks them per cell.
+Cells that fail record the reason and the sweep keeps going.  `ingest_csv`
++ `replay_monitor` run the same monitoring loop over recorded (or
+externally simulated) streams, with subset masking applied in software.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ import numpy as np
 
 from .calibration import STREAM_EVALUATION, RunLengthSample, estimate_add, replication_errors
 from .calibration import require_control_limit, run_once  # run_once: a traced lookup site
+from .calibration import _ic_block_size, map_blocks
 from .errors import ConfigError, NumericalError
 from .model import ChangeSpec, SimulatedStream
-from .monitor import Monitor, RunRecord, Scenario, absolute_change, replication_rngs, run_single
+from .monitor import Monitor, RunRecord, Scenario, absolute_change, advance_lockstep
+from .monitor import replication_rngs, run_single
 
 __all__ = [
     "CellResult",
@@ -70,22 +72,27 @@ class ResultTable:
         raise KeyError(f"no cell for policy={policy!r}, f={f}")
 
 
-def run_scenario(scenario: Scenario) -> ResultTable:
+def run_scenario(scenario: Scenario, workers: int = 1) -> ResultTable:
     """One table cell per change spec, `replications` runs each.
 
-    The sweep runs replication by replication (see _replication).  Its
-    results equal running each cell on its own and do not depend on the
-    order of execution.  A failed cell records its error and runs no
-    further replications; the other cells go on.
+    Replications run in lockstep blocks (see _block) as large as
+    calibration's, and with workers > 1 a process pool takes whole blocks.
+    Each cell's samples join in replication order up to its first error, so
+    the table equals running each cell on its own, replication by
+    replication, whatever the block size or worker count.  A failed cell
+    records the error of its first failing replication; the others go on.
     """
     require_control_limit(scenario)
-    samples = [[] for _ in scenario.changes]
-    errors = [None] * len(scenario.changes)
-    for rep in range(scenario.replications):
-        live = [i for i, error in enumerate(errors) if error is None]
-        if not live:
-            break
-        _replication(scenario, rep, live, samples, errors)
+    samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
+    reps, size = range(scenario.replications), _ic_block_size(scenario)
+
+    def jobs():
+        # Drawn as blocks run here, to leave out failed cells; a pool draws all.
+        for start in range(0, len(reps), size):
+            if live := [i for i, error in enumerate(errors) if error is None]:
+                yield scenario, reps[start : start + size], live
+
+    _join(samples, errors, map_blocks(_block, jobs(), workers))
     cells = []
     for change, cell_samples, error in zip(scenario.changes, samples, errors):
         stats = dict(add=None, sdd=None, n_reps=0, censored=None, error=error)
@@ -109,40 +116,53 @@ def run_scenario(scenario: Scenario) -> ResultTable:
     return ResultTable(cells)
 
 
-def _replication(scenario: Scenario, rep: int, cells: list, samples: list, errors: list):
-    """Replication `rep` of the given cells, into their samples or errors.
+def _join(samples: list, errors: list, blocks) -> None:
+    """Add blocks' samples and errors, in order, to the cells without an error."""
+    for block_samples, block_errors in blocks:
+        for i, error in enumerate(errors):
+            if error is None:
+                samples[i] += block_samples[i]
+                errors[i] = block_errors[i]
 
-    The rows before the cells' earliest change point are monitored once: an
-    error there fails every cell, an alarm there is every cell's alarm.
-    Then one fork per cell runs on to its alarm or the horizon.
+
+def _block(args) -> tuple:
+    """Samples and errors, per cell of the sweep, of a block of replications
+    of the given cells (the other cells get none).
+
+    The block advances in lockstep over the rows before the cells' earliest
+    change point; then per cell, the monitors that have not alarmed fork
+    and advance in lockstep, each over its stream under the cell's change.
+    A failed block runs its replications alone, cell by cell.
     """
-    sim_rng, mask_rng = replication_rngs(scenario.seed, STREAM_EVALUATION, rep)
+    scenario, reps, cells = args
+    samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
     total = scenario.n0 + scenario.horizon_cap
-    taus = [scenario.changes[i].tau for i in cells]
-    shared = int(min([scenario.n0 + tau for tau in taus if tau != math.inf] + [total]))
+    shared = int(min([scenario.n0 + scenario.changes[i].tau for i in cells] + [total]))
+    # Alone, an error names the replication and step; a block's is dropped.
+    advance = advance_lockstep if len(reps) > 1 else lambda mons, rows: mons[0].advance(rows[0])
     try:
-        with replication_errors(scenario, STREAM_EVALUATION, rep):
-            stream = SimulatedStream(
-                scenario.model, ChangeSpec.none(scenario.model.q), total, sim_rng
-            )
-            monitor = Monitor(scenario, mask_rng)
-            monitor.advance(stream.rows(shared))
+        with replication_errors(scenario, STREAM_EVALUATION, reps[0]):
+            rngs = [replication_rngs(scenario.seed, STREAM_EVALUATION, rep) for rep in reps]
+            ic = ChangeSpec.none(scenario.model.q)
+            streams = [SimulatedStream(scenario.model, ic, total, sim) for sim, _ in rngs]
+            monitors = [Monitor(scenario, mask_rng) for _, mask_rng in rngs]
+            advance(monitors, [stream.rows(shared) for stream in streams])
+            going = [r for r, mon in enumerate(monitors) if mon.alarm_time is None]
+            for i in cells:
+                runs = [mon.fork() if mon.alarm_time is None else mon for mon in monitors]
+                change = absolute_change(scenario, scenario.changes[i])
+                own = [streams[r].fork(change).rows(total - shared) for r in going]
+                if going:
+                    advance([runs[r] for r in going], own)
+                samples[i] = [RunLengthSample.of(scenario, run.alarm_time) for run in runs]
     except CELL_ERRORS as exc:
-        for i in cells:
-            errors[i] = str(exc)
-        return
-    for i in cells:
-        run = monitor
-        if monitor.alarm_time is None:
-            try:
-                with replication_errors(scenario, STREAM_EVALUATION, rep):
-                    run = monitor.fork()
-                    own = stream.fork(absolute_change(scenario, scenario.changes[i]))
-                    run.advance(own.rows(total - shared))
-            except CELL_ERRORS as exc:
-                errors[i] = str(exc)
-                continue
-        samples[i].append(RunLengthSample.of(scenario, run.alarm_time))
+        samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
+        if len(reps) == len(cells) == 1:
+            errors[cells[0]] = str(exc)
+        else:
+            alone = ((scenario, [rep], [i]) for rep in reps for i in cells if errors[i] is None)
+            _join(samples, errors, map(_block, alone))
+    return samples, errors
 
 
 def _parse_csv_matrix(path) -> np.ndarray:

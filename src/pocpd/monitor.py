@@ -257,6 +257,8 @@ def _leave(monitors: list, iters: list, det: Detector, scan: ScanResult, gone: l
     for r in np.flatnonzero(gone):
         monitors[r].det, monitors[r].scan = det.take([r]), scan.take([r])
     keep = [r for r, g in enumerate(gone) if not g]
+    if not keep:
+        return [], [], None, None
     return [monitors[r] for r in keep], [iters[r] for r in keep], det.take(keep), scan.take(keep)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pocpd import calibration
 from pocpd.calibration import CalibrationSpec, calibrate_h
 from pocpd.cli import _load, build_parser, main
 from pocpd.config import _KEYS, parse_config
@@ -489,6 +490,27 @@ class TestBenchmark:
         assert direct["e_aucrss"] != direct["random"]
         for kind, h in direct.items():
             assert {float(r[7]) for r in rows if r[1] == kind} == {h}
+
+    def test_threads_leave_the_tables_byte_identical(self, tmp_path, monkeypatch):
+        # Blocks of 4: each arm's 15 replications run in four blocks, which
+        # one process runs in turn or two workers share.
+        monkeypatch.setattr(calibration, "IC_BLOCK", 4)
+        doc = mini_config_doc()
+        doc["window"]["h"] = 6.0
+        doc["policy"] = [{"name": "aucrss"}, {"name": "e_aucrss"}, {"name": "random"}]
+        doc["experiment"]["grid"] = [
+            {"tau": None, "f": [0.0, 0.0]}, {"tau": 6, "f": [0.8, 0.0]}, {"tau": 10, "f": [0.0, 1.0]}
+        ]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            argv = ["--config", str(path), "--out", str(out), "--threads", threads, "benchmark"]
+            assert main(argv) == 0
+            tables.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert sorted(tables[0]) == ["plot_custom.csv", "results.csv"]
+        assert tables[0] == tables[1]
 
     @pytest.mark.filterwarnings("error")
     def test_rank_deficient_arms_run_without_warning(self, tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pocpd.calibration
 import pocpd.monitor
 from pocpd.calibration import (
     STREAM_EVALUATION,
@@ -21,9 +22,9 @@ from pocpd.harness import (
     replay_monitor,
     run_scenario,
 )
-from pocpd.model import ChangeSpec, ModelParams, simulate_stream
+from pocpd.model import ChangeSpec, ModelParams, SimulatedStream, simulate_stream
 from pocpd.detector import WindowConfig
-from pocpd.monitor import Policy, Scenario
+from pocpd.monitor import POLICY_NAMES, Policy, Scenario, replication_rngs
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -132,9 +133,14 @@ class TestSharedPrefix:
     """run_scenario monitors each replication's rows before the earliest
     change once, then forks per cell; every cell equals the reference."""
 
+    policy = "e_aucrss"
+
+    def scenario(self, **kw):
+        return mini_scenario(policy_kind=self.policy, **kw)
+
     def test_mixed_change_points_censoring_and_in_control(self):
         scenario = replace(
-            mini_scenario(h=10.0, replications=12),
+            self.scenario(h=10.0, replications=12),
             horizon_cap=30,
             changes=(
                 ChangeSpec.none(2),
@@ -144,13 +150,13 @@ class TestSharedPrefix:
             ),
         )
         want = cell_by_cell(scenario)
-        assert want.cell("e_aucrss", 0.0).censored > 0
+        assert want.cell(self.policy, 0.0).censored > 0
         assert all(c.error is None for c in want.cells)
         assert run_scenario(scenario).cells == want.cells
 
     def test_false_alarm_inside_the_prefix(self):
         scenario = replace(
-            mini_scenario(h=7.0, replications=12),
+            self.scenario(h=7.0, replications=12),
             horizon_cap=40,
             changes=(shift(15, 1.0, 0.0), shift(25, 0.0, 0.8)),
         )
@@ -160,7 +166,7 @@ class TestSharedPrefix:
 
     def test_error_in_the_prefix_fails_every_cell(self, monkeypatch):
         scenario = replace(
-            mini_scenario(replications=8),
+            self.scenario(replications=8),
             changes=(ChangeSpec.none(2), shift(0, 1.0, 0.0), shift(5, 0.0, 0.5)),
         )
         fail_filter_step(monkeypatch, lambda state, y: state.t == 3 and y.sum() > 0.25)
@@ -171,15 +177,56 @@ class TestSharedPrefix:
 
     def test_error_after_the_fork_fails_its_cell_only(self, monkeypatch):
         scenario = replace(
-            mini_scenario(replications=8),
+            self.scenario(replications=8),
             changes=(ChangeSpec.none(2), shift(0, 1.0, 0.0), shift(3, 50.0, 0.0)),
         )
         fail_filter_step(monkeypatch, lambda state, y: np.abs(y).max() > 20.0)
         want = cell_by_cell(scenario)
+        rep = 0 if self.policy == "random" else 2  # UCR alarms sooner in replications 0 and 1
         assert [c.error for c in want.cells] == [
-            None, None, "seed 17, stream lane 2, replication 2, absolute step 12: injected"
+            None, None, f"seed 17, stream lane 2, replication {rep}, absolute step 12: injected"
         ]
         assert run_scenario(scenario).cells == want.cells
+
+
+class TestSharedPrefixInBlocks(TestSharedPrefix):
+    """The same cases in lockstep blocks of one, of 7 and of more than the
+    replications, under every policy."""
+
+    @pytest.fixture(autouse=True, params=[1, 7, 64])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(pocpd.calibration, "IC_BLOCK", request.param)
+
+    @pytest.fixture(autouse=True, params=POLICY_NAMES)
+    def policy_kind(self, request):
+        request.instance.policy = request.param
+
+
+def test_poisoned_fork_fails_its_cell_only(monkeypatch):
+    """A fork failing in the middle of a block of 7, with a block after it:
+    its cell keeps the error of that replication and uses no later one,
+    and the sibling cells use every replication."""
+    monkeypatch.setattr(pocpd.calibration, "IC_BLOCK", 7)
+    scenario = replace(
+        mini_scenario(h=12.0, replications=10),
+        changes=(ChangeSpec.none(2), shift(2, 1.0, 0.0), shift(2, 0.0, 1.0)),
+    )
+    want = cell_by_cell(scenario)
+    assert want.cell("e_aucrss", 0.0).n_reps == 10
+    # Replication 3's first state noise marks its stream and the stream's forks.
+    sim_rng, _ = replication_rngs(scenario.seed, STREAM_EVALUATION, 3)
+    poisoned = SimulatedStream(scenario.model, ChangeSpec.none(2), 1, sim_rng).w[0]
+    step = SimulatedStream.step
+
+    def failing(stream):
+        if stream.change.f[1] == 1.0 and np.array_equal(stream.w[0], poisoned):
+            raise NumericalError("injected")
+        return step(stream)
+
+    monkeypatch.setattr(SimulatedStream, "step", failing)
+    got = run_scenario(scenario).cells
+    assert got[:2] == want.cells[:2]
+    assert got[2].error == "seed 17, stream lane 2, replication 3, absolute step 10: injected"
 
 
 class TestIngestCsv:
