@@ -1,14 +1,14 @@
-"""Run-length estimation and control-limit search.
+"""Run-length estimation, control-limit search and the Monte-Carlo engine.
 
-The control limit h is found by bisection on the in-control average detection
-delay.  Every replication is simulated once with the alarm disabled and its
-full statistic trajectory stored; the alarm time for any trial h is then the
-first threshold crossing of that trajectory.  This is common-random-numbers
-bisection in its exact form: per-replication alarm times are nondecreasing
-in h by construction.  The replications are monitored in lockstep blocks
-(`monitor.advance_lockstep`), so each step makes one sampler call for the
-decisions of a whole block; the trajectories equal those of monitoring
-each replication alone.
+`run_blocks`, the one Monte-Carlo engine, runs a scenario's replications in
+lockstep blocks (`monitor.advance_lockstep`), one sampler call per step for
+a block's decisions.  Sweeps read each run's length from it and calibration
+each run's statistic trajectory: `ic_trajectories` is its single in-control
+cell without a control limit.  The control limit h is found by bisection on
+the in-control average detection delay, the alarm time for a trial h being
+the first crossing of h on a stored trajectory.  This is common-random-
+numbers bisection in its exact form: per-replication alarm times are
+nondecreasing in h by construction.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, NumericalError
-from .model import ChangeSpec
-from .monitor import Monitor, Scenario, advance_lockstep, check_stream, replication_rngs
+from .model import ChangeSpec, SimulatedStream
+from .monitor import Monitor, Scenario, absolute_change, advance_lockstep, replication_rngs
 from .monitor import run_single, simulate_run_stream
 
 __all__ = [
@@ -46,13 +46,16 @@ STREAM_EVALUATION = 2
 H_BRACKET = (1.0, 200.0)
 MAX_ITERS = 40
 
-# In-control replications advanced together: one sampler call per step
-# scores the decisions of the whole block.  Past a few dozen, larger blocks
-# save no measurable time but hold more monitors in memory: on the
-# ic-p10-greedy benchmark, blocks of 50 raised the peak RSS by 5.6 % and
-# blocks of 25 by 2.5 %, at the same speed.  Exhaustive search scores
-# C(p, m) candidates per decision, so its blocks are smaller (_ic_block_size).
+# Replications advanced together, in calibration and in sweeps: one sampler
+# call per step scores the decisions of the whole block.  Past a few dozen,
+# larger blocks save no measurable time but hold more monitors in memory: on
+# the ic-p10-greedy benchmark, blocks of 50 raised the peak RSS by 5.6 % and
+# blocks of 25 by 2.5 %, at the same speed.  Exhaustive search scores C(p, m)
+# candidates per decision, so its blocks are smaller (_block_size).
 IC_BLOCK = 25
+
+# Errors that fail one cell of a scenario instead of the whole run.
+CELL_ERRORS = (NumericalError, RuntimeError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -172,33 +175,7 @@ def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:
     )
 
 
-def _ic_replication(scenario: Scenario, rep: int) -> tuple[Monitor, np.ndarray]:
-    """A fresh monitor and the in-control stream of one replication."""
-    sim_rng, mask_rng = replication_rngs(scenario.seed, STREAM_CALIBRATION, rep)
-    with replication_errors(scenario, STREAM_CALIBRATION, rep):
-        stream = simulate_run_stream(scenario, ChangeSpec.none(scenario.model.q), sim_rng)
-    check_stream(scenario, stream)
-    return Monitor(scenario, mask_rng), stream
-
-
-def _ic_block(args) -> np.ndarray:
-    """In-control trajectories of a block of replications, advanced in lockstep."""
-    scenario, reps = args
-    monitors, streams = zip(*(_ic_replication(scenario, rep) for rep in reps))
-    try:
-        advance_lockstep(monitors, streams)
-    except NumericalError:
-        # Each replication fails alone as it fails in the block, and alone
-        # it names its seed, lane, replication and step.
-        for rep in reps:
-            monitor, stream = _ic_replication(scenario, rep)
-            with replication_errors(scenario, STREAM_CALIBRATION, rep):
-                monitor.advance(stream)
-        raise
-    return np.array([monitor.t_stats for monitor in monitors])
-
-
-def _ic_block_size(scenario: Scenario) -> int:
+def _block_size(scenario: Scenario) -> int:
     """Replications per lockstep block: IC_BLOCK, or for exhaustive search
     as many as score about IC_BLOCK * p candidates per call, the most that
     IC_BLOCK greedy decisions score (at least one)."""
@@ -208,31 +185,101 @@ def _ic_block_size(scenario: Scenario) -> int:
     return max(1, IC_BLOCK * p // math.comb(p, m))
 
 
-def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:
-    """(replications, horizon_cap) in-control scan-statistic trajectories.
+def run_blocks(scenario: Scenario, lane: int, outcome, workers: int = 1) -> list:
+    """Per change of the scenario: outcome(monitor) of each replication, on
+    stream `lane`, up to the cell's first error, and that error (or None).
+    Replications run in lockstep blocks (_block) of _block_size, which a
+    pool of `workers` processes takes whole (`outcome` must then pickle);
+    outcomes join in replication order, so none depends on either."""
+    samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
+    reps, size = range(scenario.replications), _block_size(scenario)
 
-    Replications run in lockstep blocks of _ic_block_size, and each worker
-    takes whole blocks; every row equals a run_single of its replication,
-    so the result depends on neither the block size nor the worker count.
+    def jobs():
+        # Drawn as blocks run here, to leave out failed cells; a pool draws all.
+        for start in range(0, len(reps), size):
+            if live := [i for i, error in enumerate(errors) if error is None]:
+                yield (scenario, lane, outcome), reps[start : start + size], live
+
+    if workers == 1:
+        _join(samples, errors, map(_block, jobs()))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            _join(samples, errors, pool.map(_block, jobs()))
+    return list(zip(samples, errors))
+
+
+def _join(samples: list, errors: list, blocks) -> None:
+    """Add blocks' samples and errors, in order, to the cells without an error."""
+    for block_samples, block_errors in blocks:
+        for i, error in enumerate(errors):
+            if error is None:
+                samples[i] += block_samples[i]
+                errors[i] = block_errors[i]
+
+
+def _block(args) -> tuple:
+    """Outcomes and errors, per cell, of a block of replications of the
+    given cells (the other cells get none).  The block advances in lockstep
+    over the rows before the cells' earliest change point (or horizon); then
+    the monitors that have not alarmed fork per cell and advance in
+    lockstep under its change.  A failed block runs its replications alone,
+    cell by cell, where an error names its seed, lane, replication and step.
+    """
+    (scenario, lane, outcome), reps, cells = args
+    samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
+    total = scenario.n0 + scenario.horizon_cap
+    shared = int(min([scenario.n0 + scenario.changes[i].tau for i in cells] + [total]))
+    try:
+        with replication_errors(scenario, lane, reps[0]):
+            rngs = [replication_rngs(scenario.seed, lane, rep) for rep in reps]
+            ic = ChangeSpec.none(scenario.model.q)
+            streams = [SimulatedStream(scenario.model, ic, total, sim) for sim, _ in rngs]
+            monitors = [Monitor(scenario, mask_rng) for _, mask_rng in rngs]
+            advance_lockstep(monitors, [stream.rows(shared) for stream in streams])
+            going = [r for r, mon in enumerate(monitors) if mon.alarm_time is None]
+            for i in cells:
+                runs = monitors
+                if going and shared < total:
+                    runs = [mon.fork() if mon.alarm_time is None else mon for mon in monitors]
+                    change = absolute_change(scenario, scenario.changes[i])
+                    own = [streams[r].fork(change).rows(total - shared) for r in going]
+                    advance_lockstep([runs[r] for r in going], own)
+                samples[i] = [outcome(run) for run in runs]
+    except CELL_ERRORS as exc:
+        samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
+        if len(reps) == len(cells) == 1:
+            errors[cells[0]] = exc
+        else:
+            alone = ((args[0], [rep], [i]) for rep in reps for i in cells if errors[i] is None)
+            _join(samples, errors, map(_block, alone))
+    return samples, errors
+
+
+def _trajectory(monitor: Monitor) -> np.ndarray:
+    """Calibration's outcome of a run (a function, so that a pool pickles it)."""
+    return np.array(monitor.t_stats)
+
+
+def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:
+    """(replications, horizon_cap) in-control scan-statistic trajectories:
+    run_blocks's in-control cell, on the calibration lane and without a
+    control limit; the scenario's own changes do not run.  Every row equals
+    a run_single of its replication.  A failure raises the first failing
+    replication's error; a NumericalError names its seed, lane, replication
+    and step.
     """
     base = replace(
         scenario,
         window=replace(scenario.window, h=None),
+        changes=(ChangeSpec.none(scenario.model.q),),
+        replications=spec.replications,
         horizon_cap=spec.horizon_cap,
         seed=spec.seed,
     )
-    reps = range(spec.replications)
-    size = _ic_block_size(base)
-    jobs = [(base, reps[i : i + size]) for i in range(0, len(reps), size)]
-    return np.vstack(list(map_blocks(_ic_block, jobs, spec.workers)))
-
-
-def map_blocks(fn, jobs, workers: int = 1):
-    """fn of each job, in order: here, or in a pool of `workers` processes."""
-    if workers == 1:
-        return map(fn, jobs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+    [(rows, error)] = run_blocks(base, STREAM_CALIBRATION, _trajectory, spec.workers)
+    if error is not None:
+        raise error
+    return np.vstack(rows)
 
 
 def _alarm_times(trajectories: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

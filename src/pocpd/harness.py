@@ -1,9 +1,8 @@
 """Experiment sweeps, metric tables, CSV emission, and replay of recorded data.
 
 A scenario fixes the model, window, policy, and a grid of change specs.
-`run_scenario` fills one table cell per change spec from lockstep blocks of
-replications, as calibration runs them: a block monitors its cells' shared
-rows, up to the earliest change point, once, then forks them per cell.
+`run_scenario` fills one table cell per change spec from the run lengths
+of `calibration.run_blocks`, the Monte-Carlo engine calibration runs too.
 Cells that fail record the reason and the sweep keeps going.  `ingest_csv`
 + `replay_monitor` run the same monitoring loop over recorded (or
 externally simulated) streams, with subset masking applied in software.
@@ -13,17 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import STREAM_EVALUATION, RunLengthSample, estimate_add, replication_errors
+from .calibration import CELL_ERRORS, STREAM_EVALUATION, RunLengthSample, estimate_add, run_blocks
 from .calibration import require_control_limit, run_once  # run_once: a traced lookup site
-from .calibration import _ic_block_size, map_blocks
-from .errors import ConfigError, NumericalError
-from .model import ChangeSpec, SimulatedStream
-from .monitor import Monitor, RunRecord, Scenario, absolute_change, advance_lockstep
-from .monitor import replication_rngs, run_single
+from .errors import ConfigError
+from .monitor import Monitor, RunRecord, Scenario, replication_rngs, run_single
 
 __all__ = [
     "CellResult",
@@ -33,9 +29,6 @@ __all__ = [
     "replay_monitor",
     "emit_outputs",
 ]
-
-# Errors that fail one grid cell instead of the whole sweep.
-CELL_ERRORS = (NumericalError, RuntimeError, np.linalg.LinAlgError)
 
 RESULT_COLUMNS = ("scenario", "policy", "f", "ADD", "SDD", "n_reps", "censored", "h")
 
@@ -75,35 +68,24 @@ class ResultTable:
 def run_scenario(scenario: Scenario, workers: int = 1) -> ResultTable:
     """One table cell per change spec, `replications` runs each.
 
-    Replications run in lockstep blocks (see _block) as large as
-    calibration's, and with workers > 1 a process pool takes whole blocks.
-    Each cell's samples join in replication order up to its first error, so
-    the table equals running each cell on its own, replication by
-    replication, whatever the block size or worker count.  A failed cell
-    records the error of its first failing replication; the others go on.
+    The runs are calibration.run_blocks's, whose `workers` processes take
+    whole blocks; the table equals running each cell on its own, replication
+    by replication.  A failed cell records the error of its first failing
+    replication; the others go on.
     """
     require_control_limit(scenario)
-    samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
-    reps, size = range(scenario.replications), _ic_block_size(scenario)
-
-    def jobs():
-        # Drawn as blocks run here, to leave out failed cells; a pool draws all.
-        for start in range(0, len(reps), size):
-            if live := [i for i, error in enumerate(errors) if error is None]:
-                yield scenario, reps[start : start + size], live
-
-    _join(samples, errors, map_blocks(_block, jobs(), workers))
     cells = []
-    for change, cell_samples, error in zip(scenario.changes, samples, errors):
-        stats = dict(add=None, sdd=None, n_reps=0, censored=None, error=error)
-        if error is None:
-            try:
-                est = estimate_add(cell_samples, change.tau)
-                stats = dict(
-                    add=est.add, sdd=est.sdd, n_reps=est.n_used, censored=est.censored_fraction
-                )
-            except CELL_ERRORS as exc:
-                stats["error"] = str(exc)
+    runs = run_blocks(scenario, STREAM_EVALUATION, _run_length, workers)
+    for change, (samples, error) in zip(scenario.changes, runs):
+        try:
+            if error is not None:
+                raise error
+            est = estimate_add(samples, change.tau)
+            stats = dict(
+                add=est.add, sdd=est.sdd, n_reps=est.n_used, censored=est.censored_fraction
+            )
+        except CELL_ERRORS as exc:
+            stats = dict(add=None, sdd=None, n_reps=0, censored=None, error=str(exc))
         cells.append(
             CellResult(
                 scenario=scenario.name,
@@ -116,53 +98,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ResultTable:
     return ResultTable(cells)
 
 
-def _join(samples: list, errors: list, blocks) -> None:
-    """Add blocks' samples and errors, in order, to the cells without an error."""
-    for block_samples, block_errors in blocks:
-        for i, error in enumerate(errors):
-            if error is None:
-                samples[i] += block_samples[i]
-                errors[i] = block_errors[i]
-
-
-def _block(args) -> tuple:
-    """Samples and errors, per cell of the sweep, of a block of replications
-    of the given cells (the other cells get none).
-
-    The block advances in lockstep over the rows before the cells' earliest
-    change point; then per cell, the monitors that have not alarmed fork
-    and advance in lockstep, each over its stream under the cell's change.
-    A failed block runs its replications alone, cell by cell.
-    """
-    scenario, reps, cells = args
-    samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
-    total = scenario.n0 + scenario.horizon_cap
-    shared = int(min([scenario.n0 + scenario.changes[i].tau for i in cells] + [total]))
-    # Alone, an error names the replication and step; a block's is dropped.
-    advance = advance_lockstep if len(reps) > 1 else lambda mons, rows: mons[0].advance(rows[0])
-    try:
-        with replication_errors(scenario, STREAM_EVALUATION, reps[0]):
-            rngs = [replication_rngs(scenario.seed, STREAM_EVALUATION, rep) for rep in reps]
-            ic = ChangeSpec.none(scenario.model.q)
-            streams = [SimulatedStream(scenario.model, ic, total, sim) for sim, _ in rngs]
-            monitors = [Monitor(scenario, mask_rng) for _, mask_rng in rngs]
-            advance(monitors, [stream.rows(shared) for stream in streams])
-            going = [r for r, mon in enumerate(monitors) if mon.alarm_time is None]
-            for i in cells:
-                runs = [mon.fork() if mon.alarm_time is None else mon for mon in monitors]
-                change = absolute_change(scenario, scenario.changes[i])
-                own = [streams[r].fork(change).rows(total - shared) for r in going]
-                if going:
-                    advance([runs[r] for r in going], own)
-                samples[i] = [RunLengthSample.of(scenario, run.alarm_time) for run in runs]
-    except CELL_ERRORS as exc:
-        samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
-        if len(reps) == len(cells) == 1:
-            errors[cells[0]] = str(exc)
-        else:
-            alone = ((scenario, [rep], [i]) for rep in reps for i in cells if errors[i] is None)
-            _join(samples, errors, map(_block, alone))
-    return samples, errors
+def _run_length(monitor: Monitor) -> RunLengthSample:
+    """A sweep's outcome of a run (a function, so that a pool pickles it)."""
+    return RunLengthSample.of(monitor.scenario, monitor.alarm_time)
 
 
 def _parse_csv_matrix(path) -> np.ndarray:

@@ -161,10 +161,7 @@ class Monitor:
     def advance(self, rows) -> None:
         """Consume rows; stop after the first alarm (T_n > h), if it comes.
         A NumericalError names the absolute step."""
-        try:
-            advance_lockstep([self], [rows])
-        except NumericalError as exc:
-            raise NumericalError(f"absolute step {self.t_abs}: {exc}") from exc
+        advance_lockstep([self], [rows])
 
     def _filter(self, row) -> StepOutput:
         """Filter the next row through the decided mask."""
@@ -219,8 +216,9 @@ def advance_lockstep(monitors: list, streams: list) -> None:
     all that go on with one `_next_mask` call.  A monitor leaves the block,
     taking its detector row and scan, when it alarms or its stream ends.  A
     mask left pending by an alarm is decided when the monitor's next row
-    comes.  Each monitor's results equal those of advancing it alone, which
-    is how to find the monitor that raised a NumericalError.
+    comes.  A NumericalError names the block's absolute step.  Each
+    monitor's results equal those of advancing it alone, which is how to
+    find the monitor that raised it.
     """
     scenario = monitors[0].scenario
     params, n0, m2 = scenario.model, scenario.n0, scenario.window.m2
@@ -229,26 +227,31 @@ def advance_lockstep(monitors: list, streams: list) -> None:
     for mon in monitors:
         mon.det = mon.scan = None  # lent to the block until the monitor leaves
     mons, iters = list(monitors), [iter(stream) for stream in streams]
-    while mons:
-        rows = [next(it, None) for it in iters]
-        if any(row is None for row in rows):
-            mons, iters, det, scan = _leave(mons, iters, det, scan, [row is None for row in rows])
-            rows = [row for row in rows if row is not None]
-            if not mons:
-                break
-        pending = [r for r, mon in enumerate(mons) if mon.mask is None]
-        if pending:
-            _next_mask(mons, scan, det, pending)
-        det.push_step(make_step_term([mon._filter(row) for mon, row in zip(mons, rows)], params.C))
-        # Until the first scan, the block's scan stays its monitors' initial
-        # ScanResult.none.
-        t_abs = mons[0].t_abs
-        if t_abs >= n0 and t_abs > m2 + 1:
-            scan = det.scan()
-        alarms = [mon._note(scan, r) for r, mon in enumerate(mons)]
-        if any(alarms):
-            mons, iters, det, scan = _leave(mons, iters, det, scan, alarms)
-        _next_mask(mons, scan, det, range(len(mons)))
+    try:
+        while mons:
+            rows = [next(it, None) for it in iters]
+            ended = [row is None for row in rows]
+            if any(ended):
+                mons, iters, det, scan = _leave(mons, iters, det, scan, ended)
+                rows = [row for row in rows if row is not None]
+                if not mons:
+                    break
+            pending = [r for r, mon in enumerate(mons) if mon.mask is None]
+            if pending:
+                _next_mask(mons, scan, det, pending)
+            outs = [mon._filter(row) for mon, row in zip(mons, rows)]
+            det.push_step(make_step_term(outs, params.C))
+            # Until the first scan, the block's scan stays its monitors' initial
+            # ScanResult.none.
+            t_abs = mons[0].t_abs
+            if t_abs >= n0 and t_abs > m2 + 1:
+                scan = det.scan()
+            alarms = [mon._note(scan, r) for r, mon in enumerate(mons)]
+            if any(alarms):
+                mons, iters, det, scan = _leave(mons, iters, det, scan, alarms)
+            _next_mask(mons, scan, det, range(len(mons)))
+    except NumericalError as exc:
+        raise NumericalError(f"absolute step {mons[0].t_abs}: {exc}") from exc
 
 
 def _leave(monitors: list, iters: list, det: Detector, scan: ScanResult, gone: list) -> tuple:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pocpd.calibration as calibration
+import pocpd.monitor
 import pocpd.sampler as sampler
 from pocpd.calibration import (
     STREAM_CALIBRATION,
@@ -266,18 +267,22 @@ def test_numerical_failure_names_its_source():
     scenario = replace(scenario, model=model)
     with pytest.raises(
         NumericalError,
-        match=r"seed 9, stream lane 2, replication 3, absolute step 1: .*singular",
+        match=r"^seed 9, stream lane 2, replication 3, absolute step 1: "
+        r"innovation covariance singular at step t=1 \(mask \(\d, \d\)\)$",
     ):
         run_once(scenario, ChangeSpec.none(2), 3, stream_id=STREAM_EVALUATION)
 
 
-def bench_arm(model, m, kind, horizon):
-    """An in-control benchmark arm with a short warm-up, and its spec."""
+def bench_arm(model, m, kind, horizon, grid=False):
+    """An in-control benchmark arm with a short warm-up, and its spec; with
+    `grid`, the scenario keeps its shift grid, which calibration ignores."""
     if kind == "random":
         policy = Policy(kind="random")
     else:
         policy = Policy(kind=kind, alpha=DEFAULT_ALPHA_SCHEDULE)
-    scenario = replace(built_in_scenario(model, m=m, policy=policy, seed=5), n0=10, changes=())
+    scenario = replace(built_in_scenario(model, m=m, policy=policy, seed=5), n0=10)
+    if not grid:
+        scenario = replace(scenario, changes=())
     spec = CalibrationSpec(
         target_add_ic=horizon / 5, replications=100, horizon_cap=horizon, seed=5
     )
@@ -323,8 +328,9 @@ class TestLockstepBlocks:
             ("bench-p10", 3, "e_aucrss", 20),
             ("bench-p10", 3, "aucrss", 10),
             ("bench-p30", 2, "e_aucrss", 10),
+            ("bench-p10", 2, "e_aucrss", 20, "grid"),
         ],
-        ids=lambda arm: f"{arm[0]}-m{arm[1]}-{arm[2]}",
+        ids=lambda arm: "-".join([arm[0], f"m{arm[1]}", arm[2], *arm[4:]]),
     )
     def test_equals_run_single_loop(self, arm):
         got = ic_trajectories(*bench_arm(*arm))
@@ -383,6 +389,30 @@ class TestLockstepBlocks:
             match=rf"^seed 5, stream lane 1, replication {rep}, absolute step {step}: "
             r"UCR score of candidate 1 is not finite$",
         ):
+            ic_trajectories(scenario, spec)
+
+    def test_first_failing_replication_raises_its_error(self, monkeypatch):
+        """Replications 9 and 11 of the second block of 7 fail in the filter,
+        11 sooner than 9: the error of 9, the first to fail in replication
+        order, is raised, with its type and message."""
+        monkeypatch.setattr(calibration, "IC_BLOCK", 7)
+        scenario, spec = bench_arm(*self.GREEDY)
+        base = replace(scenario, horizon_cap=spec.horizon_cap)
+        ic = ChangeSpec.none(base.model.q)
+        rows = {}  # (replication, absolute step): the row it reads at that step
+        for rep, step in [(9, 20), (11, 5)]:
+            sim_rng, _ = replication_rngs(spec.seed, STREAM_CALIBRATION, rep)
+            rows[rep, step] = simulate_run_stream(base, ic, sim_rng)[step - 1]
+        filter_step = pocpd.monitor.filter_step
+
+        def failing(state, params, mask, y_obs):
+            for (rep, step), row in rows.items():
+                if state.t + 1 == step and np.array_equal(y_obs, row[list(mask.indices)]):
+                    raise np.linalg.LinAlgError(f"injected into replication {rep}")
+            return filter_step(state, params, mask, y_obs)
+
+        monkeypatch.setattr(pocpd.monitor, "filter_step", failing)
+        with pytest.raises(np.linalg.LinAlgError, match=r"^injected into replication 9$"):
             ic_trajectories(scenario, spec)
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from pocpd.harness import (
 )
 from pocpd.model import ChangeSpec, ModelParams, SimulatedStream, simulate_stream
 from pocpd.detector import WindowConfig
-from pocpd.monitor import POLICY_NAMES, Policy, Scenario, replication_rngs
+from pocpd.monitor import POLICY_NAMES, Policy, Scenario, replication_rngs, simulate_run_stream
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -188,6 +189,16 @@ class TestSharedPrefix:
         ]
         assert run_scenario(scenario).cells == want.cells
 
+    def test_no_cell_changes_before_the_horizon(self):
+        """The shared prefix is the whole run: no cell forks."""
+        scenario = replace(
+            self.scenario(h=8.0, replications=12),
+            changes=(ChangeSpec.none(2), shift(60, 1.0, 0.0)),
+        )
+        want = cell_by_cell(scenario)
+        assert want.cells[0].error is None
+        assert run_scenario(scenario).cells == want.cells
+
 
 class TestSharedPrefixInBlocks(TestSharedPrefix):
     """The same cases in lockstep blocks of one, of 7 and of more than the
@@ -227,6 +238,29 @@ def test_poisoned_fork_fails_its_cell_only(monkeypatch):
     got = run_scenario(scenario).cells
     assert got[:2] == want.cells[:2]
     assert got[2].error == "seed 17, stream lane 2, replication 3, absolute step 10: injected"
+
+
+def test_failing_filter_in_a_block_names_one_step(monkeypatch):
+    """A NumericalError of replication 3's filter after the fork, in the
+    middle of a block of 7: its cell gets the message of running the
+    replications one by one, with one absolute step."""
+    monkeypatch.setattr(pocpd.calibration, "IC_BLOCK", 7)
+    scenario = replace(
+        mini_scenario(h=12.0, replications=10),
+        changes=(ChangeSpec.none(2), shift(2, 1.0, 0.0)),
+    )
+    # The row replication 3 reads under the shift at absolute step 11, the
+    # first after the fork (the shared prefix is n0 + tau = 10 rows).
+    sim_rng, _ = replication_rngs(scenario.seed, STREAM_EVALUATION, 3)
+    row = simulate_run_stream(scenario, scenario.changes[1], sim_rng)[10]
+    fail_filter_step(monkeypatch, lambda state, y: state.t == 10 and set(y) <= set(row))
+    want = cell_by_cell(scenario)
+    assert re.match(
+        r"^seed 17, stream lane 2, replication 3, absolute step 11: injected$",
+        want.cells[1].error,
+    )
+    assert want.cells[0].error is None
+    assert run_scenario(scenario).cells == want.cells
 
 
 class TestIngestCsv:
