@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -397,8 +397,14 @@ def select_greedy(inputs: UcrInputs, m: int):
 def select_random(p: int, m: int, rng: np.random.Generator) -> ObservationMask:
     """Uniform draw over all C(p, m) index subsets."""
     _check_subset_size(m, p)
-    idx = np.sort(rng.choice(p, size=m, replace=False))
-    return ObservationMask(indices=tuple(int(i) for i in idx), p=p)
+    return _mask(p, tuple(sorted(rng.choice(p, size=m, replace=False).tolist())))
+
+
+# Random draws repeat few masks (45 on bench-p10 at m = 2), so each is built
+# and validated once; masks are frozen, so the draws can share them.
+@lru_cache(maxsize=4096)
+def _mask(p: int, indices: tuple) -> ObservationMask:
+    return ObservationMask(indices=indices, p=p)
 
 
 def _check_subset_size(m: int, p: int) -> None:

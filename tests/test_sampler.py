@@ -359,6 +359,16 @@ class TestSelectRandom:
         stat = float(((observed - n / 3) ** 2 / (n / 3)).sum())
         assert 1 - chi2.cdf(stat, 2) > 0.01
 
+    @pytest.mark.parametrize("p, m", [(10, 1), (10, 2), (30, 2), (30, 3)])
+    def test_draws_equal_sorted_choice(self, p, m):
+        """The masks are np.sort(rng.choice(p, m, replace=False)) of a twin
+        generator, and both generators end in the same state."""
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(2000):
+            want = np.sort(twin.choice(p, size=m, replace=False))
+            assert select_random(p, m, rng) == ObservationMask(tuple(want), p)
+        assert rng.random() == twin.random()
+
 
 # ---------------------------------------------------------------------------
 # Frozen reference scorer.  The arithmetic of the UCR scorer is pinned to the
