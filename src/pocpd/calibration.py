@@ -1,7 +1,7 @@
 """Run-length estimation, control-limit search and the Monte-Carlo engine.
 
 `run_blocks`, the one Monte-Carlo engine, runs a scenario's replications in
-lockstep blocks (`monitor.advance_lockstep`), one sampler call per step for
+lockstep blocks (one `monitor.Monitor` each), one sampler call per step for
 a block's decisions.  Sweeps read each run's length from it and calibration
 each run's statistic trajectory: `ic_trajectories` is its single in-control
 cell without a control limit.  The control limit h is found by bisection on
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CalibrationError, NumericalError
 from .model import ChangeSpec, SimulatedStream
-from .monitor import Monitor, Scenario, absolute_change, advance_lockstep, replication_rngs
+from .monitor import Monitor, RunRecord, Scenario, absolute_change, replication_rngs
 from .monitor import run_single, simulate_run_stream
 
 __all__ = [
@@ -186,11 +186,12 @@ def _block_size(scenario: Scenario) -> int:
 
 
 def run_blocks(scenario: Scenario, lane: int, outcome, workers: int = 1) -> list:
-    """Per change of the scenario: outcome(monitor) of each replication, on
-    stream `lane`, up to the cell's first error, and that error (or None).
-    Replications run in lockstep blocks (_block) of _block_size, which a
-    pool of `workers` processes takes whole (`outcome` must then pickle);
-    outcomes join in replication order, so none depends on either."""
+    """Per change of the scenario: outcome(scenario, record) of each
+    replication's RunRecord, on stream `lane`, up to the cell's first error,
+    and that error (or None).  Replications run in lockstep blocks (_block,
+    one Monitor each) of _block_size, which a pool of `workers` processes
+    takes whole (`outcome` must then pickle); outcomes join in replication
+    order, so none depends on either."""
     samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
     reps, size = range(scenario.replications), _block_size(scenario)
 
@@ -219,10 +220,10 @@ def _join(samples: list, errors: list, blocks) -> None:
 
 def _block(args) -> tuple:
     """Outcomes and errors, per cell, of a block of replications of the
-    given cells (the other cells get none).  The block advances in lockstep
+    given cells (the other cells get none).  One Monitor advances the block
     over the rows before the cells' earliest change point (or horizon); then
-    the monitors that have not alarmed fork per cell and advance in
-    lockstep under its change.  A failed block runs its replications alone,
+    it forks per cell, and the fork's rows that have not alarmed advance
+    under the cell's change.  A failed block runs its replications alone,
     cell by cell, where an error names its seed, lane, replication and step.
     """
     (scenario, lane, outcome), reps, cells = args
@@ -234,17 +235,15 @@ def _block(args) -> tuple:
             rngs = [replication_rngs(scenario.seed, lane, rep) for rep in reps]
             ic = ChangeSpec.none(scenario.model.q)
             streams = [SimulatedStream(scenario.model, ic, total, sim) for sim, _ in rngs]
-            monitors = [Monitor(scenario, mask_rng) for _, mask_rng in rngs]
-            advance_lockstep(monitors, [stream.rows(shared) for stream in streams])
-            going = [r for r, mon in enumerate(monitors) if mon.alarm_time is None]
+            block = Monitor(scenario, [mask_rng for _, mask_rng in rngs])
+            block.advance([stream.rows(shared) for stream in streams])
             for i in cells:
-                runs = monitors
-                if going and shared < total:
-                    runs = [mon.fork() if mon.alarm_time is None else mon for mon in monitors]
+                run = block
+                if block.live and shared < total:
+                    run = block.fork()
                     change = absolute_change(scenario, scenario.changes[i])
-                    own = [streams[r].fork(change).rows(total - shared) for r in going]
-                    advance_lockstep([runs[r] for r in going], own)
-                samples[i] = [outcome(run) for run in runs]
+                    run.advance([streams[r].fork(change).rows(total - shared) for r in block.live])
+                samples[i] = [outcome(scenario, record) for record in run.records()]
     except CELL_ERRORS as exc:
         samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
         if len(reps) == len(cells) == 1:
@@ -255,9 +254,9 @@ def _block(args) -> tuple:
     return samples, errors
 
 
-def _trajectory(monitor: Monitor) -> np.ndarray:
+def _trajectory(scenario: Scenario, record: RunRecord) -> np.ndarray:
     """Calibration's outcome of a run (a function, so that a pool pickles it)."""
-    return np.array(monitor.t_stats)
+    return record.t_stats
 
 
 def ic_trajectories(scenario: Scenario, spec: CalibrationSpec) -> np.ndarray:

@@ -130,16 +130,6 @@ class ScanResult:
         return cls(np.zeros(rows), (None,) * rows, np.full((rows, q), np.nan),
                    np.full((rows, q, q), np.nan))
 
-    @classmethod
-    def concat(cls, scans: list) -> "ScanResult":
-        """The rows of stacks, in order, as one stack."""
-        return cls(
-            np.concatenate([s.t_stat for s in scans]),
-            sum((s.tau_hat for s in scans), ()),
-            np.concatenate([s.f_hat for s in scans]),
-            np.concatenate([s.sigma_f for s in scans]),
-        )
-
     def take(self, rows: list) -> "ScanResult":
         """The given rows of a stack, as a stack."""
         tau_hat = tuple(self.tau_hat[r] for r in rows)
@@ -196,26 +186,13 @@ class Detector:
         self._a_prev: np.ndarray | None = None
         self.n = 0  # time of the last pushed step
 
-    @classmethod
-    def concat(cls, detectors: list) -> "Detector":
-        """A copy of the rows of stacks at one step, in order, as one stack."""
-        steps = sorted({det.n for det in detectors})
-        if len(steps) > 1:
-            raise ValueError(f"stacked detectors must be at the same step, got n = {steps}")
-        return detectors[0]._with_rows(
-            lambda a: np.concatenate([getattr(d, a) for d in detectors])
-        )
-
     def take(self, rows: list) -> "Detector":
         """A copy of the given rows of a stack, as a stack."""
-        return self._with_rows(lambda a: getattr(self, a)[rows])
-
-    def _with_rows(self, rows_of) -> "Detector":
         stack = copy.copy(self)
         for a in ("_G", "_s", "_M", "_lo", "_hi", "_a_prev"):
             if getattr(self, a) is not None:
-                setattr(stack, a, rows_of(a))
-        stack._k, stack.rows = self._k.copy(), len(stack._lo)
+                setattr(stack, a, getattr(self, a)[rows])
+        stack._k, stack.rows = self._k.copy(), len(rows)
         return stack
 
     def push_step(self, term: StepTerm) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from .calibration import CELL_ERRORS, STREAM_EVALUATION, RunLengthSample, estimate_add, run_blocks
 from .calibration import require_control_limit, run_once  # run_once: a traced lookup site
 from .errors import ConfigError
-from .monitor import Monitor, RunRecord, Scenario, replication_rngs, run_single
+from .monitor import RunRecord, Scenario, replication_rngs, run_single
 
 __all__ = [
     "CellResult",
@@ -98,9 +98,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ResultTable:
     return ResultTable(cells)
 
 
-def _run_length(monitor: Monitor) -> RunLengthSample:
+def _run_length(scenario: Scenario, record: RunRecord) -> RunLengthSample:
     """A sweep's outcome of a run (a function, so that a pool pickles it)."""
-    return RunLengthSample.of(monitor.scenario, monitor.alarm_time)
+    return RunLengthSample.of(scenario, record.alarm_time)
 
 
 def _parse_csv_matrix(path) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Monitoring loop: filter -> detector -> alarm -> next subset.
+"""Monitoring loop: filter -> detector -> alarm -> next subset, run by one
+`Monitor` for a lockstep block of streams (one stream is the block of one).
 
 Time bookkeeping: a run consists of n0 warm-up steps with random subsets
 followed by monitored steps.  Monitoring step n (n = 1, 2, ...) corresponds
@@ -32,7 +33,6 @@ __all__ = [
     "Scenario",
     "RunRecord",
     "Monitor",
-    "advance_lockstep",
     "run_single",
     "replication_rngs",
 ]
@@ -129,140 +129,121 @@ def simulate_run_stream(
     return y
 
 
-class Monitor:
-    """The monitoring loop of one stream, resumable and forkable.
+@dataclass
+class _Row:
+    """One stream of a block: its filter state, mask generator and next
+    mask (None while the decision after an alarm is pending), and its record
+    so far (as in RunRecord)."""
 
-    Each step has two phases.  The observe phase filters the row through the
-    decided mask, folds the step into the detector and scans; scanning and
-    alarms start after the n0 random warm-up steps.  The decide phase then
-    picks the next step's mask: the policy's choice from this scan, or a
-    random one during warm-up.  A monitor is one row of a lockstep block:
-    its detector and last scan are stacks of one, which `advance_lockstep`
-    joins into the block's stacks, pushes and scans once per step for the
-    whole block, and hands back when the monitor leaves the block.
-    `advance` is the block of one.
+    state: object
+    mask_rng: object
+    mask: ObservationMask | None
+    t_stats: list
+    masks: list
+    alarm_time: int | None = None
+    tau_hat: int | None = None
+    f_hat: np.ndarray | None = None
+
+
+class Monitor:
+    """The monitoring loop of R streams of one scenario, in lockstep:
+    resumable and forkable.  One stream is the block of one.
+
+    Each step has two phases.  The observe phase filters each row through
+    its decided mask, pushes one stacked step term into the block's detector
+    and scans once; scanning and alarms start after the n0 random warm-up
+    steps.  The decide phase then picks the next masks of the rows that go
+    on with one `_next_mask` call: the policy's choice from this scan, or
+    random ones during warm-up.  `live` lists the rows still in the block,
+    whose detector and last scan rows these are.
     """
 
-    def __init__(self, scenario: Scenario, mask_rng):
+    def __init__(self, scenario: Scenario, mask_rngs: list):
         params = scenario.model
         self.scenario = scenario
-        self.state = filter_init(params)
-        self.det = Detector(params.q, scenario.window, rows=1)
-        self.mask_rng = mask_rng
         self.h = scenario.window.h if scenario.window.h is not None else math.inf
-        # The next step's mask; None while the decision after an alarm is pending.
-        self.mask: ObservationMask | None = select_random(params.p, scenario.m, mask_rng)
-        self.scan = ScanResult.none(1, params.q)
+        self.det = Detector(params.q, scenario.window, rows=len(mask_rngs))
+        self.scan = ScanResult.none(len(mask_rngs), params.q)
         self.t_abs = 0
-        self.t_stats: list[float] = []
-        self.masks: list[tuple] = []
-        self.alarm_time = self.tau_hat = self.f_hat = None  # as in RunRecord
+        self.live = list(range(len(mask_rngs)))
+        self._rows = [
+            _Row(filter_init(params), rng, select_random(params.p, scenario.m, rng), [], [])
+            for rng in mask_rngs
+        ]
 
-    def advance(self, rows) -> None:
-        """Consume rows; stop after the first alarm (T_n > h), if it comes.
-        A NumericalError names the absolute step."""
-        advance_lockstep([self], [rows])
+    def advance(self, streams: list, stop_at_alarm: bool = True) -> None:
+        """Advance the live rows in lockstep over their streams, one per live
+        row and all of one length (ValueError otherwise).  With stop_at_alarm
+        a row leaves the block at its first alarm (T_n > h); without, it goes
+        on, and its alarm time stays the first crossing.  A mask left pending
+        by an alarm is decided when the row's next step comes.  A
+        NumericalError names the absolute step; each row's results equal
+        those of advancing it alone, which is how to find the row that
+        raised it."""
+        if len(streams) != len(self.live):
+            raise ValueError(f"{len(streams)} streams for {len(self.live)} live rows")
+        scenario = self.scenario
+        params, n0, m2 = scenario.model, scenario.n0, scenario.window.m2
+        live, iters = [self._rows[i] for i in self.live], [iter(s) for s in streams]
+        try:
+            while live:
+                obs = [next(it, None) for it in iters]
+                ended = sum(y is None for y in obs)
+                if 0 < ended < len(obs):
+                    raise ValueError(f"streams end at different steps: {ended} of "
+                                     f"{len(obs)} after absolute step {self.t_abs}")
+                if ended:
+                    break
+                _next_mask(self, live, [r for r, row in enumerate(live) if row.mask is None])
+                self.t_abs += 1
+                outs = [self._filter(row, y) for row, y in zip(live, obs)]
+                self.det.push_step(make_step_term(outs, params.C))
+                # Until the first scan, the block's scan stays ScanResult.none.
+                if self.t_abs >= n0 and self.t_abs > m2 + 1:
+                    self.scan = self.det.scan()
+                alarms = [self._note(row, r) for r, row in enumerate(live)]
+                going = [r for r, alarm in enumerate(alarms) if not alarm]
+                if stop_at_alarm and len(going) < len(live):
+                    self.det, self.scan = self.det.take(going), self.scan.take(going)
+                    self.live = [self.live[r] for r in going]
+                    live, iters = [live[r] for r in going], [iters[r] for r in going]
+                    going = range(len(live))
+                _next_mask(self, live, going)
+        except NumericalError as exc:
+            raise NumericalError(f"absolute step {self.t_abs}: {exc}") from exc
 
-    def _filter(self, row) -> StepOutput:
-        """Filter the next row through the decided mask."""
-        mask, self.mask = self.mask, None
-        self.t_abs += 1
-        self.masks.append(mask.indices)
-        self.state, out = filter_step(
-            self.state, self.scenario.model, mask, row[list(mask.indices)]
-        )
+    def _filter(self, row: _Row, y) -> StepOutput:
+        """Filter a row's next observation through its decided mask."""
+        mask, row.mask = row.mask, None
+        row.masks.append(mask.indices)
+        row.state, out = filter_step(row.state, self.scenario.model, mask, y[list(mask.indices)])
         return out
 
-    def _note(self, scan: ScanResult, r: int) -> bool:
-        """Record row r of this step's stacked scan; True when it raises the
+    def _note(self, row: _Row, r: int) -> bool:
+        """Record row r of this step's scan; True when it raises the row's
         first alarm."""
         mon = self.t_abs - self.scenario.n0
         if mon < 1:
             return False
-        t_stat = float(scan.t_stat[r])
-        self.t_stats.append(t_stat)
-        if scan.tau_hat[r] is not None:
-            self.tau_hat = scan.tau_hat[r] - self.scenario.n0
-            self.f_hat = scan.f_hat[r]
-        if t_stat > self.h and self.alarm_time is None:
-            self.alarm_time = mon
+        t_stat = float(self.scan.t_stat[r])
+        row.t_stats.append(t_stat)
+        if self.scan.tau_hat[r] is not None:
+            row.tau_hat = self.scan.tau_hat[r] - self.scenario.n0
+            row.f_hat = self.scan.f_hat[r]
+        if t_stat > self.h and row.alarm_time is None:
+            row.alarm_time = mon
             return True
         return False
 
     def fork(self) -> "Monitor":
-        """An independent copy: advancing it leaves this monitor as it is."""
+        """An independent copy: advancing it leaves this block as it is."""
         return copy.deepcopy(self, {id(self.scenario): self.scenario})
 
-    def record(self) -> RunRecord:
-        return RunRecord(
-            t_stats=np.asarray(self.t_stats),
-            alarm_time=self.alarm_time,
-            tau_hat=self.tau_hat,
-            f_hat=self.f_hat,
-            n0=self.scenario.n0,
-            masks=list(self.masks),
-        )
-
-
-def advance_lockstep(monitors: list, streams: list) -> None:
-    """Advance monitors of one scenario, all at the same step, in lockstep,
-    each over the rows of its own stream, until each has raised its first
-    alarm or read all its rows.  Monitors at different steps raise
-    ValueError.
-
-    The block holds one stacked detector and scan for the monitors still in
-    it.  Every step filters each monitor's row, then pushes one stacked step
-    term and makes one scan for the block, then decides the next masks of
-    all that go on with one `_next_mask` call.  A monitor leaves the block,
-    taking its detector row and scan, when it alarms or its stream ends.  A
-    mask left pending by an alarm is decided when the monitor's next row
-    comes.  A NumericalError names the block's absolute step.  Each
-    monitor's results equal those of advancing it alone, which is how to
-    find the monitor that raised it.
-    """
-    scenario = monitors[0].scenario
-    params, n0, m2 = scenario.model, scenario.n0, scenario.window.m2
-    det = Detector.concat([mon.det for mon in monitors])
-    scan = ScanResult.concat([mon.scan for mon in monitors])
-    for mon in monitors:
-        mon.det = mon.scan = None  # lent to the block until the monitor leaves
-    mons, iters = list(monitors), [iter(stream) for stream in streams]
-    try:
-        while mons:
-            rows = [next(it, None) for it in iters]
-            ended = [row is None for row in rows]
-            if any(ended):
-                mons, iters, det, scan = _leave(mons, iters, det, scan, ended)
-                rows = [row for row in rows if row is not None]
-                if not mons:
-                    break
-            pending = [r for r, mon in enumerate(mons) if mon.mask is None]
-            if pending:
-                _next_mask(mons, scan, det, pending)
-            outs = [mon._filter(row) for mon, row in zip(mons, rows)]
-            det.push_step(make_step_term(outs, params.C))
-            # Until the first scan, the block's scan stays its monitors' initial
-            # ScanResult.none.
-            t_abs = mons[0].t_abs
-            if t_abs >= n0 and t_abs > m2 + 1:
-                scan = det.scan()
-            alarms = [mon._note(scan, r) for r, mon in enumerate(mons)]
-            if any(alarms):
-                mons, iters, det, scan = _leave(mons, iters, det, scan, alarms)
-            _next_mask(mons, scan, det, range(len(mons)))
-    except NumericalError as exc:
-        raise NumericalError(f"absolute step {mons[0].t_abs}: {exc}") from exc
-
-
-def _leave(monitors: list, iters: list, det: Detector, scan: ScanResult, gone: list) -> tuple:
-    """Hand the monitors that go their detector rows and scans, and return
-    the block (monitors, row iterators, detector, scan) of those that stay."""
-    for r in np.flatnonzero(gone):
-        monitors[r].det, monitors[r].scan = det.take([r]), scan.take([r])
-    keep = [r for r, g in enumerate(gone) if not g]
-    if not keep:
-        return [], [], None, None
-    return [monitors[r] for r in keep], [iters[r] for r in keep], det.take(keep), scan.take(keep)
+    def records(self) -> list[RunRecord]:
+        """Each row's record so far, in the order of the mask generators."""
+        return [RunRecord(t_stats=np.asarray(row.t_stats), alarm_time=row.alarm_time,
+                          tau_hat=row.tau_hat, f_hat=row.f_hat, n0=self.scenario.n0,
+                          masks=list(row.masks)) for row in self._rows]
 
 
 def check_stream(scenario: Scenario, observations: np.ndarray) -> None:
@@ -284,33 +265,31 @@ def run_single(
     mask_rng,
     stop_at_alarm: bool = True,
 ) -> RunRecord:
-    """Run the monitoring loop over a recorded/simulated stream: the R = 1
-    case of `advance_lockstep`.
+    """Run the monitoring loop over a recorded/simulated stream: the block
+    of one.
 
     With stop_at_alarm=False the run goes on to the end of the stream; the
     alarm time stays the first crossing.
     """
     check_stream(scenario, observations)
-    monitor = Monitor(scenario, mask_rng)
-    monitor.advance(observations)
-    if not stop_at_alarm:
-        monitor.advance(observations[monitor.t_abs :])
-    return monitor.record()
+    monitor = Monitor(scenario, [mask_rng])
+    monitor.advance([observations], stop_at_alarm)
+    return monitor.records()[0]
 
 
-def _next_mask(monitors: list, scan: ScanResult, det: Detector, rows) -> None:
+def _next_mask(block: Monitor, live: list, rows) -> None:
     """The decide phase: the next masks of these rows of a block, whose
-    monitors, stacked scan and stacked detector these are, in one call.
-    Warm-up steps, scans without an estimate and the random policy draw at
-    random; all other decisions go to the UCR sampler as one stack."""
+    live rows these are, in one call.  Warm-up steps, scans without an
+    estimate and the random policy draw at random; all other decisions go to
+    the UCR sampler as one stack."""
     if not rows:
         return
-    scenario = monitors[0].scenario
+    scenario, scan = block.scenario, block.scan
     policy, params = scenario.policy, scenario.model
     ucr = []
     for r in rows:
         if policy.kind == "random" or scan.tau_hat[r] is None:
-            monitors[r].mask = select_random(params.p, scenario.m, monitors[r].mask_rng)
+            live[r].mask = select_random(params.p, scenario.m, live[r].mask_rng)
         else:
             ucr.append(r)
     if not ucr:
@@ -318,11 +297,11 @@ def _next_mask(monitors: list, scan: ScanResult, det: Detector, rows) -> None:
     inputs = UcrInputs(
         f_hat=scan.f_hat[ucr],
         sigma_f=scan.sigma_f[ucr],
-        g_next=det.g_next([scan.tau_hat[r] for r in ucr], ucr),
-        p_pred=np.array([monitors[r].state.p_pred for r in ucr]),
+        g_next=block.det.g_next([scan.tau_hat[r] for r in ucr], ucr),
+        p_pred=np.array([live[r].state.p_pred for r in ucr]),
         params=params,
         alpha=np.array([adaptive_alpha(scan.t_stat[r], policy.alpha) for r in ucr]),
     )
     select = select_exhaustive if policy.kind == "aucrss" else select_greedy
     for r, decision in zip(ucr, select(inputs, scenario.m)):
-        monitors[r].mask = decision.mask
+        live[r].mask = decision.mask

@@ -368,11 +368,11 @@ class TestLockstepBlocks:
         base = replace(scenario, window=replace(scenario.window, h=None),
                        horizon_cap=spec.horizon_cap, seed=spec.seed)
         sim_rng, mask_rng = replication_rngs(spec.seed, STREAM_CALIBRATION, rep)
-        alone = Monitor(base, mask_rng)
+        alone = Monitor(base, [mask_rng])
         stream = simulate_run_stream(base, ChangeSpec.none(base.model.q), sim_rng)
-        alone.advance(stream[: step - 1])
+        alone.advance([stream[: step - 1]])
         calls.clear()
-        alone.advance(stream[step - 1 : step])
+        alone.advance([stream[step - 1 : step]])
         assert len(calls) == 2 and len(calls[-1]) == 1  # two rounds of one decision
         key = calls[-1][0]
 

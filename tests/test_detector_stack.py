@@ -212,7 +212,7 @@ def test_screen_inverts_few_of_the_accepted_candidates(monkeypatch):
         built_in_scenario("bench-p10", policy=Policy(kind="random"), seed=0),
         n0=25, changes=(ChangeSpec.none(7),), replications=25, horizon_cap=50,
     )
-    [(lengths, error)] = run_blocks(scenario, STREAM_CALIBRATION, lambda mon: mon.t_abs)
+    [(lengths, error)] = run_blocks(scenario, STREAM_CALIBRATION, lambda s, rec: len(rec.masks))
     assert error is None and lengths == [75] * 25
     assert len(accepted) == len(inverted) > 0
     assert sum(inverted) <= 0.1 * sum(accepted)
@@ -255,20 +255,21 @@ def test_nan_in_one_row_fails_the_stack():
         stack.scan()
 
 
-def test_concat_and_take_move_rows():
-    """concat joins stacks at one step, take copies rows out of a stack, and
-    stacks at different steps do not join."""
+def test_take_copies_rows():
+    """take copies rows out of a stack: the copy goes on alone and leaves
+    the stack as it is."""
     rng = np.random.default_rng(4)
     window = WindowConfig(m1=6, m2=1)
-    parts = [Detector(3, window, rows=1) for _ in range(3)]
+    stack = Detector(3, window, rows=3)
     for _ in range(5):
-        for det in parts:
-            det.push_step(stacked([random_term(rng, 3, np.eye(3))]))
-    joined = Detector.concat(parts)
-    assert joined.rows == 3 and joined.n == 5
-    alone = joined.take([1])
+        stack.push_step(stacked([random_term(rng, 3, np.eye(3)) for _ in range(3)]))
+    names = ("_G", "_s", "_M", "_lo", "_hi", "_a_prev")
+    before = {name: getattr(stack, name).copy() for name in names}
+    alone = stack.take([1])
+    assert alone.rows == 1 and alone.n == stack.n == 5
+    for name, value in before.items():
+        np.testing.assert_array_equal(getattr(alone, name)[0], value[1])
     alone.push_step(stacked([random_term(rng, 3, np.eye(3))]))
-    for name in ("_G", "_s", "_M", "_lo", "_hi", "_a_prev"):
-        np.testing.assert_array_equal(getattr(joined, name)[1], getattr(parts[1], name)[0])
-    with pytest.raises(ValueError, match="^stacked detectors must be at the same step"):
-        Detector.concat([alone, joined])
+    for name, value in before.items():
+        np.testing.assert_array_equal(getattr(stack, name), value)
+    assert alone.n == 6 and stack.n == 5

@@ -3,19 +3,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pocpd.calibration import STREAM_EVALUATION
+from pocpd.calibration import STREAM_CALIBRATION, STREAM_EVALUATION, run_blocks
 from pocpd.detector import WindowConfig
 from pocpd.model import ChangeSpec, ModelParams
 from pocpd.monitor import (
     Monitor,
-    advance_lockstep,
     Policy,
     Scenario,
     replication_rngs,
     run_single,
     simulate_run_stream,
 )
-from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, benchmark_p10_model, benchmark_p30_model
+from pocpd.scenarios import (
+    DEFAULT_ALPHA_SCHEDULE,
+    benchmark_p10_model,
+    benchmark_p30_model,
+    built_in_scenario,
+)
 
 SHIFT = ChangeSpec(tau=0, f=np.array([1.0, 0.0]))
 
@@ -66,36 +70,47 @@ class TestMonitor:
         obs, rng = stream(s)
         want = run_single(s, obs, rng)
         assert (want.alarm_time is None) == (h is None)
-        monitor = Monitor(s, mask_rng(s))
+        monitor = Monitor(s, [mask_rng(s)])
         for chunk in np.split(obs, [5, 9, 10, 31]):
-            if monitor.alarm_time is not None:
+            if not monitor.live:
                 break
-            monitor.advance(chunk)
-        assert_same_record(monitor.record(), want)
+            monitor.advance([chunk])
+        assert_same_record(monitor.records()[0], want)
 
     def test_advance_stops_at_the_alarm(self):
         s = mini_scenario(6.0)
         obs, rng = stream(s)
-        monitor = Monitor(s, rng)
-        monitor.advance(obs)
-        assert monitor.alarm_time is not None
-        assert monitor.t_abs == s.n0 + monitor.alarm_time < obs.shape[0]
+        monitor = Monitor(s, [rng])
+        monitor.advance([obs])
+        [record] = monitor.records()
+        assert record.alarm_time is not None and monitor.live == []
+        assert monitor.t_abs == s.n0 + record.alarm_time < obs.shape[0]
 
-    @pytest.mark.parametrize("policy_kind", ["random", "e_aucrss"])
-    def test_advancing_a_fork_leaves_the_original(self, policy_kind):
+    @pytest.mark.parametrize(
+        "policy_kind,rows",
+        [
+            pytest.param(kind, rows, id=kind if rows == 1 else f"{kind}-rows{rows}")
+            for rows in (1, 3)
+            for kind in ("random", "e_aucrss")
+        ],
+    )
+    def test_advancing_a_fork_leaves_the_original(self, policy_kind, rows):
+        """Forking copies the whole block: every row of the original and of
+        an unshifted fork equals its run_single, and a shifted fork moves."""
         s = mini_scenario(policy_kind=policy_kind)
-        obs, rng = stream(s)
-        want = run_single(s, obs, rng)
-        monitor = Monitor(s, mask_rng(s))
-        monitor.advance(obs[:20])
+        runs = [stream(s, rep=rep) for rep in range(rows)]
+        want = [run_single(s, obs, rng) for obs, rng in runs]
+        monitor = Monitor(s, [mask_rng(s, rep) for rep in range(rows)])
+        monitor.advance([obs[:20] for obs, _ in runs])
         other = monitor.fork()
-        other.advance(obs[20:] + 1.0)
+        other.advance([obs[20:] + 1.0 for obs, _ in runs])
         same = monitor.fork()
-        same.advance(obs[20:])
-        monitor.advance(obs[20:])
-        assert_same_record(monitor.record(), want)
-        assert_same_record(same.record(), want)
-        assert not np.array_equal(other.record().t_stats, want.t_stats)
+        same.advance([obs[20:] for obs, _ in runs])
+        monitor.advance([obs[20:] for obs, _ in runs])
+        for block in (monitor, same):
+            for got, record in zip(block.records(), want):
+                assert_same_record(got, record)
+        assert not np.array_equal(other.records()[0].t_stats, want[0].t_stats)
 
 
 def test_no_stop_reports_the_first_crossing():
@@ -174,35 +189,71 @@ def dimension_scenario(q, policy_kind):
     ],
 )
 def test_lockstep_equals_separate_runs(policy_kind, q):
-    """A block of monitors over streams of different lengths, some of which
-    alarm early, gives each monitor the record it gets alone: one stacked
-    detector per block observes as one detector per monitor."""
+    """A block over streams of one length, some of whose rows alarm and
+    leave, gives each row the record it gets alone: one stacked detector
+    per block observes as one detector per row."""
     s = dimension_scenario(q, policy_kind)
     runs = [stream(s, change=ChangeSpec.none(q), rep=rep) for rep in range(6)]
-    if q == 2:
-        rows, h = [obs[: 20 + 8 * rep] for rep, (obs, _) in enumerate(runs)], 8.0
-    else:
-        rows = [obs[: s.n0 + 12 + 6 * rep] for rep, (obs, _) in enumerate(runs)]
-        # h between the runs' largest statistics: some monitors alarm, some not.
-        peaks = [run_single(s, rows[rep], mask_rng(s, rep)).t_stats.max() for rep in range(6)]
-        h = float(np.median(peaks))
-    s = replace(s, window=replace(s.window, h=h))
-    monitors = [Monitor(s, mask_rng(s, rep)) for rep in range(6)]
-    advance_lockstep(monitors, rows)
+    rows = [obs[: s.n0 + 40] for obs, _ in runs]
+    # h between the runs' largest statistics: some rows alarm, some not.
+    peaks = [run_single(s, rows[rep], mask_rng(s, rep)).t_stats.max() for rep in range(6)]
+    s = replace(s, window=replace(s.window, h=float(np.median(peaks))))
+    monitor = Monitor(s, [mask_rng(s, rep) for rep in range(6)])
+    monitor.advance(rows)
     alarms = 0
-    for rep, monitor in enumerate(monitors):
+    for rep, got in enumerate(monitor.records()):
         want = run_single(s, rows[rep], mask_rng(s, rep))
-        assert_same_record(monitor.record(), want)
+        assert_same_record(got, want)
         assert want.tau_hat is not None
         alarms += want.alarm_time is not None
     assert 0 < alarms < 6
+    going = [rep for rep, got in enumerate(monitor.records()) if got.alarm_time is None]
+    assert monitor.live == going
 
 
-def test_lockstep_needs_monitors_at_one_step():
+def test_advance_needs_one_stream_per_live_row():
     s = mini_scenario()
     obs, _ = stream(s)
-    ahead, behind = Monitor(s, mask_rng(s, 0)), Monitor(s, mask_rng(s, 1))
-    ahead.advance(obs[:3])
-    message = r"^stacked detectors must be at the same step, got n = \[0, 3\]"
+    monitor = Monitor(s, [mask_rng(s, 0), mask_rng(s, 1)])
+    with pytest.raises(ValueError, match=r"^1 streams for 2 live rows$"):
+        monitor.advance([obs])
+
+
+def test_advance_needs_streams_of_one_length():
+    s = mini_scenario()
+    obs, _ = stream(s)
+    monitor = Monitor(s, [mask_rng(s, 0), mask_rng(s, 1)])
+    message = r"^streams end at different steps: 1 of 2 after absolute step 3$"
     with pytest.raises(ValueError, match=message):
-        advance_lockstep([ahead, behind], [obs[3:], obs])
+        monitor.advance([obs[:3], obs[:5]])
+
+
+def test_block_calls_each_layer_once_per_step(monkeypatch):
+    """A 25-replication bench-p10 in-control block (random policy, n0 10,
+    horizon 10) filters once per replication-step, and makes one step term,
+    one push and one scan per block-step."""
+    import pocpd.monitor as monitor
+
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("filter_step", "make_step_term"):
+        count(monitor, name)
+    for name in ("push_step", "scan"):
+        count(monitor.Detector, name)
+    s = replace(
+        built_in_scenario("bench-p10", policy=Policy(kind="random"), seed=0),
+        n0=10, changes=(ChangeSpec.none(7),), replications=25, horizon_cap=10,
+    )
+    [(lengths, error)] = run_blocks(s, STREAM_CALIBRATION, lambda s, rec: len(rec.masks))
+    assert error is None and lengths == [20] * 25
+    # 20 steps; the scans start at absolute step n0 = 10, as m2 + 2 = 7 < n0.
+    assert calls == {"filter_step": 25 * 20, "make_step_term": 20, "push_step": 20, "scan": 11}
