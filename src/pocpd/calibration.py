@@ -50,9 +50,13 @@ MAX_ITERS = 40
 # call per step scores the decisions of the whole block.  Past a few dozen,
 # larger blocks save no measurable time but hold more monitors in memory: on
 # the ic-p10-greedy benchmark, blocks of 50 raised the peak RSS by 5.6 % and
-# blocks of 25 by 2.5 %, at the same speed.  Exhaustive search scores C(p, m)
-# candidates per decision, so its blocks are smaller (_block_size).
+# blocks of 25 by 2.5 %, at the same speed.
 IC_BLOCK = 25
+
+# The most candidates one sampler call may score, unless one decision scores
+# more (4,060 on bench-p30 at m = 3).  A sweep's block copies its rows once
+# per cell, so its replications and its groups of cells are sized by it.
+CANDIDATE_BUDGET = 1200
 
 # Errors that fail one cell of a scenario instead of the whole run.
 CELL_ERRORS = (NumericalError, RuntimeError, np.linalg.LinAlgError)
@@ -175,31 +179,35 @@ def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:
     )
 
 
-def _block_size(scenario: Scenario) -> int:
-    """Replications per lockstep block: IC_BLOCK, or for exhaustive search
-    as many as score about IC_BLOCK * p candidates per call, the most that
-    IC_BLOCK greedy decisions score (at least one)."""
+def _candidates(scenario: Scenario) -> int:
+    """Candidates a decision scores in one sampler call: C(p, m) subsets for
+    exhaustive search, p in greedy search's first round, none at random."""
     p, m = scenario.model.p, scenario.m
-    if scenario.policy.kind != "aucrss":
-        return IC_BLOCK
-    return max(1, IC_BLOCK * p // math.comb(p, m))
+    return {"aucrss": math.comb(p, m), "e_aucrss": p, "random": 0}[scenario.policy.kind]
+
+
+def _within_budget(candidates: int) -> int:
+    """How many units scoring `candidates` each one sampler call may hold."""
+    return max(1, CANDIDATE_BUDGET // max(1, candidates))
 
 
 def run_blocks(scenario: Scenario, lane: int, outcome, workers: int = 1) -> list:
     """Per change of the scenario: outcome(scenario, record) of each
     replication's RunRecord, on stream `lane`, up to the cell's first error,
-    and that error (or None).  Replications run in lockstep blocks (_block,
-    one Monitor each) of _block_size, which a pool of `workers` processes
+    and that error (or None).  Replications run in lockstep blocks (_block)
+    of IC_BLOCK, or fewer where all cells' decisions would score more than
+    CANDIDATE_BUDGET candidates per call, which a pool of `workers` processes
     takes whole (`outcome` must then pickle); outcomes join in replication
     order, so none depends on either."""
     samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
-    reps, size = range(scenario.replications), _block_size(scenario)
+    per, reps = _candidates(scenario), range(scenario.replications)
+    size = min(IC_BLOCK, _within_budget(per * len(scenario.changes)))
 
     def jobs():
         # Drawn as blocks run here, to leave out failed cells; a pool draws all.
         for start in range(0, len(reps), size):
             if live := [i for i, error in enumerate(errors) if error is None]:
-                yield (scenario, lane, outcome), reps[start : start + size], live
+                yield (scenario, lane, outcome, per), reps[start : start + size], live
 
     if workers == 1:
         _join(samples, errors, map(_block, jobs()))
@@ -222,11 +230,12 @@ def _block(args) -> tuple:
     """Outcomes and errors, per cell, of a block of replications of the
     given cells (the other cells get none).  One Monitor advances the block
     over the rows before the cells' earliest change point (or horizon); then
-    it forks per cell, and the fork's rows that have not alarmed advance
-    under the cell's change.  A failed block runs its replications alone,
-    cell by cell, where an error names its seed, lane, replication and step.
+    its rows that have not alarmed, copied per cell (Monitor.fork), advance
+    as one Monitor, by groups of cells within CANDIDATE_BUDGET.  A failed block
+    runs its replications alone, cell by cell, where an error names its seed,
+    lane, replication and step.
     """
-    (scenario, lane, outcome), reps, cells = args
+    (scenario, lane, outcome, per), reps, cells = args
     samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
     total = scenario.n0 + scenario.horizon_cap
     shared = int(min([scenario.n0 + scenario.changes[i].tau for i in cells] + [total]))
@@ -237,13 +246,17 @@ def _block(args) -> tuple:
             streams = [SimulatedStream(scenario.model, ic, total, sim) for sim, _ in rngs]
             block = Monitor(scenario, [mask_rng for _, mask_rng in rngs])
             block.advance([stream.rows(shared) for stream in streams])
-            for i in cells:
-                run = block
-                if block.live and shared < total:
-                    run = block.fork()
-                    change = absolute_change(scenario, scenario.changes[i])
-                    run.advance([streams[r].fork(change).rows(total - shared) for r in block.live])
-                samples[i] = [outcome(scenario, record) for record in run.records()]
+            live, size = [streams[r] for r in block.live], _within_budget(per * len(reps))
+            for k in range(0, len(cells), size):
+                group = cells[k : k + size]
+                run = block if len(cells) == 1 else block.fork(len(group))
+                if k + size >= len(cells):
+                    block = None  # its stacks go before the last forks advance
+                changes = [absolute_change(scenario, scenario.changes[i]) for i in group]
+                run.advance([s.fork(c).rows(total - shared) for c in changes for s in live])
+                records = iter(run.records())
+                for i in group:
+                    samples[i] = [outcome(scenario, next(records)) for _ in reps]
     except CELL_ERRORS as exc:
         samples, errors = [[] for _ in scenario.changes], [None] * len(scenario.changes)
         if len(reps) == len(cells) == 1:

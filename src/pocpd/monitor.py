@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,9 +235,16 @@ class Monitor:
             return True
         return False
 
-    def fork(self) -> "Monitor":
-        """An independent copy: advancing it leaves this block as it is."""
-        return copy.deepcopy(self, {id(self.scenario): self.scenario})
+    def fork(self, copies: int = 1) -> "Monitor":
+        """`copies` independent copies of the block's R rows as one block:
+        row c * R + i is copy c of row i.  They share the frozen filter
+        states and masks, and f_hat, which is replaced, not written."""
+        other, n, stack = copy.copy(self), len(self._rows), list(range(len(self.live))) * copies
+        other.det, other.scan = self.det.take(stack), self.scan.take(stack)
+        other.live = [c * n + i for c in range(copies) for i in self.live]
+        other._rows = [replace(r, t_stats=list(r.t_stats), masks=list(r.masks),
+                               mask_rng=copy.deepcopy(r.mask_rng)) for r in self._rows * copies]
+        return other
 
     def records(self) -> list[RunRecord]:
         """Each row's record so far, in the order of the mask generators."""

@@ -306,7 +306,8 @@ def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
     scores[tiny] = np.einsum("ri,rnij,rj->rn", f_hat[tiny], om[tiny], f_hat[tiny])
     f_stars[tiny] = f_hat[tiny, None]
     wide, b, bf, f_wide = inputs._whitened
-    scores[wide], f_stars[wide] = _region_max(om[wide], b, bf, f_wide, radius2[wide])
+    om_wide = om if len(wide) == len(om) else om[wide]  # om[wide] copies every matrix
+    scores[wide], f_stars[wide] = _region_max(om_wide, b, bf, f_wide, radius2[wide])
     # argmax would pick a NaN score, and no comparison rejects one.
     if not np.isfinite(scores).all():
         i = np.argwhere(~np.isfinite(scores))[0, 1]
@@ -318,7 +319,9 @@ def _region_max(om, b, bf, f_hat, radius2):
     """_boundary_max_array for a stack of decisions whose regions do not
     vanish, given their whitening (UcrInputs._whitened)."""
     m = b.swapaxes(2, 3) @ om @ b
-    lams, vecs = np.linalg.eigh(0.5 * (m + m.swapaxes(2, 3)))
+    sym = m + m.swapaxes(2, 3)
+    sym *= 0.5
+    lams, vecs = np.linalg.eigh(sym)
     # PSD repair: small negative eigenvalues are rounding noise.  Below
     # -1e-10 some decision may exceed its own threshold; check each.
     if lams.min(initial=0.0) < -1e-10:
@@ -351,7 +354,7 @@ def _best(inputs: UcrInputs, cands: np.ndarray, scores, f_stars):
     f_stars = f_stars.reshape(cands.shape[:2] + (-1,))
     out = [
         SamplingDecision(
-            mask=ObservationMask(indices=cands[r, k].tolist(), p=inputs.params.p),
+            mask=_mask(inputs.params.p, tuple(cands[r, k].tolist())),
             score=float(scores[r, k]),
             f_star=f_stars[r, k],
         )
@@ -366,9 +369,16 @@ def select_exhaustive(inputs: UcrInputs, m: int):
     gives a list of R SamplingDecisions."""
     p = inputs.params.p
     _check_subset_size(m, p)
-    combos = np.array(list(itertools.combinations(range(p), m)), dtype=np.intp)
-    cands = combos[None].repeat(len(inputs._stacked[0]), axis=0)
+    cands = _combinations(p, m)[None].repeat(len(inputs._stacked[0]), axis=0)
     return _best(inputs, cands, *_score_mask_array(cands, inputs))
+
+
+@lru_cache(maxsize=16)
+def _combinations(p: int, m: int) -> np.ndarray:
+    """The C(p, m) index subsets in lexicographic order, (C(p, m), m), read-only."""
+    combos = np.array(list(itertools.combinations(range(p), m)), dtype=np.intp)
+    combos.setflags(write=False)
+    return combos
 
 
 def select_greedy(inputs: UcrInputs, m: int):

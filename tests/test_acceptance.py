@@ -18,8 +18,10 @@ from scipy.stats import chi2
 from pocpd.calibration import (
     STREAM_EVALUATION,
     CalibrationSpec,
+    RunLengthSample,
     calibrate_h,
     ic_trajectories,
+    run_blocks,
     run_once,
 )
 from pocpd.detector import Detector, WindowConfig, make_step_term
@@ -154,17 +156,29 @@ def _shift_change(shift: float) -> ChangeSpec:
     return ChangeSpec(tau=0, f=f)
 
 
+def _alarm_time(scenario: Scenario, record) -> int:
+    return RunLengthSample.of(scenario, record.alarm_time).alarm_time
+
+
+def engine_alarm_times(arm: str, shift: float, replications: int) -> list:
+    """Alarm times of the first replications of one arm + shift from the
+    Monte-Carlo engine's lockstep blocks (one cell, evaluation lane)."""
+    scenario = replace(
+        _arm_scenario(arm, h=arm_h(arm)),
+        changes=(_shift_change(shift),),
+        replications=replications,
+    )
+    [(times, error)] = run_blocks(scenario, STREAM_EVALUATION, _alarm_time)
+    if error is not None:
+        raise error
+    return times
+
+
 def arm_alarm_times(arm: str, shift: float, replications: int) -> np.ndarray:
     """Alarm times (monitoring clock, censored at cap) for one arm + shift."""
 
     def compute():
-        scenario = replace(_arm_scenario(arm, h=arm_h(arm)), replications=replications)
-        change = _shift_change(shift)
-        times = [
-            run_once(scenario, change, rep, stream_id=STREAM_EVALUATION).alarm_time
-            for rep in range(replications)
-        ]
-        return times
+        return engine_alarm_times(arm, shift, replications)
 
     params = {**_arm_params(arm), "shift": shift, "replications": replications}
     return np.asarray(
@@ -209,6 +223,15 @@ class TestCacheRecompute:
             for rep in range(self.N_REPS)
         ]
         np.testing.assert_array_equal(fresh, cached)
+
+    @pytest.mark.parametrize(
+        "arm,shift,replications", [("a2_adaptive", 0.6, 400), ("e2_adaptive", 1.0, 1000)]
+    )
+    def test_engine_gives_the_cached_alarm_times(self, arm, shift, replications):
+        """The engine that fills the cache, in lockstep blocks, gives the
+        cached alarm times too."""
+        cached = arm_alarm_times(arm, shift, replications)[:40]
+        np.testing.assert_array_equal(engine_alarm_times(arm, shift, 40), cached)
 
 
 class TestCriterion1CalibrationFidelity:

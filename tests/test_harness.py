@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -261,6 +262,33 @@ def test_failing_filter_in_a_block_names_one_step(monkeypatch):
     )
     assert want.cells[0].error is None
     assert run_scenario(scenario).cells == want.cells
+
+
+def test_exhaustive_p30_sweep_keeps_the_candidate_budget(monkeypatch):
+    """bench-p30 aucrss at m = 3 scores C(30, 3) = 4,060 candidates per
+    decision, more than CANDIDATE_BUDGET allows one call: a 3-cell sweep
+    advances its forks in groups of cells, so no call scores more than the
+    budget or one decision, and the table equals the per-cell one."""
+    from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, built_in_scenario
+
+    policy = Policy(kind="aucrss", alpha=DEFAULT_ALPHA_SCHEDULE)
+    scenario = replace(
+        built_in_scenario("bench-p30", m=3, policy=policy, h=25.0, magnitudes=(0.0, 0.5, 1.0),
+                          replications=2, horizon_cap=6),
+        n0=10,
+    )
+    want = cell_by_cell(scenario)
+    sizes = []
+    select = pocpd.monitor.select_exhaustive
+
+    def recording(inputs, m):
+        sizes.append(len(inputs._stacked[0]))
+        return select(inputs, m)
+
+    monkeypatch.setattr(pocpd.monitor, "select_exhaustive", recording)
+    assert run_scenario(scenario).cells == want.cells
+    budget = pocpd.calibration.CANDIDATE_BUDGET
+    assert sizes and all(n == 1 or n * math.comb(30, 3) <= budget for n in sizes)
 
 
 class TestIngestCsv:

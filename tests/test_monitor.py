@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pocpd.calibration as calibration
 from pocpd.calibration import STREAM_CALIBRATION, STREAM_EVALUATION, run_blocks
 from pocpd.detector import WindowConfig
 from pocpd.model import ChangeSpec, ModelParams
@@ -257,3 +258,34 @@ def test_block_calls_each_layer_once_per_step(monkeypatch):
     assert error is None and lengths == [20] * 25
     # 20 steps; the scans start at absolute step n0 = 10, as m2 + 2 = 7 < n0.
     assert calls == {"filter_step": 25 * 20, "make_step_term": 20, "push_step": 20, "scan": 11}
+
+
+@pytest.mark.parametrize("block", [3, 7])
+@pytest.mark.parametrize("policy_kind", ["aucrss", "e_aucrss", "random"])
+def test_merged_forks_equal_run_single(monkeypatch, policy_kind, block):
+    """A sweep block advances the forks of all its cells as one Monitor (a
+    change at the prefix's end, one past it and none): each (cell,
+    replication) record equals the replication's run_single under the
+    cell's change."""
+    monkeypatch.setattr(calibration, "IC_BLOCK", block)
+    copies = []
+    fork = Monitor.fork
+
+    def spy(monitor, n=1):
+        copies.append(n)
+        return fork(monitor, n)
+
+    monkeypatch.setattr(Monitor, "fork", spy)
+    changes = (SHIFT, ChangeSpec(tau=6, f=np.array([0.0, 0.8])), ChangeSpec.none(2))
+    s = replace(mini_scenario(h=8.0, policy_kind=policy_kind), changes=changes, replications=10)
+    runs = run_blocks(s, STREAM_EVALUATION, lambda s, record: record)
+    assert set(copies) == {3}  # one fork per block, a copy of its rows per cell
+    alarms = set()
+    for change, (records, error) in zip(changes, runs):
+        assert error is None and len(records) == s.replications
+        for rep, got in enumerate(records):
+            want = run_single(s, *stream(s, change, rep))
+            assert got.t_stats.tobytes() == want.t_stats.tobytes()
+            assert_same_record(got, want)
+            alarms.add(got.alarm_time is None)
+    assert alarms == {True, False}  # some runs alarm, some are censored
