@@ -48,7 +48,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--threads",
         type=int,
         default=argparse.SUPPRESS if suppress else 1,
-        help="worker processes for calibration",
+        help="worker processes for calibration and benchmark sweeps",
     )
 
 
@@ -129,6 +129,8 @@ def cmd_calibrate(cfg: Config, args) -> int:
 
 
 def cmd_benchmark(cfg: Config, args) -> int:
+    if not cfg.arms[0].changes:  # the arms share the grid
+        raise ConfigError("experiment.grid: benchmark needs at least one shift to sweep")
     table = ResultTable([])
     for arm in cfg.arms:
         if arm.window.h is None:

@@ -15,15 +15,15 @@ result is bit for bit that of inverting every accepted candidate.
 
 A detector holds a stack of R streams that advance in lockstep: its ring
 arrays are (R, m1, q, q), (R, m1, q) and (R, m1), and the rows share one
-ring index and n.  One stream is the stack of one: `Detector(q, window)`
-keeps its arrays, terms and scans without the leading axis, and runs the
-same stacked code.  Each row gets the bits it gets alone, because the
-stacked matmul, eigvalsh and inv calls do the per-matrix work of single
-calls, and so does the statistic's einsum over two or more candidates
-(over one, it sums q = 2 in another order; scan handles that case).  Forms
-that look equal can break that: f_hat by np.einsum("rij,rj->ri") moves
-last bits where a stacked matmul keeps them, and a transposed,
-non-contiguous operand can send a stacked matmul off its BLAS path.
+ring index and n.  Its step terms and scans carry the same leading axis,
+and one stream is the stack of R = 1.  Each row gets the bits it gets in a
+stack of one, because the stacked matmul, eigvalsh and inv calls do the
+per-matrix work of single calls, and so does the statistic's einsum over
+two or more candidates (over one, it sums q = 2 in another order; scan
+handles that case).  Forms that look equal can break that: f_hat by
+np.einsum("rij,rj->ri") moves last bits where a stacked matmul keeps them,
+and a transposed, non-contiguous operand can send a stacked matmul off its
+BLAS path.
 """
 
 from __future__ import annotations
@@ -104,25 +104,24 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class StepTerm:
-    """Per-step factors feeding the accumulators, of one stream or, with a
-    leading axis of length R, of a stack."""
+    """Per-step factors feeding the accumulators of a stack of R streams."""
 
-    a_tilde: np.ndarray  # closed-loop transition of this step, (q, q) or (R, q, q)
-    u: np.ndarray  # C_Z' V^{-1} r, (q,) or (R, q)
-    w: np.ndarray  # C_Z' V^{-1} C_Z, (q, q) or (R, q, q)
+    a_tilde: np.ndarray  # closed-loop transition of this step, (R, q, q)
+    u: np.ndarray  # C_Z' V^{-1} r, (R, q)
+    w: np.ndarray  # C_Z' V^{-1} C_Z, (R, q, q)
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One scan.  Of one stream: the statistic, the argmax candidate and its
-    estimate, or (0.0, None, None, None) when no candidate is accepted.  Of a
-    stack of R: t_stat (R,), tau_hat a tuple of R candidates or None, f_hat
-    (R, q) and sigma_f (R, q, q), with 0.0 and NaN in rows without one."""
+    """One scan of a stack of R streams: each row's statistic t_stat (R,),
+    argmax candidate in the tuple tau_hat, and estimate f_hat (R, q) with
+    its covariance sigma_f (R, q, q); a row without an accepted candidate
+    has 0.0, None and NaN."""
 
-    t_stat: float | np.ndarray
-    tau_hat: int | None | tuple
-    f_hat: np.ndarray | None
-    sigma_f: np.ndarray | None
+    t_stat: np.ndarray
+    tau_hat: tuple
+    f_hat: np.ndarray
+    sigma_f: np.ndarray
 
     @classmethod
     def none(cls, rows: int, q: int) -> "ScanResult":
@@ -135,18 +134,11 @@ class ScanResult:
         tau_hat = tuple(self.tau_hat[r] for r in rows)
         return ScanResult(self.t_stat[rows], tau_hat, self.f_hat[rows], self.sigma_f[rows])
 
-    def row(self, r: int) -> "ScanResult":
-        """Row r of a stack, as one stream's scan."""
-        if self.tau_hat[r] is None:
-            return ScanResult(0.0, None, None, None)
-        return ScanResult(float(self.t_stat[r]), self.tau_hat[r], self.f_hat[r], self.sigma_f[r])
 
-
-def make_step_term(out: StepOutput | list, C: np.ndarray) -> StepTerm:
-    """Fold one filter step output, or a list of R of them with masks of one
-    size, into the per-step factors of one stream, or of a stack, reusing
-    the filter's Cholesky factors of V."""
-    outs = [out] if isinstance(out, StepOutput) else out
+def make_step_term(outs: list[StepOutput], C: np.ndarray) -> StepTerm:
+    """Fold the filter step outputs of a stack of R streams, with masks of
+    one size, into the stack's per-step factors, reusing the filter's
+    Cholesky factors of V."""
     c_z = C[[o.mask.indices for o in outs]]  # (R, m, q)
     rhs = np.concatenate([np.array([o.residual for o in outs])[..., None], c_z], axis=-1)
     # One dpotrs per stream solves for r and C_Z together.  Stacking the
@@ -155,33 +147,30 @@ def make_step_term(out: StepOutput | list, C: np.ndarray) -> StepTerm:
     # moves last bits.
     vinv = np.array([dpotrs(o.v_chol, b, lower=1)[0].T for o, b in zip(outs, rhs)])
     czt, vinv = c_z.swapaxes(-1, -2), vinv.swapaxes(-1, -2)
-    term = (np.array([o.a_tilde_used for o in outs]), (czt @ vinv[..., :1])[..., 0],
-            czt @ vinv[..., 1:])
-    return StepTerm(*(t[0] for t in term)) if outs is not out else StepTerm(*term)
+    return StepTerm(np.array([o.a_tilde_used for o in outs]), (czt @ vinv[..., :1])[..., 0],
+                    czt @ vinv[..., 1:])
 
 
 class Detector:
-    """Ring-buffered accumulators over candidate change points of one stream,
-    or of a stack of `rows` streams at the same step.
+    """Ring-buffered accumulators over candidate change points of a stack of
+    `rows` streams at the same step.
 
-    Pure in spirit: steps are pushed strictly in time order, one (stacked)
-    StepTerm per step.
+    Pure in spirit: steps are pushed strictly in time order, one StepTerm
+    per step.
     """
 
-    def __init__(self, q: int, window: WindowConfig, rows: int | None = None):
+    def __init__(self, q: int, window: WindowConfig, rows: int = 1):
         self.window = window
-        self.rows = rows  # None for one stream
-        lead = () if rows is None else (rows,)
         nslots = window.m1  # at most m1 - 1 live candidates
-        self._G = np.zeros(lead + (nslots, q, q))
-        self._s = np.zeros(lead + (nslots, q))
-        self._M = np.zeros(lead + (nslots, q, q))
+        self._G = np.zeros((rows, nslots, q, q))
+        self._s = np.zeros((rows, nslots, q))
+        self._M = np.zeros((rows, nslots, q, q))
         self._k = np.full(nslots, -1, dtype=np.int64)  # shared by the rows
         # Certified eigenvalue bounds of each slot's M: lambda_min(M) >= _lo
         # (M only gains PSD terms, so a past lambda_min stays a lower bound)
         # and lambda_max(M) <= _hi (each term adds at most its trace).
-        self._lo = np.zeros(lead + (nslots,))
-        self._hi = np.zeros(lead + (nslots,))
+        self._lo = np.zeros((rows, nslots))
+        self._hi = np.zeros((rows, nslots))
         self._eye = np.eye(q)
         self._a_prev: np.ndarray | None = None
         self.n = 0  # time of the last pushed step
@@ -192,7 +181,7 @@ class Detector:
         for a in ("_G", "_s", "_M", "_lo", "_hi", "_a_prev"):
             if getattr(self, a) is not None:
                 setattr(stack, a, getattr(self, a)[rows])
-        stack._k, stack.rows = self._k.copy(), len(rows)
+        stack._k = self._k.copy()
         return stack
 
     def push_step(self, term: StepTerm) -> None:
@@ -204,19 +193,13 @@ class Detector:
         values nobody reads until it is reopened.
         """
         n = self.n + 1
-        nslots, q = self._k.shape[0], self._eye.shape[0]
-        rows = self._lo.size // nslots
-        # The arrays with one leading row axis, also for one stream; the
-        # ring arrays as views, so writes go through.  A term with another
-        # number of rows fails to reshape.
-        G = self._G.reshape(rows, nslots, q, q)
-        s, M = self._s.reshape(rows, nslots, q), self._M.reshape(rows, nslots, q, q)
-        lo, hi = self._lo.reshape(rows, nslots), self._hi.reshape(rows, nslots)
+        (rows, nslots), q = self._lo.shape, self._eye.shape[0]
+        # A term with another number of rows fails to reshape.
         u, w = term.u.reshape(rows, 1, q, 1), term.w.reshape(rows, 1, q, q)
         if self._a_prev is not None:
-            G = self._a_prev.reshape(rows, 1, q, q) @ G
-            G += self._eye
-            self._G = G.reshape(self._G.shape)
+            self._G = self._a_prev.reshape(rows, 1, q, q) @ self._G
+            self._G += self._eye
+        G, s, M, lo, hi = self._G, self._s, self._M, self._lo, self._hi
         # Candidate k = n - m1 leaves the window; open k = n - 1 with
         # G(n, n-1) = I.  Its slot held k - m1, already out of the window.
         self._k[n % nslots] = -1
@@ -233,17 +216,16 @@ class Detector:
         self._a_prev = term.a_tilde
         self.n = n
 
-    def g_next(self, k, rows=None) -> np.ndarray:
-        """G(n+1, k) for the sampler's one-step-ahead projection; of a stack,
-        one candidate k per row of `rows`, as (len(rows), q, q)."""
+    def g_next(self, ks: list, rows: list) -> np.ndarray:
+        """G(n+1, k) for the sampler's one-step-ahead projection, one
+        candidate k of `ks` per row of `rows`, as (len(rows), q, q)."""
         if self._a_prev is None:
             raise RuntimeError("no step pushed yet")
-        k = np.asarray(k)
+        k = np.asarray(ks)
         slot = k % self._k.shape[0]
         if (self._k[slot] != k).any():
             raise KeyError(f"candidate k={k} is not live at n={self.n}")
-        lead = () if self.rows is None else (rows,)
-        return self._a_prev[lead] @ self._G[lead + (slot,)] + self._eye
+        return self._a_prev[rows] @ self._G[rows, slot] + self._eye
 
     def scan(self) -> ScanResult:
         """Maximize the GLRT over the window of each row; ties go to the most
@@ -283,9 +265,8 @@ class Detector:
         result.t_stat[hit], result.sigma_f[hit] = stats[pick], sigma_f
         result.f_hat[hit] = (sigma_f @ ss[pick][..., None])[..., 0]
         ks = self._k[slots].tolist() + [None]
-        result = ScanResult(result.t_stat, tuple(map(ks.__getitem__, best.tolist())),
-                            result.f_hat, result.sigma_f)
-        return result if self.rows is not None else result.row(0)
+        return ScanResult(result.t_stat, tuple(map(ks.__getitem__, best.tolist())),
+                          result.f_hat, result.sigma_f)
 
     def _may_win(self, ring: np.ndarray, accepted: np.ndarray) -> np.ndarray:
         """The accepted cells of `_screen`'s layout that may hold their row's
@@ -327,8 +308,8 @@ class Detector:
 
     def _screen(self, slots: np.ndarray) -> tuple:
         """The window slots of every row as (rows, len(slots)) flat indices
-        row * m1 + slot into the rows' rings (for one stream, the slots),
-        and the mask of those whose M passes the RCOND_SKIP eigenvalue test.
+        row * m1 + slot into the rows' rings, and the mask of those whose M
+        passes the RCOND_SKIP eigenvalue test.
 
         Slots whose certified bounds already clear the test are accepted as
         they are; only the rest pay for eigvalsh, which also refreshes their

@@ -97,20 +97,26 @@ def adaptive_alpha(t_stat: float, schedule: AlphaSchedule) -> float:
 
 @dataclass(frozen=True)
 class UcrInputs:
-    """Everything the subset scorer needs at one decision point, or at a
-    stack of R of them: with a leading axis of length R on the arrays and on
-    alpha, row r is decision r.  The scorer reads one decision as a stack of
-    one, scores a stack in one call per greedy round and gives each decision
-    the bits it gets alone."""
+    """Everything the subset scorer needs at a stack of R decision points:
+    row r of every array is decision r, and one decision is the stack of
+    R = 1.  The scorer scores a stack in one call per greedy round and gives
+    each decision the bits it gets in a stack of one."""
 
-    f_hat: np.ndarray  # current shift estimate, (q,) or (R, q)
-    sigma_f: np.ndarray  # its covariance, (q, q) PD, or (R, q, q)
-    g_next: np.ndarray  # one-step-ahead shift propagation, (q, q) or (R, q, q)
-    p_pred: np.ndarray  # one-step-ahead state covariance, (q, q) or (R, q, q)
+    f_hat: np.ndarray  # current shift estimates, (R, q)
+    sigma_f: np.ndarray  # their covariances, (R, q, q), each PD
+    g_next: np.ndarray  # one-step-ahead shift propagation, (R, q, q)
+    p_pred: np.ndarray  # one-step-ahead state covariance, (R, q, q)
     params: ModelParams
-    alpha: float | np.ndarray  # a float, or (R,)
+    alpha: np.ndarray  # (R,)
 
     def __post_init__(self):
+        q = self.params.q
+        for name, tail in (("f_hat", (q,)), ("sigma_f", (q, q)), ("g_next", (q, q)),
+                           ("p_pred", (q, q)), ("alpha", ())):
+            shape = np.shape(getattr(self, name))
+            if shape != np.shape(self.f_hat)[:1] + tail:
+                raise ValueError(f"{name} must be a stack of shape (R,) + {tail}, with R "
+                                 f"decisions as in f_hat, got {shape}")
         alpha = np.asarray(self.alpha)
         if not ((0.0 < alpha) & (alpha < 1.0)).all():
             raise ValueError(f"alpha must be strictly inside (0, 1), got {self.alpha}")
@@ -118,22 +124,9 @@ class UcrInputs:
     # All cached: they do not depend on the subset, and every greedy round
     # scores a new batch with the same inputs.
     @cached_property
-    def radius2(self) -> float | np.ndarray:
-        """chi2_quantile(1 - alpha, q) of each decision."""
+    def radius2(self) -> np.ndarray:
+        """chi2_quantile(1 - alpha, q) of each decision, (R,)."""
         return 2.0 * gammaincinv(self.params.q / 2.0, 1.0 - np.asarray(self.alpha))
-
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, ...]:
-        """f_hat, sigma_f, g_next, p_pred and radius2 as stacks: (R, q),
-        (R, q, q) three times and (R,)."""
-        q = self.params.q
-        return (
-            self.f_hat.reshape(-1, q),
-            self.sigma_f.reshape(-1, q, q),
-            self.g_next.reshape(-1, q, q),
-            self.p_pred.reshape(-1, q, q),
-            np.reshape(self.radius2, -1),
-        )
 
     @cached_property
     def _whitened(self) -> tuple[np.ndarray, ...]:
@@ -141,11 +134,10 @@ class UcrInputs:
         Cholesky factors B of sigma_f, (W, 1, q, q), whitened estimates
         B^{-1} f_hat, (W, 1, q, 1), and f_hat, (W, 1, q), shaped to
         broadcast over candidates."""
-        f_hat, sigma_f, _, _, radius2 = self._stacked
-        wide = np.flatnonzero(radius2 >= _VANISHING_R2)
-        f_hat = f_hat[wide]
+        wide = np.flatnonzero(self.radius2 >= _VANISHING_R2)
+        f_hat = self.f_hat[wide]
         try:
-            b = np.linalg.cholesky(sigma_f[wide])
+            b = np.linalg.cholesky(self.sigma_f[wide])
         except np.linalg.LinAlgError as exc:
             raise NumericalError("sigma_f is not positive definite") from exc
         # B is C-ordered, so this is the LAPACK call solve_triangular(B,
@@ -267,10 +259,12 @@ def _secular_boundary_max(
 
 def solve_ellipsoid_max(
     inputs: UcrInputs, omega_z: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Maximize f' Omega f over the boundary of the confidence ellipsoid."""
-    scores, f_stars = _boundary_max_array(omega_z[None], inputs)
-    return f_stars[0], float(scores[0])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize f' Omega f over the boundary of each decision's confidence
+    ellipsoid, given one Omega per decision, (R, q, q): the maximizers
+    (R, q) and their scores (R,)."""
+    scores, f_stars = _boundary_max_array(omega_z[:, None], inputs)
+    return f_stars[:, 0], scores[:, 0]
 
 
 def _omega_array(
@@ -292,13 +286,9 @@ def _omega_array(
 
 
 def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
-    """Scores and boundary maximizers of projected information matrices:
-    (n, q, q) -> ((n,), (n, q)) for one decision, (R, n, q, q) -> ((R, n),
-    (R, n, q)) for a stack of R."""
-    f_hat, _, _, _, radius2 = inputs._stacked
-    q = f_hat.shape[1]
-    shape = om.shape[:-2]
-    om = om.reshape(len(f_hat), -1, q, q)
+    """Scores and boundary maximizers of projected information matrices,
+    n per decision of a stack of R: (R, n, q, q) -> ((R, n), (R, n, q))."""
+    f_hat, radius2 = inputs.f_hat, inputs.radius2
     scores = np.empty(om.shape[:2])
     f_stars = np.empty(om.shape[:3])
     # A vanished region's maximizer is f_hat itself.
@@ -312,7 +302,7 @@ def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
     if not np.isfinite(scores).all():
         i = np.argwhere(~np.isfinite(scores))[0, 1]
         raise NumericalError(f"UCR score of candidate {i} is not finite")
-    return scores.reshape(shape), f_stars.reshape(shape + (q,))
+    return scores, f_stars
 
 
 def _region_max(om, b, bf, f_hat, radius2):
@@ -340,19 +330,15 @@ def _region_max(om, b, bf, f_hat, radius2):
 
 def _score_mask_array(mask_idx: np.ndarray, inputs: UcrInputs):
     """Scores and boundary maximizers of equal-size subsets, (R, n, m)
-    indices for a stack of R decisions, in the form of `inputs`: ((n,),
-    (n, q)) for one decision, ((R, n), (R, n, q)) for a stack."""
-    _, _, g_next, p_pred, _ = inputs._stacked
-    om = _omega_array(mask_idx, g_next, p_pred, inputs.params)
-    return _boundary_max_array(om.reshape(inputs.f_hat.shape[:-1] + om.shape[1:]), inputs)
+    indices for a stack of R decisions: ((R, n), (R, n, q))."""
+    om = _omega_array(mask_idx, inputs.g_next, inputs.p_pred, inputs.params)
+    return _boundary_max_array(om, inputs)
 
 
 def _best(inputs: UcrInputs, cands: np.ndarray, scores, f_stars):
-    """Each decision's first best of its candidates, (R, n, m): a
-    SamplingDecision, or a list of them for a stack."""
-    scores = scores.reshape(cands.shape[:2])
-    f_stars = f_stars.reshape(cands.shape[:2] + (-1,))
-    out = [
+    """Each decision's first best of its candidates, (R, n, m), as a list of
+    R SamplingDecisions."""
+    return [
         SamplingDecision(
             mask=_mask(inputs.params.p, tuple(cands[r, k].tolist())),
             score=float(scores[r, k]),
@@ -360,16 +346,15 @@ def _best(inputs: UcrInputs, cands: np.ndarray, scores, f_stars):
         )
         for r, k in enumerate(scores.argmax(axis=1))
     ]
-    return out if inputs.f_hat.ndim == 2 else out[0]
 
 
-def select_exhaustive(inputs: UcrInputs, m: int):
-    """Best subset over all C(p, m) masks; ties go to the lexicographically
-    smallest index set (argmax keeps the first).  A stack of R decisions
-    gives a list of R SamplingDecisions."""
+def select_exhaustive(inputs: UcrInputs, m: int) -> list[SamplingDecision]:
+    """Best subset over all C(p, m) masks for each of the R decisions;
+    ties go to the lexicographically smallest index set (argmax keeps the
+    first)."""
     p = inputs.params.p
     _check_subset_size(m, p)
-    cands = _combinations(p, m)[None].repeat(len(inputs._stacked[0]), axis=0)
+    cands = _combinations(p, m)[None].repeat(len(inputs.f_hat), axis=0)
     return _best(inputs, cands, *_score_mask_array(cands, inputs))
 
 
@@ -381,13 +366,13 @@ def _combinations(p: int, m: int) -> np.ndarray:
     return combos
 
 
-def select_greedy(inputs: UcrInputs, m: int):
-    """Grow the subset one index per round, keeping the best extension (the
-    smallest candidate index on ties).  A stack of R decisions gives a list
-    of R SamplingDecisions, with one scorer call per round for all of them."""
+def select_greedy(inputs: UcrInputs, m: int) -> list[SamplingDecision]:
+    """Grow each of the R decisions' subsets one index per round, keeping
+    the best extension (the smallest candidate index on ties), with one
+    scorer call per round for all of them."""
     p = inputs.params.p
     _check_subset_size(m, p)
-    n_dec = len(inputs._stacked[0])
+    n_dec = len(inputs.f_hat)
     decs = np.arange(n_dec)
     taken = np.zeros((n_dec, p), dtype=bool)
     chosen = np.empty((n_dec, 0), dtype=np.intp)
@@ -397,7 +382,7 @@ def select_greedy(inputs: UcrInputs, m: int):
         cands = np.concatenate((chosen[:, None].repeat(p - k, axis=1), pool), axis=2)
         cands.sort(axis=2)
         scores, f_stars = _score_mask_array(cands, inputs)
-        best = scores.reshape(n_dec, -1).argmax(axis=1)
+        best = scores.argmax(axis=1)
         taken[decs, pool[decs, best, 0]] = True
         chosen = cands[decs, best]
     # The last round's best candidate is the chosen set.

@@ -364,14 +364,14 @@ class TestCriterion6EllipsoidOracle:
             A=0.5 * np.eye(2), C=np.eye(2), sigma_q=0.1, sigma_r=0.1
         )
         inputs = UcrInputs(
-            f_hat=np.array([1.0, 0.0]),
-            sigma_f=np.eye(2),
-            g_next=np.eye(2),
-            p_pred=np.eye(2),
+            f_hat=np.array([[1.0, 0.0]]),
+            sigma_f=np.eye(2)[None],
+            g_next=np.eye(2)[None],
+            p_pred=np.eye(2)[None],
             params=params,
-            alpha=1.0 - chi2.cdf(1.0, 2),
+            alpha=np.array([1.0 - chi2.cdf(1.0, 2)]),
         )
-        f_star, score = solve_ellipsoid_max(inputs, np.diag([2.0, 1.0]))
+        (f_star,), (score,) = solve_ellipsoid_max(inputs, np.diag([2.0, 1.0])[None])
         ok = (
             abs(score - 8.0) < 1e-8
             and abs(f_star[0] - 2.0) < 1e-8
@@ -388,8 +388,8 @@ class TestCriterion6EllipsoidOracle:
                 rng, q=q, p=q + 2, alpha=float(rng.uniform(0.05, 0.9))
             )
             mask = select_random(q + 2, int(rng.integers(1, q + 3)), rng)
-            om = omega(mask, inputs.g_next, inputs.p_pred, inputs.params)
-            _, score = solve_ellipsoid_max(inputs, om)
+            om = omega(mask, inputs.g_next[0], inputs.p_pred[0], inputs.params)
+            _, (score,) = solve_ellipsoid_max(inputs, om[None])
             ref = brute_force_boundary_max(inputs, om, n_points=20_000, seed=i)
             # The sampled maximum can only undershoot the true one; a
             # solver value below it is a real failure, a value above it
@@ -469,10 +469,10 @@ class TestCriterion7NullDistribution:
         mask = ObservationMask.full(10)
         for t in range(10):
             state, out = filter_step(state, model, mask, y[t])
-            det.push_step(make_step_term(out, model.C))
+            det.push_step(make_step_term([out], model.C))
         scan = det.scan()
-        assert scan.tau_hat == 0
-        lib_stat = scan.t_stat
+        assert scan.tau_hat == (0,)
+        lib_stat = scan.t_stat[0]
         # One-replication rerun of the batched arithmetic.
         state = filter_init(model)
         x_pred = np.zeros(7)

@@ -459,6 +459,30 @@ class TestCalibrate:
 
 
 class TestBenchmark:
+    def test_empty_grid_exits_2_before_calibrating(self, tmp_path, capsys, monkeypatch):
+        """An empty grid has no cell to sweep: benchmark says so before it
+        calibrates h (unset here) or writes a file, while simulate still
+        writes the in-control stream."""
+        import pocpd.cli
+
+        def no_calibration(*args):
+            raise AssertionError("calibrate_h called")
+
+        monkeypatch.setattr(pocpd.cli, "calibrate_h", no_calibration)
+        doc = mini_config_doc()
+        doc["experiment"]["grid"] = []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out), "benchmark"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: experiment.grid: benchmark needs at least "
+                       "one shift to sweep\n")
+        assert not (out / "results.csv").exists() and not out.exists()
+        argv = ["--config", str(path), "--out", str(out), "simulate", "--horizon", "20"]
+        assert main(argv) == 0
+        assert (out / "stream.csv").exists()
+
     def test_policy_subset_rows(self, tmp_path):
         doc = mini_config_doc()
         doc["policy"] = [{"name": "e_aucrss"}, {"name": "random"}]

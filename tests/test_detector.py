@@ -21,18 +21,20 @@ from conftest import random_stable_model
 
 
 def scalar_term(a_tilde, u, w):
+    """A q = 1 step term of a stack of one."""
     return StepTerm(
-        a_tilde=np.array([[a_tilde]]), u=np.array([u]), w=np.array([[w]])
+        a_tilde=np.array([[[a_tilde]]]), u=np.array([[u]]), w=np.array([[[w]]])
     )
 
 
 def dense_reference(terms, k, n):
-    """Independent dense recomputation of (G, s, M) for candidate k at time n.
+    """Independent dense recomputation of (G, s, M) for candidate k at time n
+    of the stream whose terms are stacks of one.
 
     G(t, k) = sum_{s=k+1}^{t} prod_{l=s}^{t-1} A_l   (empty product = I), built
     directly from the definition rather than the recurrence.
     """
-    q = terms[0].u.shape[0]
+    q = terms[0].u.shape[1]
     s_vec = np.zeros(q)
     m_mat = np.zeros((q, q))
     for t in range(k + 1, n + 1):
@@ -40,11 +42,11 @@ def dense_reference(terms, k, n):
         for start in range(k + 1, t + 1):
             prod = np.eye(q)
             for l in range(start, t):
-                prod = terms[l - 1].a_tilde @ prod
+                prod = terms[l - 1].a_tilde[0] @ prod
             g += prod
         term = terms[t - 1]
-        s_vec += g.T @ term.u
-        m_mat += g.T @ term.w @ g
+        s_vec += g.T @ term.u[0]
+        m_mat += g.T @ term.w[0] @ g
     return s_vec, m_mat
 
 
@@ -66,17 +68,17 @@ class TestWindowConfig:
 
 
 def ring(det: Detector, k: int):
-    """(G, s, M) of live candidate k, read from the ring arrays the way
-    exact_scan reads them."""
+    """(G, s, M) of live candidate k of a stack of one, read from the ring
+    arrays the way exact_scan reads them."""
     (slot,) = np.flatnonzero(det._k == k)
-    return det._G[slot], det._s[slot], det._M[slot]
+    return det._G[0, slot], det._s[0, slot], det._M[0, slot]
 
 
 def pinned_scan(terms, k):
-    """scan() at n = len(terms) with the window pinned to the single
-    candidate k (n - m1 < k < n - m2 leaves only k)."""
+    """scan() of a stack of one at n = len(terms) with the window pinned to
+    the single candidate k (n - m1 < k < n - m2 leaves only k)."""
     n = len(terms)
-    det = Detector(terms[0].u.shape[0], WindowConfig(m1=n - k + 1, m2=n - k - 1))
+    det = Detector(terms[0].u.shape[1], WindowConfig(m1=n - k + 1, m2=n - k - 1))
     for term in terms:
         det.push_step(term)
     return det.scan()
@@ -115,9 +117,9 @@ class TestPushStep:
             det.push_step(scalar_term(0.5, u=1.0, w=1.0))
         # n = 5: valid candidates satisfy k > n - m1 = 2.
         with pytest.raises(KeyError):
-            det.g_next(2)
-        det.g_next(3)
-        det.g_next(4)
+            det.g_next([2], [0])
+        det.g_next([3], [0])
+        det.g_next([4], [0])
 
     def test_matches_dense_reference(self, rng):
         """Incremental ring buffer equals batch recomputation (Eq. oracle)."""
@@ -128,7 +130,7 @@ class TestPushStep:
             a = 0.8 * rng.normal(size=(q, q)) / np.sqrt(q)
             u = rng.normal(size=q)
             b = rng.normal(size=(q, q))
-            terms.append(StepTerm(a_tilde=a, u=u, w=b @ b.T))
+            terms.append(StepTerm(a_tilde=a[None], u=u[None], w=(b @ b.T)[None]))
             det.push_step(terms[-1])
         for k in [0, 3, 7]:
             _, s_vec, m_mat = ring(det, k)
@@ -142,19 +144,20 @@ class TestEstimateShift:
 
     def test_scalar_division(self):
         res = pinned_scan([scalar_term(0.0, u=2.0, w=4.0)], k=0)
-        assert res.f_hat[0] == pytest.approx(0.5)
-        assert res.sigma_f[0, 0] == pytest.approx(0.25)
+        assert res.f_hat[0, 0] == pytest.approx(0.5)
+        assert res.sigma_f[0, 0, 0] == pytest.approx(0.25)
 
     def test_zero_signal(self):
-        term = StepTerm(a_tilde=np.zeros((2, 2)), u=np.zeros(2), w=np.eye(2))
+        term = StepTerm(a_tilde=np.zeros((1, 2, 2)), u=np.zeros((1, 2)), w=np.eye(2)[None])
         res = pinned_scan([term], k=0)
         np.testing.assert_array_equal(res.f_hat, 0.0)
 
     def test_rank_deficient_skipped(self):
         w = np.array([[1.0, 0.0], [0.0, 0.0]])  # rank 1 in q = 2
-        term = StepTerm(a_tilde=np.zeros((2, 2)), u=np.ones(2), w=w)
+        term = StepTerm(a_tilde=np.zeros((1, 2, 2)), u=np.ones((1, 2)), w=w[None])
         res = pinned_scan([term], k=0)
-        assert (res.t_stat, res.tau_hat, res.f_hat, res.sigma_f) == (0.0, None, None, None)
+        assert (res.t_stat[0], res.tau_hat) == (0.0, (None,))
+        assert np.isnan(res.f_hat).all() and np.isnan(res.sigma_f).all()
 
     def test_matches_explicit_formula(self, rng):
         """f_hat equals the dense closed form on a random q=3 instance."""
@@ -164,27 +167,27 @@ class TestEstimateShift:
             a = 0.5 * rng.normal(size=(q, q)) / np.sqrt(q)
             b = rng.normal(size=(q, q + 1))
             terms.append(
-                StepTerm(a_tilde=a, u=rng.normal(size=q), w=b @ b.T)
+                StepTerm(a_tilde=a[None], u=rng.normal(size=q)[None], w=(b @ b.T)[None])
             )
         for k in [0, 4]:
             s_ref, m_ref = dense_reference(terms, k, 10)
             res = pinned_scan(terms, k)
-            assert res.tau_hat == k
-            np.testing.assert_allclose(res.f_hat, np.linalg.solve(m_ref, s_ref), atol=1e-9)
-            np.testing.assert_allclose(res.sigma_f, np.linalg.inv(m_ref), atol=1e-9)
+            assert res.tau_hat == (k,)
+            np.testing.assert_allclose(res.f_hat[0], np.linalg.solve(m_ref, s_ref), atol=1e-9)
+            np.testing.assert_allclose(res.sigma_f[0], np.linalg.inv(m_ref), atol=1e-9)
 
 
 class TestGlrt:
     """The scan statistic at a single pinned candidate."""
 
     def test_zero_signal(self):
-        assert pinned_scan([scalar_term(0.0, u=0.0, w=1.0)], k=0).t_stat == 0.0
+        assert pinned_scan([scalar_term(0.0, u=0.0, w=1.0)], k=0).t_stat[0] == 0.0
 
     def test_scalar_closed_form(self):
         # One step, G = 1, C = 1: l = r^2 / V with r = 0.2, V = 0.04.
         # Then u = r / V = 5.0 and w = 1 / V = 25.0.
         res = pinned_scan([scalar_term(0.0, u=0.2 / 0.04, w=1.0 / 0.04)], k=0)
-        assert res.t_stat == pytest.approx(1.0, rel=1e-12)
+        assert res.t_stat[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_equals_quadratic_form(self, rng):
         terms = []
@@ -192,15 +195,16 @@ class TestGlrt:
             b = rng.normal(size=(2, 2))
             terms.append(
                 StepTerm(
-                    a_tilde=0.3 * rng.normal(size=(2, 2)),
-                    u=rng.normal(size=2),
-                    w=b @ b.T + 0.1 * np.eye(2),
+                    a_tilde=0.3 * rng.normal(size=(2, 2))[None],
+                    u=rng.normal(size=2)[None],
+                    w=(b @ b.T + 0.1 * np.eye(2))[None],
                 )
             )
         res = pinned_scan(terms, k=1)
         _, m_ref = dense_reference(terms, 1, 5)
-        assert res.t_stat == pytest.approx(float(res.f_hat @ m_ref @ res.f_hat), rel=1e-9)
-        assert res.t_stat >= 0
+        f_hat = res.f_hat[0]
+        assert res.t_stat[0] == pytest.approx(float(f_hat @ m_ref @ f_hat), rel=1e-9)
+        assert res.t_stat[0] >= 0
 
 
 class TestScan:
@@ -208,14 +212,15 @@ class TestScan:
         det = Detector(1, WindowConfig(m1=10, m2=3))
         det.push_step(scalar_term(0.0, u=1.0, w=1.0))
         res = det.scan()  # n = 1: no candidate k < n - m2 exists
-        assert (res.t_stat, res.tau_hat, res.f_hat, res.sigma_f) == (0.0, None, None, None)
+        assert (res.t_stat[0], res.tau_hat) == (0.0, (None,))
+        assert np.isnan(res.f_hat).all() and np.isnan(res.sigma_f).all()
 
     def test_zero_signal_no_alarm(self):
         det = Detector(1, WindowConfig(m1=10, m2=0))
         for _ in range(5):
             det.push_step(scalar_term(0.0, u=0.0, w=1.0))
         res = det.scan()
-        assert res.t_stat == 0.0
+        assert res.t_stat[0] == 0.0
         np.testing.assert_array_equal(res.f_hat, 0.0)
 
     def test_argmax_and_threshold(self):
@@ -229,8 +234,8 @@ class TestScan:
         det.push_step(scalar_term(0.0, u=us[1], w=0.5))
         # k=0 sums both u's: s = sqrt(5), m = 1 -> l = 5.  k=1: s = u2.
         res = det.scan()
-        assert res.tau_hat == 0
-        assert res.t_stat == pytest.approx(5.0)
+        assert res.tau_hat == (0,)
+        assert res.t_stat[0] == pytest.approx(5.0)
 
     def test_tie_breaks_to_most_recent(self):
         det = Detector(1, WindowConfig(m1=20, m2=0))
@@ -242,8 +247,8 @@ class TestScan:
         det2.push_step(scalar_term(0.0, u=1.0, w=1.0))
         # k=0: s=2, m=4 -> 1.0 ; k=1: s=1, m=1 -> 1.0  (tie)
         res = det2.scan()
-        assert res.t_stat == pytest.approx(1.0)
-        assert res.tau_hat == 1
+        assert res.t_stat[0] == pytest.approx(1.0)
+        assert res.tau_hat == (1,)
 
     def test_window_bounds_respected(self):
         det = Detector(1, WindowConfig(m1=4, m2=2))
@@ -251,7 +256,7 @@ class TestScan:
             det.push_step(scalar_term(0.0, u=1.0, w=1.0))
         # n = 10: candidates k with 6 < k < 8, i.e. only k = 7.
         res = det.scan()
-        assert res.tau_hat == 7
+        assert res.tau_hat == (7,)
 
     def test_localization_on_simulated_change(self, rng):
         """Median tau-hat lands near the true change under full observation."""
@@ -270,29 +275,39 @@ class TestScan:
             mask = ObservationMask.full(10)
             for t in range(100):
                 state, out = filter_step(state, m, mask, y[t])
-                det.push_step(make_step_term(out, m.C))
+                det.push_step(make_step_term([out], m.C))
             res = det.scan()
-            errs.append(res.tau_hat - tau_true)
+            errs.append(res.tau_hat[0] - tau_true)
         assert abs(float(np.median(errs))) <= 10
 
 
 def exact_scan(det: Detector) -> tuple[np.ndarray, ScanResult]:
-    """Accepted candidates and scan result with the eigenvalue screen run on
-    every candidate of the window: the reference for the certified screen."""
+    """Accepted candidates and scan result of a stack of one with the
+    eigenvalue screen run on every candidate of the window: the reference
+    for the certified screen."""
     n, w = det.n, det.window
-    k = det._k
+    k, (M,), (s,) = det._k, det._M, det._s
     valid = (k > n - w.m1) & (k < n - w.m2) & (k >= 0)
     order = np.argsort(k[valid])
-    ks, Ms, ss = k[valid][order], det._M[valid][order], det._s[valid][order]
+    ks, Ms, ss = k[valid][order], M[valid][order], s[valid][order]
     good = rcond_from_eigvals(np.linalg.eigvalsh(Ms)) >= RCOND_SKIP
     if not np.any(good):
-        return ks[good], ScanResult(0.0, None, None, None)
+        return ks[good], ScanResult.none(1, len(s[0]))
     ks, Ms, ss = ks[good], Ms[good], ss[good]
     inv = np.linalg.inv(Ms)
     stats = np.einsum("ki,kij,kj->k", ss, inv, ss)
     best = np.flatnonzero(stats == stats.max())[-1]
     sigma_f = 0.5 * (inv[best] + inv[best].T)
-    return ks, ScanResult(float(stats[best]), int(ks[best]), sigma_f @ ss[best], sigma_f)
+    return ks, ScanResult(np.array([stats[best]]), (int(ks[best]),), (sigma_f @ ss[best])[None],
+                          sigma_f[None])
+
+
+def assert_scans_equal(got: ScanResult, want: ScanResult) -> None:
+    """Equal scans of a stack: the same candidates, and statistics and
+    estimates equal as by ==, with NaN in the same rows."""
+    assert got.tau_hat == want.tau_hat
+    for name in ("t_stat", "f_hat", "sigma_f"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 @given(
@@ -326,32 +341,26 @@ def test_certified_screen_matches_exact(seed, q, m1, data):
             a = np.zeros((q, q))
         else:
             a = rng.uniform(0.0, 0.9) * rng.normal(size=(q, q)) / np.sqrt(q)
-        det.push_step(StepTerm(a_tilde=a, u=rng.normal(size=q), w=w))
+        det.push_step(StepTerm(a_tilde=a[None], u=rng.normal(size=q)[None], w=w[None]))
         if rng.random() < 0.3:
             continue
         accepted, ref = exact_scan(det)
         ring, screened = det._screen(det._window_slots())
         np.testing.assert_array_equal(det._k[ring[screened]], accepted)
-        res = det.scan()
-        assert (res.t_stat, res.tau_hat) == (ref.t_stat, ref.tau_hat)
-        for got, want in ((res.f_hat, ref.f_hat), (res.sigma_f, ref.sigma_f)):
-            if want is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got, want)
+        assert_scans_equal(det.scan(), ref)
 
 
 def test_certified_bound_follows_growth_of_lambda_max():
     """A term along the strong direction leaves lambda_min where it was and
     pushes rcond below RCOND_SKIP: the stale bound must not accept it."""
     det = Detector(2, WindowConfig(m1=10, m2=0))
-    zero = np.zeros((2, 2))
-    det.push_step(StepTerm(a_tilde=zero, u=np.ones(2), w=np.diag([1.0, 3e-10])))
-    assert det.scan().tau_hat == 0  # rcond 3e-10: accepted, bounds refreshed
-    det.push_step(StepTerm(a_tilde=zero, u=np.ones(2), w=np.diag([10.0, 0.0])))
+    zero = np.zeros((1, 2, 2))
+    det.push_step(StepTerm(a_tilde=zero, u=np.ones((1, 2)), w=np.diag([1.0, 3e-10])[None]))
+    assert det.scan().tau_hat == (0,)  # rcond 3e-10: accepted, bounds refreshed
+    det.push_step(StepTerm(a_tilde=zero, u=np.ones((1, 2)), w=np.diag([10.0, 0.0])[None]))
     accepted, ref = exact_scan(det)
     assert accepted.size == 0  # rcond 2.7e-11 for k = 0, 0 for k = 1
-    assert det.scan() == ref
+    assert_scans_equal(det.scan(), ref)
 
 
 class TestMakeStepTerm:
@@ -361,19 +370,19 @@ class TestMakeStepTerm:
         mask = ObservationMask(indices=(0, 2, 5), p=10)
         y = rng.normal(size=3)
         _, out = filter_step(state, m, mask, y)
-        term = make_step_term(out, m.C)
+        term = make_step_term([out], m.C)
         c_z = m.C[[0, 2, 5], :]
         vinv = np.linalg.inv(out.v_mat)
-        np.testing.assert_allclose(term.u, c_z.T @ vinv @ out.residual, atol=1e-12)
-        np.testing.assert_allclose(term.w, c_z.T @ vinv @ c_z, atol=1e-12)
-        np.testing.assert_array_equal(term.a_tilde, out.a_tilde_used)
+        np.testing.assert_allclose(term.u[0], c_z.T @ vinv @ out.residual, atol=1e-12)
+        np.testing.assert_allclose(term.w[0], c_z.T @ vinv @ c_z, atol=1e-12)
+        np.testing.assert_array_equal(term.a_tilde[0], out.a_tilde_used)
 
 
 def test_g_next_extends_recurrence(rng):
     q = 2
     det = Detector(q, WindowConfig(m1=10, m2=0))
     a_last = 0.4 * rng.normal(size=(q, q))
-    det.push_step(StepTerm(a_tilde=0.2 * np.eye(q), u=np.zeros(q), w=np.eye(q)))
-    det.push_step(StepTerm(a_tilde=a_last, u=np.zeros(q), w=np.eye(q)))
+    det.push_step(StepTerm(a_tilde=0.2 * np.eye(q)[None], u=np.zeros((1, q)), w=np.eye(q)[None]))
+    det.push_step(StepTerm(a_tilde=a_last[None], u=np.zeros((1, q)), w=np.eye(q)[None]))
     g_now = ring(det, 0)[0]
-    np.testing.assert_allclose(det.g_next(0), a_last @ g_now + np.eye(q), atol=1e-12)
+    np.testing.assert_allclose(det.g_next([0], [0])[0], a_last @ g_now + np.eye(q), atol=1e-12)

@@ -1,4 +1,4 @@
-"""A stacked Detector equals one single-stream Detector per row, bit for bit."""
+"""A Detector stack of R rows equals R stacks of one, bit for bit."""
 
 from dataclasses import replace
 
@@ -14,38 +14,36 @@ from pocpd.model import ChangeSpec
 from pocpd.monitor import Policy
 from pocpd.scenarios import built_in_scenario
 
-from test_detector import exact_scan
+from test_detector import assert_scans_equal, exact_scan
 
 
 def stacked(terms: list) -> StepTerm:
-    return StepTerm(*(np.array([getattr(t, f) for t in terms]) for f in ("a_tilde", "u", "w")))
+    """One step term of a stack from the terms of stacks of one."""
+    fields = ("a_tilde", "u", "w")
+    return StepTerm(*(np.concatenate([getattr(t, f) for t in terms]) for f in fields))
 
 
 def random_term(rng, q: int, w=None) -> StepTerm:
-    """A step term whose w, when drawn afresh, has a random rank and rcond on
-    both sides of RCOND_SKIP (as in test_certified_screen_matches_exact)."""
+    """A step term of a stack of one whose w, when drawn afresh, has a random
+    rank and rcond on both sides of RCOND_SKIP (as in
+    test_certified_screen_matches_exact)."""
     if w is None:
         rank = int(rng.integers(0, q + 1))
         b = rng.normal(size=(q, rank)) * 10.0 ** rng.uniform(-6, 0, size=rank)
-        w = 10.0 ** rng.uniform(-3, 3) * (b @ b.T)
+        w = (10.0 ** rng.uniform(-3, 3) * (b @ b.T))[None]
     a = np.zeros((q, q)) if rng.random() < 0.3 else 0.9 * rng.normal(size=(q, q)) / q
-    return StepTerm(a_tilde=a, u=rng.normal(size=q), w=w)
+    return StepTerm(a_tilde=a[None], u=rng.normal(size=q)[None], w=w)
 
 
 def assert_rows_equal(stack: Detector, got, singles: list, wants: list) -> None:
-    """Row r of the stack's scan, ring and bounds equals singles[r]'s."""
+    """Row r of the stack's scan, ring and bounds equals those of the stack
+    of one singles[r]."""
     for r, (det, want) in enumerate(zip(singles, wants)):
-        row = got.row(r)
-        assert (row.t_stat, row.tau_hat) == (want.t_stat, want.tau_hat)
-        for g, w in ((row.f_hat, want.f_hat), (row.sigma_f, want.sigma_f)):
-            if w is None:
-                assert g is None
-            else:
-                np.testing.assert_array_equal(g, w)
-        if want.tau_hat is None:
+        assert_scans_equal(got.take([r]), want)
+        if want.tau_hat == (None,):
             assert got.t_stat[r] == 0.0 and np.isnan(got.f_hat[r]).all()
         for name in ("_G", "_s", "_M", "_lo", "_hi"):
-            np.testing.assert_array_equal(getattr(stack, name)[r], getattr(det, name))
+            np.testing.assert_array_equal(getattr(stack, name)[r], getattr(det, name)[0])
 
 
 @given(
@@ -58,7 +56,7 @@ def assert_rows_equal(stack: Detector, got, singles: list, wants: list) -> None:
 @settings(max_examples=40, deadline=None)
 def test_stack_equals_single_detectors(seed, q, rows, m1, data):
     """Scans, g_next, rings and certified bounds of a stack equal those of
-    one detector per row.  Rows draw their own terms, so some have no
+    one stack of one per row.  Rows draw their own terms, so some have no
     accepted candidate while others do, and the bounds go stale between
     scans on a random subset of steps."""
     m2 = data.draw(st.integers(0, m1 - 1))
@@ -82,20 +80,15 @@ def test_stack_equals_single_detectors(seed, q, rows, m1, data):
         if live:
             g = stack.g_next([got.tau_hat[r] for r in live], live)
             for i, r in enumerate(live):
-                np.testing.assert_array_equal(g[i], singles[r].g_next(got.tau_hat[r]))
+                np.testing.assert_array_equal(g[i], singles[r].g_next([got.tau_hat[r]], [0])[0])
 
 
 def assert_equal_to_exact(scans: list, singles: list) -> None:
-    """Each single-stream scan equals exact_scan (the full-inverse scan) of
-    the detector of its stream."""
+    """Each scan of a stack of one equals exact_scan (the full-inverse scan)
+    of the stack of one of its stream."""
     for got, det in zip(scans, singles, strict=True):
         _, want = exact_scan(det)
-        assert (got.t_stat, got.tau_hat) == (want.t_stat, want.tau_hat)
-        for g, w in ((got.f_hat, want.f_hat), (got.sigma_f, want.sigma_f)):
-            if w is None:
-                assert g is None
-            else:
-                np.testing.assert_array_equal(g, w)
+        assert_scans_equal(got, want)
 
 
 def tie_term(rng, q: int, prev: StepTerm) -> StepTerm:
@@ -103,15 +96,15 @@ def tie_term(rng, q: int, prev: StepTerm) -> StepTerm:
     Transitions are zero, so candidates k - 1 and k differ by the step-k
     term: a zero step ties them exactly, and a step adding (u / 2, w / 8)
     after one adding (u, w) gives them s'M^{-1}s equal but for rounding
-    (3s and 9M against s and M)."""
-    zero = np.zeros((q, q))
+    (3s and 9M against s and M).  Terms are of stacks of one."""
+    zero = np.zeros((1, q, q))
     draw = rng.random()
     if draw < 0.3:
-        return StepTerm(zero, np.zeros(q), zero)
+        return StepTerm(zero, np.zeros((1, q)), zero)
     if draw < 0.6:
         return StepTerm(zero, prev.u / 2, prev.w / 8)
     b = rng.normal(size=(q, q))
-    return StepTerm(zero, rng.normal(size=q), b @ b.T)
+    return StepTerm(zero, rng.normal(size=q)[None], (b @ b.T)[None])
 
 
 @given(
@@ -126,14 +119,14 @@ def tie_term(rng, q: int, prev: StepTerm) -> StepTerm:
 def test_screened_stack_equals_full_inverse_scan(seed, q, rows, m1, ties, data):
     """Each row of a stack's scan, which inverts only the candidates its
     screen keeps, equals the scan that inverts every accepted candidate of
-    one detector fed that row's terms, with and without tie_term's ties."""
+    one stack of one fed that row's terms, with and without tie_term's ties."""
     m2 = data.draw(st.integers(0, m1 - 1))
     steps = data.draw(st.integers(1, 3 * m1))
     rng = np.random.default_rng(seed)
     window = WindowConfig(m1=m1, m2=m2)
     singles = [Detector(q, window) for _ in range(rows)]
     stack = Detector(q, window, rows=rows)
-    terms = [StepTerm(np.zeros((q, q)), np.zeros(q), np.zeros((q, q)))] * rows
+    terms = [StepTerm(np.zeros((1, q, q)), np.zeros((1, q)), np.zeros((1, q, q)))] * rows
     for _ in range(steps):
         if ties:
             terms = [tie_term(rng, q, prev) for prev in terms]
@@ -145,7 +138,7 @@ def test_screened_stack_equals_full_inverse_scan(seed, q, rows, m1, ties, data):
         if rng.random() < 0.3:
             continue
         got = stack.scan()
-        assert_equal_to_exact([got.row(r) for r in range(rows)], singles)
+        assert_equal_to_exact([got.take([r]) for r in range(rows)], singles)
 
 
 @pytest.mark.parametrize("q", [2, 3, 7, 15])
@@ -155,39 +148,40 @@ def test_near_ties_keep_both_candidates(q):
     full-inverse scan.  Without its radius, the screen drops the larger of
     the two in about one row in ten."""
     rng = np.random.default_rng(q)
-    zero, rows = np.zeros((q, q)), 50
+    zero, rows = np.zeros((1, q, q)), 50
     window = WindowConfig(m1=3, m2=0)
     singles = [Detector(q, window) for _ in range(rows)]
     stack = Detector(q, window, rows=rows)
     b = rng.normal(size=(rows, q, q))
-    first = [StepTerm(zero, u, w) for u, w in zip(rng.normal(size=(rows, q)), b @ b.swapaxes(1, 2))]
+    first = [StepTerm(zero, u[None], w[None])
+             for u, w in zip(rng.normal(size=(rows, q)), b @ b.swapaxes(1, 2))]
     for terms in (first, [StepTerm(zero, t.u / 2, t.w / 8) for t in first]):
         for det, term in zip(singles, terms):
             det.push_step(term)
         stack.push_step(stacked(terms))
     got = stack.scan()
     assert all(k is not None for k in got.tau_hat)
-    assert_equal_to_exact([got.row(r) for r in range(rows)], singles)
+    assert_equal_to_exact([got.take([r]) for r in range(rows)], singles)
 
 
 @pytest.mark.parametrize("seed, rows, steps", [(0, None, 4), (7, 2, 2)])
 def test_q2_statistic_takes_the_order_of_its_row_alone(seed, rows, steps):
     """einsum sums a q = 2 statistic in another order over a stack of one
-    candidate.  Seed 0: one detector whose screen keeps one of its accepted
-    candidates at the 4th step; the full-inverse scan sums over all of them.
-    Seed 7: row 0 of a stack has one accepted candidate at the 2nd step,
-    which its full-inverse scan sums alone."""
+    candidate.  Seed 0 (rows None: one stream, the stack of one): a detector
+    whose screen keeps one of its accepted candidates at the 4th step; the
+    full-inverse scan sums over all of them.  Seed 7: row 0 of a stack has
+    one accepted candidate at the 2nd step, which its full-inverse scan sums
+    alone."""
     rng = np.random.default_rng(seed)
     singles = [Detector(2, WindowConfig(m1=6, m2=0)) for _ in range(rows or 1)]
-    stack = Detector(2, WindowConfig(m1=6, m2=0), rows=rows)
+    stack = Detector(2, WindowConfig(m1=6, m2=0), rows=rows or 1)
     for _ in range(steps):
         terms = [random_term(rng, 2) for _ in singles]
         for det, term in zip(singles, terms):
             det.push_step(term)
-        stack.push_step(stacked(terms) if rows else terms[0])
+        stack.push_step(stacked(terms))
         got = stack.scan()
-        assert_equal_to_exact([got] if rows is None else [got.row(r) for r in range(rows)],
-                              singles)
+        assert_equal_to_exact([got.take([r]) for r in range(rows or 1)], singles)
 
 
 def test_screen_inverts_few_of_the_accepted_candidates(monkeypatch):
@@ -221,8 +215,8 @@ def test_screen_inverts_few_of_the_accepted_candidates(monkeypatch):
 def test_ties_go_to_the_most_recent_k_in_each_row():
     """Row 0 ties k = 0 and k = 1 exactly, row 1 prefers k = 0, row 2 has no
     accepted candidate."""
-    q, zero, eye = 3, np.zeros((3, 3)), np.eye(3)
-    e = np.array([1.0, 0.0, 0.0])
+    q, zero, eye = 3, np.zeros((1, 3, 3)), np.eye(3)[None]
+    e = np.array([[1.0, 0.0, 0.0]])
     rows = [
         # k = 0: s = 2e, M = 4I, statistic 1; k = 1: s = e, M = I, statistic 1.
         [StepTerm(zero, e, 3.0 * eye), StepTerm(zero, e, eye)],
@@ -245,11 +239,11 @@ def test_nan_in_one_row_fails_the_stack():
     rng = np.random.default_rng(3)
     stack = Detector(3, WindowConfig(m1=10, m2=0), rows=3)
     for _ in range(4):
-        terms = [random_term(rng, 3, np.eye(3)) for _ in range(3)]
+        terms = [random_term(rng, 3, np.eye(3)[None]) for _ in range(3)]
         stack.push_step(stacked(terms))
     assert all(k is not None for k in stack.scan().tau_hat)
-    terms = [random_term(rng, 3, np.eye(3)) for _ in range(3)]
-    terms[1] = StepTerm(terms[1].a_tilde, np.array([np.nan, 0.0, 0.0]), terms[1].w)
+    terms = [random_term(rng, 3, np.eye(3)[None]) for _ in range(3)]
+    terms[1] = StepTerm(terms[1].a_tilde, np.array([[np.nan, 0.0, 0.0]]), terms[1].w)
     stack.push_step(stacked(terms))
     with pytest.raises(NumericalError, match="^scan statistic is not finite"):
         stack.scan()
@@ -262,14 +256,34 @@ def test_take_copies_rows():
     window = WindowConfig(m1=6, m2=1)
     stack = Detector(3, window, rows=3)
     for _ in range(5):
-        stack.push_step(stacked([random_term(rng, 3, np.eye(3)) for _ in range(3)]))
+        stack.push_step(stacked([random_term(rng, 3, np.eye(3)[None]) for _ in range(3)]))
     names = ("_G", "_s", "_M", "_lo", "_hi", "_a_prev")
     before = {name: getattr(stack, name).copy() for name in names}
     alone = stack.take([1])
-    assert alone.rows == 1 and alone.n == stack.n == 5
+    assert len(alone._lo) == 1 and alone.n == stack.n == 5
     for name, value in before.items():
         np.testing.assert_array_equal(getattr(alone, name)[0], value[1])
-    alone.push_step(stacked([random_term(rng, 3, np.eye(3))]))
+    alone.push_step(stacked([random_term(rng, 3, np.eye(3)[None])]))
     for name, value in before.items():
         np.testing.assert_array_equal(getattr(stack, name), value)
     assert alone.n == 6 and stack.n == 5
+
+
+@pytest.mark.parametrize("pushed", [0, 2])
+def test_term_of_another_row_count_rejected(pushed):
+    """A step term must have the stack's row count: one of a single row
+    does not broadcast over a stack of three, before or after a first step,
+    and a rejected term leaves the stack as it was."""
+    rng = np.random.default_rng(6)
+    stack = Detector(3, WindowConfig(m1=6, m2=1), rows=3)
+    for _ in range(pushed):
+        stack.push_step(stacked([random_term(rng, 3, np.eye(3)[None]) for _ in range(3)]))
+    names = ("_G", "_s", "_M", "_lo", "_hi")
+    before = {name: getattr(stack, name).copy() for name in names}
+    for rows in (1, 2, 4):
+        term = stacked([random_term(rng, 3, np.eye(3)[None]) for _ in range(rows)])
+        with pytest.raises(ValueError, match="cannot reshape"):
+            stack.push_step(term)
+    assert stack.n == pushed
+    for name, value in before.items():
+        np.testing.assert_array_equal(getattr(stack, name), value)

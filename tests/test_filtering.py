@@ -82,9 +82,9 @@ def test_single_factorization_bit_identical(model, m):
         idx = tuple(sorted(rng.choice(model.p, size=m, replace=False).tolist()))
         mask = ObservationMask(indices=idx, p=model.p)
         state, out = filter_step(state, model, mask, y[t, list(idx)])
-        term = make_step_term(out, model.C)
+        term = make_step_term([out], model.C)
         x_ref, p_ref, ref = cho_wrapper_step(x_ref, p_ref, model, mask, y[t, list(idx)])
-        got = (out.a_tilde_used, out.residual, out.v_mat, term.u, term.w)
+        got = (out.a_tilde_used, out.residual, out.v_mat, term.u[0], term.w[0])
         np.testing.assert_array_equal(state.x_pred, x_ref)
         np.testing.assert_array_equal(state.p_pred, p_ref)
         for g, r in zip(got, ref):

@@ -282,7 +282,7 @@ def test_exhaustive_p30_sweep_keeps_the_candidate_budget(monkeypatch):
     select = pocpd.monitor.select_exhaustive
 
     def recording(inputs, m):
-        sizes.append(len(inputs._stacked[0]))
+        sizes.append(len(inputs.f_hat))
         return select(inputs, m)
 
     monkeypatch.setattr(pocpd.monitor, "select_exhaustive", recording)

@@ -25,35 +25,37 @@ from conftest import random_stable_model
 
 
 def make_inputs(rng, q, p, alpha, f_scale=1.0):
-    """Random but well-conditioned solver inputs."""
+    """Random but well-conditioned solver inputs of one decision, as a stack
+    of one."""
     params = random_stable_model(rng, q=q, p=p)
     b = rng.normal(size=(q, q))
     sigma_f = b @ b.T + 0.3 * np.eye(q)
     pb = rng.normal(size=(q, q))
     p_pred = pb @ pb.T + 0.1 * np.eye(q)
     return UcrInputs(
-        f_hat=f_scale * rng.normal(size=q),
-        sigma_f=sigma_f,
-        g_next=rng.normal(size=(q, q)),
-        p_pred=p_pred,
+        f_hat=f_scale * rng.normal(size=q)[None],
+        sigma_f=sigma_f[None],
+        g_next=rng.normal(size=(q, q))[None],
+        p_pred=p_pred[None],
         params=params,
-        alpha=alpha,
+        alpha=np.array([alpha]),
     )
 
 
 def boundary_residual(inputs, f_star):
-    d = f_star - inputs.f_hat
-    return abs(float(d @ np.linalg.solve(inputs.sigma_f, d)) - inputs.radius2)
+    d = f_star - inputs.f_hat[0]
+    return abs(float(d @ np.linalg.solve(inputs.sigma_f[0], d)) - inputs.radius2[0])
 
 
 def brute_force_boundary_max(inputs, omega_z, n_points=20_000, seed=0):
-    """Dense sampling of the ellipsoid boundary (independent oracle)."""
+    """Dense sampling of the ellipsoid boundary of a stack of one decision
+    (independent oracle)."""
     rng = np.random.default_rng(seed)
-    q = len(inputs.f_hat)
+    q = inputs.f_hat.shape[1]
     u = rng.normal(size=(n_points, q))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    l_chol = np.linalg.cholesky(inputs.sigma_f)
-    pts = inputs.f_hat + np.sqrt(inputs.radius2) * u @ l_chol.T
+    l_chol = np.linalg.cholesky(inputs.sigma_f[0])
+    pts = inputs.f_hat[0] + np.sqrt(inputs.radius2[0]) * u @ l_chol.T
     vals = np.einsum("ni,ij,nj->n", pts, omega_z, pts)
     return float(vals.max())
 
@@ -100,6 +102,19 @@ class TestAlphaSchedule:
                 AlphaSchedule(d=d, l=1.0, alpha_min=0.1, alpha_max=0.5)
 
 
+class TestUcrInputs:
+    def test_single_decision_arrays_rejected_by_name(self, rng):
+        """Every array is a stack of R decisions, one decision a stack of
+        one: an array without the leading axis, or with another R than
+        f_hat's, is named."""
+        stack = make_inputs(rng, q=3, p=5, alpha=0.3)
+        for name in ("f_hat", "sigma_f", "g_next", "p_pred", "alpha"):
+            with pytest.raises(ValueError, match=f"^{name} must be a stack of shape"):
+                replace(stack, **{name: getattr(stack, name)[0]})
+        with pytest.raises(ValueError, match=r"^alpha must be a stack .* got \(2,\)$"):
+            replace(stack, alpha=np.array([0.3, 0.3]))
+
+
 class TestOmega:
     def test_zero_rows(self):
         params = ModelParams(
@@ -129,15 +144,15 @@ class TestOmega:
         for _ in range(20):
             inputs = make_inputs(rng, q=3, p=6, alpha=0.3)
             mask = select_random(6, 3, rng)
-            om = omega(mask, inputs.g_next, inputs.p_pred, inputs.params)
+            om = omega(mask, inputs.g_next[0], inputs.p_pred[0], inputs.params)
             c_z = inputs.params.C[list(mask.indices), :]
-            v = c_z @ inputs.p_pred @ c_z.T + inputs.params.sigma_r**2 * np.eye(3)
+            v = c_z @ inputs.p_pred[0] @ c_z.T + inputs.params.sigma_r**2 * np.eye(3)
             ref = (
-                inputs.g_next.T
+                inputs.g_next[0].T
                 @ c_z.T
                 @ np.linalg.inv(v)
                 @ c_z
-                @ inputs.g_next
+                @ inputs.g_next[0]
             )
             np.testing.assert_allclose(om, ref, atol=1e-10)
             assert np.min(np.linalg.eigvalsh(om)) >= -1e-10
@@ -151,35 +166,35 @@ class TestSolveEllipsoidMax:
         )
         alpha = 1.0 - chi2.cdf(1.0, 2)
         return UcrInputs(
-            f_hat=np.array([1.0, 0.0]),
-            sigma_f=np.eye(2),
-            g_next=np.eye(2),
-            p_pred=np.eye(2),
+            f_hat=np.array([[1.0, 0.0]]),
+            sigma_f=np.eye(2)[None],
+            g_next=np.eye(2)[None],
+            p_pred=np.eye(2)[None],
             params=params,
-            alpha=alpha,
+            alpha=np.array([alpha]),
         )
 
     def test_worked_example_exact(self):
         """Known instance: maximizer at f* = (2, 0) with score 8."""
         inputs = self._worked_inputs()
-        assert inputs.radius2 == pytest.approx(1.0, rel=1e-12)
-        f_star, score = solve_ellipsoid_max(inputs, np.diag([2.0, 1.0]))
+        assert inputs.radius2[0] == pytest.approx(1.0, rel=1e-12)
+        (f_star,), (score,) = solve_ellipsoid_max(inputs, np.diag([2.0, 1.0])[None])
         np.testing.assert_allclose(f_star, [2.0, 0.0], atol=1e-8)
         assert score == pytest.approx(8.0, abs=1e-8)
 
     def test_shrunken_region(self, rng):
         inputs = make_inputs(rng, q=3, p=5, alpha=1 - 1e-15)
         om = omega(
-            ObservationMask.full(5), inputs.g_next, inputs.p_pred, inputs.params
+            ObservationMask.full(5), inputs.g_next[0], inputs.p_pred[0], inputs.params
         )
-        f_star, score = solve_ellipsoid_max(inputs, om)
+        (f_star,), (score,) = solve_ellipsoid_max(inputs, om[None])
         # The region radius shrinks to ~1e-5; f* converges to f_hat with it.
-        stretch = np.sqrt(np.linalg.eigvalsh(inputs.sigma_f)[-1])
-        assert np.linalg.norm(f_star - inputs.f_hat) <= 2 * stretch * np.sqrt(
-            inputs.radius2
+        stretch = np.sqrt(np.linalg.eigvalsh(inputs.sigma_f[0])[-1])
+        assert np.linalg.norm(f_star - inputs.f_hat[0]) <= 2 * stretch * np.sqrt(
+            inputs.radius2[0]
         )
         assert score == pytest.approx(
-            float(inputs.f_hat @ om @ inputs.f_hat), rel=1e-3
+            float(inputs.f_hat[0] @ om @ inputs.f_hat[0]), rel=1e-3
         )
 
     def test_brute_force_oracle(self, rng):
@@ -187,23 +202,23 @@ class TestSolveEllipsoidMax:
             q = int(rng.integers(1, 4))
             inputs = make_inputs(rng, q=q, p=q + 2, alpha=float(rng.uniform(0.05, 0.9)))
             mask = select_random(q + 2, int(rng.integers(1, q + 2)), rng)
-            om = omega(mask, inputs.g_next, inputs.p_pred, inputs.params)
-            f_star, score = solve_ellipsoid_max(inputs, om)
+            om = omega(mask, inputs.g_next[0], inputs.p_pred[0], inputs.params)
+            (f_star,), (score,) = solve_ellipsoid_max(inputs, om[None])
             ref = brute_force_boundary_max(inputs, om, seed=i)
             assert score >= ref - 1e-3 * max(ref, 1e-12)
             assert abs(score - ref) <= 2e-3 * max(ref, 1e-12)
-            assert boundary_residual(inputs, f_star) <= 1e-6 * inputs.radius2
+            assert boundary_residual(inputs, f_star) <= 1e-6 * inputs.radius2[0]
 
     def test_zero_estimate_degenerate(self, rng):
         """f_hat = 0: maximizer is the top eigendirection at full radius."""
         inputs = make_inputs(rng, q=3, p=5, alpha=0.3, f_scale=0.0)
         om = omega(
-            ObservationMask.full(5), inputs.g_next, inputs.p_pred, inputs.params
+            ObservationMask.full(5), inputs.g_next[0], inputs.p_pred[0], inputs.params
         )
-        f_star, score = solve_ellipsoid_max(inputs, om)
+        (f_star,), (score,) = solve_ellipsoid_max(inputs, om[None])
         ref = brute_force_boundary_max(inputs, om, seed=99)
         assert score == pytest.approx(ref, rel=2e-3)
-        assert boundary_residual(inputs, f_star) <= 1e-6 * inputs.radius2
+        assert boundary_residual(inputs, f_star) <= 1e-6 * inputs.radius2[0]
 
     def test_orthogonal_top_direction_hard_case(self):
         """Estimate orthogonal to the dominant eigendirection, small radius."""
@@ -212,41 +227,41 @@ class TestSolveEllipsoidMax:
         )
         alpha = 1.0 - chi2.cdf(0.01, 2)  # radius^2 = 0.01
         inputs = UcrInputs(
-            f_hat=np.array([0.0, 1.0]),
-            sigma_f=np.eye(2),
-            g_next=np.eye(2),
-            p_pred=np.eye(2),
+            f_hat=np.array([[0.0, 1.0]]),
+            sigma_f=np.eye(2)[None],
+            g_next=np.eye(2)[None],
+            p_pred=np.eye(2)[None],
             params=params,
-            alpha=alpha,
+            alpha=np.array([alpha]),
         )
         om = np.diag([5.0, 1.0])
-        f_star, score = solve_ellipsoid_max(inputs, om)
+        (f_star,), (score,) = solve_ellipsoid_max(inputs, om[None])
         ref = brute_force_boundary_max(inputs, om, n_points=200_000, seed=5)
         assert score >= ref - 1e-3 * ref
-        assert boundary_residual(inputs, f_star) <= 1e-6 * inputs.radius2
+        assert boundary_residual(inputs, f_star) <= 1e-6 * inputs.radius2[0]
 
     def test_indefinite_sigma_rejected(self, rng):
         inputs = make_inputs(rng, q=2, p=4, alpha=0.3)
-        object.__setattr__(inputs, "sigma_f", -np.eye(2))
+        object.__setattr__(inputs, "sigma_f", -np.eye(2)[None])
         with pytest.raises(NumericalError):
-            solve_ellipsoid_max(inputs, np.eye(2))
+            solve_ellipsoid_max(inputs, np.eye(2)[None])
 
 
 class TestSelectExhaustive:
     def test_full_mask_when_m_equals_p(self, rng):
         inputs = make_inputs(rng, q=2, p=3, alpha=0.3)
-        decision = select_exhaustive(inputs, 3)
+        (decision,) = select_exhaustive(inputs, 3)
         assert decision.mask.indices == (0, 1, 2)
 
     def test_matches_manual_enumeration(self, rng):
         for _ in range(10):
             inputs = make_inputs(rng, q=3, p=6, alpha=0.4)
-            decision = select_exhaustive(inputs, 2)
+            (decision,) = select_exhaustive(inputs, 2)
             best_score, best_mask = -np.inf, None
             for idx in itertools.combinations(range(6), 2):
                 mask = ObservationMask(indices=idx, p=6)
-                om = omega(mask, inputs.g_next, inputs.p_pred, inputs.params)
-                _, score = solve_ellipsoid_max(inputs, om)
+                om = omega(mask, inputs.g_next[0], inputs.p_pred[0], inputs.params)
+                _, (score,) = solve_ellipsoid_max(inputs, om[None])
                 if score > best_score + 1e-12:
                     best_score, best_mask = score, idx
             assert decision.mask.indices == best_mask
@@ -254,8 +269,8 @@ class TestSelectExhaustive:
 
     def test_boundary_feasibility(self, rng):
         inputs = make_inputs(rng, q=3, p=6, alpha=0.2)
-        decision = select_exhaustive(inputs, 2)
-        assert boundary_residual(inputs, decision.f_star) <= 1e-6 * inputs.radius2
+        (decision,) = select_exhaustive(inputs, 2)
+        assert boundary_residual(inputs, decision.f_star) <= 1e-6 * inputs.radius2[0]
 
     def test_bad_m(self, rng):
         inputs = make_inputs(rng, q=2, p=3, alpha=0.3)
@@ -269,16 +284,16 @@ class TestSelectGreedy:
     def test_m1_equals_exhaustive(self, rng):
         for _ in range(10):
             inputs = make_inputs(rng, q=2, p=6, alpha=0.3)
-            g = select_greedy(inputs, 1)
-            e = select_exhaustive(inputs, 1)
+            (g,) = select_greedy(inputs, 1)
+            (e,) = select_exhaustive(inputs, 1)
             assert g.mask.indices == e.mask.indices
             assert g.score == pytest.approx(e.score, rel=1e-10)
 
     def test_never_beats_exhaustive(self, rng):
         for _ in range(100):
             inputs = make_inputs(rng, q=3, p=6, alpha=float(rng.uniform(0.1, 0.8)))
-            g = select_greedy(inputs, 3)
-            e = select_exhaustive(inputs, 3)
+            (g,) = select_greedy(inputs, 3)
+            (e,) = select_exhaustive(inputs, 3)
             assert g.score <= e.score * (1 + 1e-9) + 1e-12
 
     def test_subset_free_work_done_once(self, rng, monkeypatch):
@@ -303,7 +318,7 @@ class TestSelectGreedy:
 
     def test_sigma_f_not_positive_definite(self, rng):
         """Raised on first use, and again on the next: a failure is not cached."""
-        inputs = replace(make_inputs(rng, q=3, p=5, alpha=0.3), sigma_f=-np.eye(3))
+        inputs = replace(make_inputs(rng, q=3, p=5, alpha=0.3), sigma_f=-np.eye(3)[None])
         for _ in range(2):
             with pytest.raises(NumericalError, match="not positive definite"):
                 select_greedy(inputs, 2)
@@ -311,10 +326,10 @@ class TestSelectGreedy:
     def test_vanishing_region_skips_factorization(self, rng):
         """With radius2 < 1e-12 the maximizer is f_hat and sigma_f is never
         factored, so even a non-PD sigma_f scores."""
-        inputs = replace(make_inputs(rng, q=2, p=5, alpha=1 - 1e-15), sigma_f=-np.eye(2))
-        assert inputs.radius2 < 1e-12
-        decision = select_greedy(inputs, 2)
-        np.testing.assert_array_equal(decision.f_star, inputs.f_hat)
+        inputs = replace(make_inputs(rng, q=2, p=5, alpha=1 - 1e-15), sigma_f=-np.eye(2)[None])
+        assert inputs.radius2[0] < 1e-12
+        (decision,) = select_greedy(inputs, 2)
+        np.testing.assert_array_equal(decision.f_star, inputs.f_hat[0])
 
 
 class TestSingularInnovation:
@@ -435,12 +450,12 @@ def _ref_secular_boundary_max(lams, xs, hinv_f, radius2):
 
 
 def _ref_boundary_max_array(om, inputs, hard_rows=None):
-    radius2 = inputs.radius2
-    f_hat = inputs.f_hat
+    """The scorer of a stack of one decision: (1, n, q, q) -> ((1, n), (1, n, q))."""
+    (om,), (radius2,), (f_hat,), (sigma_f,) = om, inputs.radius2, inputs.f_hat, inputs.sigma_f
     if radius2 < 1e-12:
         scores = np.einsum("i,nij,j->n", f_hat, om, f_hat)
-        return scores, np.broadcast_to(f_hat, (len(om), len(f_hat))).copy()
-    b = np.linalg.cholesky(inputs.sigma_f)
+        return scores[None], np.broadcast_to(f_hat, (len(om), len(f_hat))).copy()[None]
+    b = np.linalg.cholesky(sigma_f)
     bf = solve_triangular(b, f_hat, lower=True)
     m = b.T @ om @ b
     lams, vecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
@@ -453,7 +468,7 @@ def _ref_boundary_max_array(om, inputs, hard_rows=None):
     if hard_rows is not None:
         hard_rows.append(hard)
     f_stars = (b @ vecs @ ft[..., None])[..., 0] + f_hat
-    return scores, f_stars
+    return scores[None], f_stars[None]
 
 
 def _psd_stack(rng, n, q, top=None):
@@ -473,24 +488,25 @@ def _psd_stack(rng, n, q, top=None):
 
 
 def _scorer_cases(rng, q):
-    """(label, UcrInputs, om stack) batches for one state dimension q."""
+    """(label, UcrInputs, om stack) batches for one state dimension q: a
+    stack of one decision and its (1, 12, q, q) om."""
     base = make_inputs(rng, q=q, p=q + 3, alpha=0.3)
-    yield "all easy", base, _psd_stack(rng, 12, q)
+    yield "all easy", base, _psd_stack(rng, 12, q)[None]
     # Whitening by sigma_f = I is exact, so an om whose top eigendirection is
     # orthogonal to a small f_hat puts the estimate off the top direction:
     # the hard case, when the rest of the spectrum cannot reach the radius.
     top = np.linalg.qr(rng.normal(size=(q, q)))[0][:, 0]
     f_orth = rng.normal(size=q)
     f_orth = 0.05 * (f_orth - (f_orth @ top) * top)
-    hard_inputs = replace(base, f_hat=f_orth, sigma_f=np.eye(q))
+    hard_inputs = replace(base, f_hat=f_orth[None], sigma_f=np.eye(q)[None])
     mixed = np.concatenate([_psd_stack(rng, 6, q, top=top), _psd_stack(rng, 6, q)])
-    yield "mixed", hard_inputs, mixed[rng.permutation(12)]
-    yield "all hard", hard_inputs, _psd_stack(rng, 12, q, top=top)
-    yield "zero estimate", replace(base, f_hat=np.zeros(q)), _psd_stack(rng, 12, q)
+    yield "mixed", hard_inputs, mixed[rng.permutation(12)][None]
+    yield "all hard", hard_inputs, _psd_stack(rng, 12, q, top=top)[None]
+    yield "zero estimate", replace(base, f_hat=np.zeros((1, q))), _psd_stack(rng, 12, q)[None]
     # For q > 2 no alpha below 1 shrinks radius2 under 1e-12; set it instead.
     vanishing = replace(base)
-    vanishing.__dict__["radius2"] = 1e-13
-    yield "vanishing radius", vanishing, _psd_stack(rng, 12, q)
+    vanishing.__dict__["radius2"] = np.array([1e-13])
+    yield "vanishing radius", vanishing, _psd_stack(rng, 12, q)[None]
 
 
 class TestNonFiniteScores:
@@ -500,11 +516,11 @@ class TestNonFiniteScores:
         import pocpd.sampler as sampler
 
         inputs = make_inputs(rng, q=3, p=6, alpha=0.3)
-        inputs.__dict__["radius2"] = 1e-13  # the closed-form branch
+        inputs.__dict__["radius2"] = np.array([1e-13])  # the closed-form branch
         om = _psd_stack(rng, 3, 3)
         om[1, 0, 0] = np.nan
         with pytest.raises(NumericalError, match="candidate 1 is not finite"):
-            sampler._boundary_max_array(om, inputs)
+            sampler._boundary_max_array(om[None], inputs)
 
     def test_nan_eigenvalue_raises(self, rng, monkeypatch):
         # eigh rejects a NaN omega itself, so the NaN enters at the solve.
@@ -520,44 +536,44 @@ class TestNonFiniteScores:
         monkeypatch.setattr(sampler, "_secular_boundary_max", nan_row_1)
         inputs = make_inputs(rng, q=3, p=6, alpha=0.3)
         with pytest.raises(NumericalError, match="candidate 1 is not finite"):
-            sampler._boundary_max_array(_psd_stack(rng, 3, 3), inputs)
+            sampler._boundary_max_array(_psd_stack(rng, 3, 3)[None], inputs)
         for select, m in ((select_greedy, 2), (select_exhaustive, 2)):
             with pytest.raises(NumericalError, match="is not finite"):
                 select(replace(inputs), m)
 
 
 def _stack(singles):
-    """One stacked UcrInputs from single decisions with the same params."""
+    """One UcrInputs stack from stacks of one decision with the same params."""
     stack = UcrInputs(
-        f_hat=np.array([s.f_hat for s in singles]),
-        sigma_f=np.array([s.sigma_f for s in singles]),
-        g_next=np.array([s.g_next for s in singles]),
-        p_pred=np.array([s.p_pred for s in singles]),
+        f_hat=np.concatenate([s.f_hat for s in singles]),
+        sigma_f=np.concatenate([s.sigma_f for s in singles]),
+        g_next=np.concatenate([s.g_next for s in singles]),
+        p_pred=np.concatenate([s.p_pred for s in singles]),
         params=singles[0].params,
-        alpha=np.array([s.alpha for s in singles]),
+        alpha=np.concatenate([s.alpha for s in singles]),
     )
-    stack.__dict__["radius2"] = np.array([s.radius2 for s in singles])
+    stack.__dict__["radius2"] = np.concatenate([s.radius2 for s in singles])
     return stack
 
 
 def _decision_stack(rng, q, n_dec=7):
-    """Single decisions on one model: random ones, a zero estimate (every
-    candidate on the hard branch) and a vanishing region."""
+    """Decisions on one model, each a stack of one: random ones, a zero
+    estimate (every candidate on the hard branch) and a vanishing region."""
     params = random_stable_model(rng, q=q, p=q + 3)
     singles = [
         replace(make_inputs(rng, q, q + 3, float(rng.uniform(0.05, 0.9))), params=params)
         for _ in range(n_dec)
     ]
-    singles[2] = replace(singles[2], f_hat=np.zeros(q))
+    singles[2] = replace(singles[2], f_hat=np.zeros((1, q)))
     singles[4] = replace(singles[4])
-    singles[4].__dict__["radius2"] = 1e-13
+    singles[4].__dict__["radius2"] = np.array([1e-13])
     return singles
 
 
 class TestStackedDecisions:
     """A stack of R decisions gives each the decision, score and maximizer
-    it gets alone, bit for bit: its Newton iteration stops where it would
-    alone.  A decision that fails fails the stack."""
+    it gets in a stack of one, bit for bit: its Newton iteration stops where
+    it would alone.  A decision that fails fails the stack."""
 
     @pytest.mark.parametrize("q", [3, 7, 15])
     def test_stack_equals_single_decisions(self, rng, q):
@@ -567,7 +583,7 @@ class TestStackedDecisions:
                 got = select(_stack(singles), m)
                 assert len(got) == len(singles)
                 for single, decision in zip(singles, got):
-                    want = select(single, m)
+                    (want,) = select(single, m)
                     assert decision.mask == want.mask
                     assert np.float64(decision.score).tobytes() == np.float64(want.score).tobytes()
                     assert decision.f_star.tobytes() == want.f_star.tobytes()
@@ -575,10 +591,10 @@ class TestStackedDecisions:
     def test_sigma_f_failure_fails_the_stack(self, rng):
         singles = _decision_stack(rng, 3)
         # Decision 4's region vanishes, so its sigma_f is never factored.
-        singles[4] = replace(singles[4], sigma_f=-np.eye(3))
-        singles[4].__dict__["radius2"] = 1e-13
+        singles[4] = replace(singles[4], sigma_f=-np.eye(3)[None])
+        singles[4].__dict__["radius2"] = np.array([1e-13])
         assert len(select_greedy(_stack(singles), 2)) == len(singles)
-        singles[3] = replace(singles[3], sigma_f=-np.eye(3))
+        singles[3] = replace(singles[3], sigma_f=-np.eye(3)[None])
         with pytest.raises(NumericalError, match="not positive definite"):
             select_greedy(_stack(singles), 2)
 
@@ -629,10 +645,10 @@ class TestFrozenReference:
         for _ in range(6):
             inputs = make_inputs(rng, q=q, p=q + 3, alpha=float(rng.uniform(0.05, 0.9)))
             for select, m in ((select_greedy, 3), (select_exhaustive, 2)):
-                got = select(replace(inputs), m)
+                (got,) = select(replace(inputs), m)
                 with monkeypatch.context() as mp:
                     mp.setattr(sampler, "_boundary_max_array", _ref_boundary_max_array)
-                    ref = select(replace(inputs), m)
+                    (ref,) = select(replace(inputs), m)
                 assert got.mask == ref.mask
                 assert np.float64(got.score).tobytes() == np.float64(ref.score).tobytes()
                 assert got.f_star.tobytes() == ref.f_star.tobytes()
