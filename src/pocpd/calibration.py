@@ -25,6 +25,7 @@ from .errors import CalibrationError, NumericalError
 from .model import ChangeSpec, SimulatedStream
 from .monitor import Monitor, RunRecord, Scenario, absolute_change, replication_rngs
 from .monitor import run_single, simulate_run_stream
+from .sampler import distinct_subsets
 
 __all__ = [
     "CalibrationSpec",
@@ -180,10 +181,10 @@ def estimate_add(samples: list[RunLengthSample], tau: float) -> AddEstimate:
 
 
 def _candidates(scenario: Scenario) -> int:
-    """Candidates a decision scores in one sampler call: C(p, m) subsets for
-    exhaustive search, p in greedy search's first round, none at random."""
-    p, m = scenario.model.p, scenario.m
-    return {"aucrss": math.comb(p, m), "e_aucrss": p, "random": 0}[scenario.policy.kind]
+    """Distinct C_Z a decision scores in one sampler call: of the C(p, m)
+    subsets for exhaustive search, of greedy's first round, none at random."""
+    m = {"aucrss": scenario.m, "e_aucrss": 1, "random": 0}[scenario.policy.kind]
+    return m and distinct_subsets(scenario.model, m)
 
 
 def _within_budget(candidates: int) -> int:

@@ -101,6 +101,13 @@ class ModelParams:
         """Stationary state covariance, solved once per parameter set."""
         return _read_only(stationary_covariance(self.A, self.state_cov))
 
+    @cached_property
+    def row_classes(self) -> np.ndarray | None:
+        """Each row of C's first bitwise-equal row, (p,); None if all differ."""
+        first = {}
+        classes = [first.setdefault(row.tobytes(), i) for i, row in enumerate(self.C)]
+        return None if len(first) == self.p else _read_only(np.array(classes, dtype=np.intp))
+
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
 

@@ -20,6 +20,12 @@ OPENBLAS_CORETYPE=Sandybridge the ic-p10-greedy workload misses its seed-0
 reference at full size (achieved_add_ic 9.68 against 10.31) and at tiny
 size (h 4.692 against 4.498); under Haswell the p10 workloads pass, and
 replay-p30-greedy fails under both.
+
+A score depends on Z only through C_Z, its rows of C in index order (V adds
+sigma_r^2 I_m to every subset).  Where rows of C repeat
+(ModelParams.row_classes), a decision scores each distinct C_Z once and the
+other candidates take its score and maximizer, bit for bit: stacked calls do
+per-candidate work, and a copy stops its Newton iteration with its twin.
 """
 
 from __future__ import annotations
@@ -285,19 +291,22 @@ def _omega_array(
     return g_next.transpose(0, 2, 1)[:, None] @ w @ g_next[:, None]
 
 
-def _boundary_max_array(om: np.ndarray, inputs: UcrInputs):
+def _boundary_max_array(om: np.ndarray, inputs: UcrInputs, inverse=None):
     """Scores and boundary maximizers of projected information matrices,
-    n per decision of a stack of R: (R, n, q, q) -> ((R, n), (R, n, q))."""
+    n per decision of a stack of R: (R, n, q, q) -> ((R, n), (R, n, q)), or
+    those of om[r, inverse[r, k]] at (r, k) given inverse, (R, N)."""
     f_hat, radius2 = inputs.f_hat, inputs.radius2
     scores = np.empty(om.shape[:2])
     f_stars = np.empty(om.shape[:3])
     # A vanished region's maximizer is f_hat itself.
-    tiny = np.flatnonzero(radius2 < _VANISHING_R2)
-    scores[tiny] = np.einsum("ri,rnij,rj->rn", f_hat[tiny], om[tiny], f_hat[tiny])
-    f_stars[tiny] = f_hat[tiny, None]
+    if len(tiny := np.flatnonzero(radius2 < _VANISHING_R2)):
+        scores[tiny] = np.einsum("ri,rnij,rj->rn", f_hat[tiny], om[tiny], f_hat[tiny])
+        f_stars[tiny] = f_hat[tiny, None]
     wide, b, bf, f_wide = inputs._whitened
     om_wide = om if len(wide) == len(om) else om[wide]  # om[wide] copies every matrix
     scores[wide], f_stars[wide] = _region_max(om_wide, b, bf, f_wide, radius2[wide])
+    if inverse is not None:
+        scores, f_stars = (a[np.arange(len(a))[:, None], inverse] for a in (scores, f_stars))
     # argmax would pick a NaN score, and no comparison rejects one.
     if not np.isfinite(scores).all():
         i = np.argwhere(~np.isfinite(scores))[0, 1]
@@ -330,9 +339,32 @@ def _region_max(om, b, bf, f_hat, radius2):
 
 def _score_mask_array(mask_idx: np.ndarray, inputs: UcrInputs):
     """Scores and boundary maximizers of equal-size subsets, (R, n, m)
-    indices for a stack of R decisions: ((R, n), (R, n, q))."""
+    indices for a stack of R decisions: ((R, n), (R, n, q)), each distinct
+    C_Z of a decision scored once (padded with its candidate 0)."""
+    classes, inverse = inputs.params.row_classes, None
+    if classes is not None:
+        m = mask_idx.shape[2]
+        first, inverse = map(np.array, zip(*(_distinct(k.tobytes(), m) for k in classes[mask_idx])))
+        mask_idx = np.take_along_axis(mask_idx, first[:, : inverse.max() + 1, None], axis=1)
     om = _omega_array(mask_idx, inputs.g_next, inputs.p_pred, inputs.params)
-    return _boundary_max_array(om, inputs)
+    return _boundary_max_array(om, inputs, inverse)
+
+
+# Bounded: exhaustive search and greedy's first round reuse one key set.
+@lru_cache(maxsize=256)
+def _distinct(keys: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of (n, m) keys, given as bytes, in
+    index order and padded with 0 to n, and each row's position among them."""
+    keys = np.frombuffer(keys, dtype=np.intp).reshape(-1, m)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.pad(first[order], (0, len(keys) - len(first))), np.argsort(order)[inverse.ravel()]
+
+
+def distinct_subsets(params: ModelParams, m: int) -> int:
+    """How many of the C(p, m) subsets the scorer scores: one per distinct C_Z."""
+    classes = np.arange(params.p) if params.row_classes is None else params.row_classes
+    return int(_distinct(classes[_combinations(params.p, m)].tobytes(), m)[1].max()) + 1
 
 
 def _best(inputs: UcrInputs, cands: np.ndarray, scores, f_stars):

@@ -291,6 +291,21 @@ def test_exhaustive_p30_sweep_keeps_the_candidate_budget(monkeypatch):
     assert sizes and all(n == 1 or n * math.comb(30, 3) <= budget for n in sizes)
 
 
+def test_candidate_budget_counts_distinct_subsets():
+    """The budget counts the subsets the scorer scores: bench-p30 repeats
+    15 of its 30 rows of C, so exhaustive search at m = 2 scores 184 of its
+    435 subsets and greedy search's first round 15 of its 30 sensors."""
+    from pocpd.calibration import _candidates
+    from pocpd.scenarios import DEFAULT_ALPHA_SCHEDULE, built_in_scenario
+
+    def candidates(model, kind):
+        alpha = None if kind == "random" else DEFAULT_ALPHA_SCHEDULE
+        return _candidates(built_in_scenario(model, m=2, policy=Policy(kind=kind, alpha=alpha)))
+
+    assert [candidates("bench-p30", kind) for kind in ("aucrss", "e_aucrss", "random")] == [184, 15, 0]
+    assert [candidates("bench-p10", kind) for kind in ("aucrss", "e_aucrss", "random")] == [45, 10, 0]
+
+
 class TestIngestCsv:
     def test_zeros_none(self, tmp_path):
         path = tmp_path / "z.csv"

@@ -615,6 +615,154 @@ class TestStackedDecisions:
             select_exhaustive(_stack(singles), 2)
 
 
+def _planted_model(rng, q=4):
+    """A random model whose C repeats rows: sensors 0, 3, 5 and 8 share one
+    row, 1 and 6 another; the other three are their own."""
+    params = random_stable_model(rng, q=q, p=9)
+    c = params.C.copy()
+    c[[3, 5, 8]] = c[0]
+    c[6] = c[1]
+    return replace(params, C=c)
+
+
+def _without_row_classes(inputs):
+    """The same decisions on a copy of their model that scores every
+    candidate."""
+    params = replace(inputs.params)
+    params.__dict__["row_classes"] = None
+    full = replace(inputs, params=params)
+    full.__dict__["radius2"] = inputs.radius2
+    return full
+
+
+def _greedy_round(rng, p, m, n_dec):
+    """A greedy round's candidates for n_dec decisions, each with its own
+    random chosen set of m - 1 sensors: (n_dec, p - m + 1, m)."""
+    rounds = []
+    for _ in range(n_dec):
+        chosen = rng.choice(p, size=m - 1, replace=False)
+        pool = np.setdiff1d(np.arange(p), chosen)
+        rounds.append(np.sort(np.column_stack([np.tile(chosen, (len(pool), 1)), pool]), axis=1))
+    return np.array(rounds, dtype=np.intp)
+
+
+class TestDistinctSubsets:
+    """A subset's score depends on it only through C_Z, so each distinct
+    C_Z of a decision is scored once; every candidate keeps the bits, and
+    the decisions the first-index tie-break, of scoring them all."""
+
+    def test_row_classes(self, rng):
+        from pocpd.scenarios import benchmark_p10_model, benchmark_p30_model
+
+        assert benchmark_p10_model().row_classes is None
+        classes = benchmark_p30_model().row_classes
+        assert (classes[:15] == np.arange(15)).all() and (classes[15:] < 15).all()
+        np.testing.assert_array_equal(_planted_model(rng).row_classes,
+                                      [0, 1, 2, 0, 4, 0, 1, 7, 0])
+
+    @pytest.mark.parametrize("model", ["bench-p30", "planted"])
+    @pytest.mark.parametrize("n_dec", [1, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_collapsed_scorer_equals_full_scorer(self, rng, model, n_dec, m):
+        import pocpd.sampler as sampler
+        from pocpd.scenarios import benchmark_p30_model
+
+        params = benchmark_p30_model() if model == "bench-p30" else _planted_model(rng)
+        p, q = params.p, params.q
+        singles = [replace(make_inputs(rng, q, p, float(rng.uniform(0.05, 0.9))), params=params)
+                   for _ in range(n_dec)]
+        for r in range(1, n_dec, 3):  # every candidate on the hard branch
+            singles[r] = replace(singles[r], f_hat=np.zeros((1, q)))
+        for r in range(2, n_dec, 3):
+            singles[r].__dict__["radius2"] = np.array([1e-13])
+        inputs = _stack(singles)
+        full = _without_row_classes(inputs)
+        # Decision 0 of the last set draws every candidate from sensors 0, 3,
+        # 5 and 8, which share a row: one distinct subset.
+        one = _greedy_round(rng, p, m, n_dec)
+        one[0] = np.sort([rng.choice([0, 3, 5, 8], size=m, replace=False)
+                          for _ in range(one.shape[1])], axis=1)
+        cand_sets = {
+            "exhaustive": sampler._combinations(p, m)[None].repeat(n_dec, axis=0),
+            "greedy round": _greedy_round(rng, p, m, n_dec),
+            "one distinct": one,
+        }
+        for label, cands in cand_sets.items():
+            scores, f_stars = sampler._score_mask_array(cands, inputs)
+            want_scores, want_f_stars = sampler._score_mask_array(cands, full)
+            assert scores.tobytes() == want_scores.tobytes(), label
+            assert f_stars.tobytes() == want_f_stars.tobytes(), label
+        for select in (select_greedy, select_exhaustive):
+            for got, want in zip(select(inputs, m), select(full, m), strict=True):
+                assert got.mask == want.mask
+                assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
+                assert got.f_star.tobytes() == want.f_star.tobytes()
+
+    @pytest.mark.parametrize("row, named", [(1, 2), (2, 4)])
+    def test_non_finite_score_names_first_original_candidate(self, rng, monkeypatch, row, named):
+        """Sensors 0 and 1 share a row, and so do 2 and 3: the scorer solves
+        the singletons (0,), (2,) and (4,), and a NaN in the solve of one
+        of them is named by its first candidate in the full layout."""
+        import pocpd.sampler as sampler
+
+        solve = sampler._secular_boundary_max
+
+        def nan_row(lams, xs, hinv_f, radius2):
+            assert lams.shape[1] == 3
+            lams = lams.copy()
+            lams[0, row, 0] = np.nan
+            return solve(lams, xs, hinv_f, radius2)
+
+        monkeypatch.setattr(sampler, "_secular_boundary_max", nan_row)
+        params = random_stable_model(rng, q=3, p=5)
+        c = params.C.copy()
+        c[1], c[3] = c[0], c[2]
+        inputs = replace(make_inputs(rng, q=3, p=5, alpha=0.3), params=replace(params, C=c))
+        with pytest.raises(NumericalError, match=f"^UCR score of candidate {named} is not finite$"):
+            sampler._score_mask_array(sampler._combinations(5, 1)[None], inputs)
+
+    def test_scorer_receives_each_distinct_subset_once(self, rng, monkeypatch):
+        """bench-p10's rows all differ, so the scorer gets every C(10, 2)
+        subset and every greedy candidate; of bench-p30's C(30, 3) = 4,060
+        subsets it gets the 1,665 with distinct C_Z, each decision's."""
+        import pocpd.sampler as sampler
+        from pocpd.scenarios import benchmark_p10_model, benchmark_p30_model
+
+        omega_array = sampler._omega_array
+        seen = []
+
+        def record(mask_idx, *args):
+            seen.append(mask_idx.copy())
+            return omega_array(mask_idx, *args)
+
+        monkeypatch.setattr(sampler, "_omega_array", record)
+
+        def decisions(params, n_dec):
+            singles = [replace(make_inputs(rng, params.q, params.p, 0.3), params=params)
+                       for _ in range(n_dec)]
+            return _stack(singles)
+
+        p10 = benchmark_p10_model()
+        select_exhaustive(decisions(p10, 3), 2)
+        (got,) = seen
+        np.testing.assert_array_equal(got, sampler._combinations(10, 2)[None].repeat(3, axis=0))
+        seen.clear()
+        select_greedy(decisions(p10, 3), 3)
+        assert [s.shape for s in seen] == [(3, 10, 1), (3, 9, 2), (3, 8, 3)]
+
+        p30 = benchmark_p30_model()
+        seen.clear()
+        select_exhaustive(decisions(p30, 2), 3)
+        (got,) = seen
+        assert got.shape == (2, 1665, 3)
+        keys = p30.row_classes[got[0]]
+        assert len(np.unique(keys, axis=0)) == 1665
+        np.testing.assert_array_equal(got[1], got[0])
+        assert sampler.distinct_subsets(p30, 3) == 1665
+        assert sampler.distinct_subsets(p30, 2) == 184
+        assert sampler.distinct_subsets(p10, 2) == 45
+
+
 class TestFrozenReference:
     """The scorer, greedy and exhaustive decisions equal the frozen
     reference bit for bit."""
