@@ -309,8 +309,8 @@ def calibrate_h(
 ) -> CalibrationResult:
     """Bisection search for the control limit meeting the ADD_IC target.
 
-    Precomputed `trajectories` may be passed to reuse simulations (tests,
-    sweeps); they must come from ic_trajectories with the same spec.
+    Tests may pass precomputed `trajectories`, made by ic_trajectories
+    with the same spec, to reuse simulations; no sweep passes them.
     """
     if trajectories is None:
         trajectories = ic_trajectories(scenario, spec)

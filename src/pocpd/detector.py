@@ -14,16 +14,17 @@ candidates whose upper end reaches the best lower end in their row.  The
 result is bit for bit that of inverting every accepted candidate.
 
 A detector holds a stack of R streams that advance in lockstep: its ring
-arrays are (R, m1, q, q), (R, m1, q) and (R, m1), and the rows share one
-ring index and n.  Its step terms and scans carry the same leading axis,
-and one stream is the stack of R = 1.  Each row gets the bits it gets in a
-stack of one, because the stacked matmul, eigvalsh and inv calls do the
-per-matrix work of single calls, and so does the statistic's einsum over
-two or more candidates (over one, it sums q = 2 in another order; scan
-handles that case).  Forms that look equal can break that: f_hat by
-np.einsum("rij,rj->ri") moves last bits where a stacked matmul keeps them,
-and a transposed, non-contiguous operand can send a stacked matmul off its
-BLAS path.
+arrays are (R, m1, q, q), (R, m1, q) and (R, m1), and the rows share n.
+The live candidates are n - m1 < k < n (k >= 0), and each owns slot k % m1,
+so n alone says which slot holds which candidate.  Its step terms and
+scans carry the same leading axis, and one stream is the stack of R = 1.
+Each row gets the bits it gets in a stack of one, because the stacked
+matmul, eigvalsh and inv calls do the per-matrix work of single calls, and
+so does the statistic's einsum over two or more candidates (over one, it
+sums q = 2 in another order; scan handles that case).  Forms that look
+equal can break that: f_hat by np.einsum("rij,rj->ri") moves last bits
+where a stacked matmul keeps them, and a transposed, non-contiguous operand
+can send a stacked matmul off its BLAS path.
 """
 
 from __future__ import annotations
@@ -129,11 +130,6 @@ class ScanResult:
         return cls(np.zeros(rows), (None,) * rows, np.full((rows, q), np.nan),
                    np.full((rows, q, q), np.nan))
 
-    def take(self, rows: list) -> "ScanResult":
-        """The given rows of a stack, as a stack."""
-        tau_hat = tuple(self.tau_hat[r] for r in rows)
-        return ScanResult(self.t_stat[rows], tau_hat, self.f_hat[rows], self.sigma_f[rows])
-
 
 def make_step_term(outs: list[StepOutput], C: np.ndarray) -> StepTerm:
     """Fold the filter step outputs of a stack of R streams, with masks of
@@ -165,7 +161,6 @@ class Detector:
         self._G = np.zeros((rows, nslots, q, q))
         self._s = np.zeros((rows, nslots, q))
         self._M = np.zeros((rows, nslots, q, q))
-        self._k = np.full(nslots, -1, dtype=np.int64)  # shared by the rows
         # Certified eigenvalue bounds of each slot's M: lambda_min(M) >= _lo
         # (M only gains PSD terms, so a past lambda_min stays a lower bound)
         # and lambda_max(M) <= _hi (each term adds at most its trace).
@@ -181,7 +176,6 @@ class Detector:
         for a in ("_G", "_s", "_M", "_lo", "_hi", "_a_prev"):
             if getattr(self, a) is not None:
                 setattr(stack, a, getattr(self, a)[rows])
-        stack._k = self._k.copy()
         return stack
 
     def push_step(self, term: StepTerm) -> None:
@@ -200,14 +194,12 @@ class Detector:
             self._G = self._a_prev.reshape(rows, 1, q, q) @ self._G
             self._G += self._eye
         G, s, M, lo, hi = self._G, self._s, self._M, self._lo, self._hi
-        # Candidate k = n - m1 leaves the window; open k = n - 1 with
-        # G(n, n-1) = I.  Its slot held k - m1, already out of the window.
-        self._k[n % nslots] = -1
+        # Open k = n - 1 with G(n, n-1) = I.  Its slot held k - m1, already
+        # out of the window.
         slot = (n - 1) % nslots
         G[:, slot] = self._eye
         for arr in (s, M, lo, hi):
             arr[:, slot] = 0.0
-        self._k[slot] = n - 1
         gt = G.swapaxes(-1, -2)
         s += (gt @ u)[..., 0]
         added = gt @ w @ G
@@ -221,19 +213,18 @@ class Detector:
         candidate k of `ks` per row of `rows`, as (len(rows), q, q)."""
         if self._a_prev is None:
             raise RuntimeError("no step pushed yet")
-        k = np.asarray(ks)
-        slot = k % self._k.shape[0]
-        if (self._k[slot] != k).any():
-            raise KeyError(f"candidate k={k} is not live at n={self.n}")
-        return self._a_prev[rows] @ self._G[rows, slot] + self._eye
+        k, n = np.asarray(ks), self.n
+        if ((k <= n - self.window.m1) | (k < 0) | (k >= n)).any():
+            raise KeyError(f"candidate k={k} is not live at n={n}")
+        return self._a_prev[rows] @ self._G[rows, k % self.window.m1] + self._eye
 
     def scan(self) -> ScanResult:
         """Maximize the GLRT over the window of each row; ties go to the most
         recent k.  Rows without an accepted candidate get ScanResult.none's
         0.0, None and NaN."""
         q = self._eye.shape[0]
-        slots = self._window_slots()
-        ring, accepted = self._screen(slots)
+        ks = self._window()
+        ring, accepted = self._screen(ks)
         keep = self._may_win(ring, accepted)
         flat = ring[keep]
         ss = self._s.reshape(-1, q)[flat]
@@ -264,7 +255,7 @@ class Detector:
         sigma_f = 0.5 * (sigma_f + sigma_f.swapaxes(-1, -2))
         result.t_stat[hit], result.sigma_f[hit] = stats[pick], sigma_f
         result.f_hat[hit] = (sigma_f @ ss[pick][..., None])[..., 0]
-        ks = self._k[slots].tolist() + [None]
+        ks = ks.tolist() + [None]
         return ScanResult(result.t_stat, tuple(map(ks.__getitem__, best.tolist())),
                           result.f_hat, result.sigma_f)
 
@@ -296,27 +287,23 @@ class Detector:
             keep.flat[np.flatnonzero(accepted)[:2]] = True
         return keep
 
-    def _window_slots(self) -> np.ndarray:
-        """Slots of the candidates n - m1 < k < n - m2, oldest k first.
-
-        Each of these k is the newest candidate of its residue mod m1, so it
-        still owns slot k % m1.
-        """
+    def _window(self) -> np.ndarray:
+        """The candidates n - m1 < k < n - m2 (k >= 0), oldest first; each
+        holds slot k % m1 of the ring."""
         n, w = self.n, self.window
-        ks = np.arange(max(n - w.m1 + 1, 0), max(n - w.m2, 0))
-        return ks % self._k.shape[0]
+        return np.arange(max(n - w.m1 + 1, 0), max(n - w.m2, 0))
 
-    def _screen(self, slots: np.ndarray) -> tuple:
-        """The window slots of every row as (rows, len(slots)) flat indices
-        row * m1 + slot into the rows' rings, and the mask of those whose M
-        passes the RCOND_SKIP eigenvalue test.
+    def _screen(self, ks: np.ndarray) -> tuple:
+        """The slots k % m1 of window candidates ks in every row as
+        (rows, len(ks)) flat indices row * m1 + slot into the rows' rings,
+        and the mask of those whose M passes the RCOND_SKIP eigenvalue test.
 
         Slots whose certified bounds already clear the test are accepted as
         they are; only the rest pay for eigvalsh, which also refreshes their
         bounds.
         """
-        nslots, q = self._k.shape[0], self._eye.shape[0]
-        ring = np.arange(0, self._lo.size, nslots)[:, None] + slots
+        nslots, q = self.window.m1, self._eye.shape[0]
+        ring = np.arange(0, self._lo.size, nslots)[:, None] + ks % nslots
         lo, hi = self._lo.reshape(-1), self._hi.reshape(-1)  # views
         certified = lo[ring] > _CERTIFY_MARGIN * RCOND_SKIP * hi[ring]
         check = ring[~certified]

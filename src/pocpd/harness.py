@@ -105,19 +105,20 @@ def _run_length(scenario: Scenario, record: RunRecord) -> RunLengthSample:
 
 def _parse_csv_matrix(path) -> np.ndarray:
     rows = []
-    width = None
+    width = first = None  # first: the first non-blank row, which may be a header
     # utf-8-sig drops the byte-order mark Excel writes before the first cell.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row_idx, row in enumerate(reader):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            first = row_idx if first is None else first
             values = []
             for col_idx, cell in enumerate(row):
                 try:
                     value = float(cell)
                 except ValueError:
-                    if row_idx == 0 and not rows:
+                    if row_idx == first:
                         values = None  # header row
                         break
                     raise ConfigError(

@@ -132,12 +132,11 @@ def simulate_run_stream(
 @dataclass
 class _Row:
     """One stream of a block: its filter state, mask generator and next
-    mask (None while the decision after an alarm is pending), and its record
-    so far (as in RunRecord)."""
+    mask, and its record so far (as in RunRecord)."""
 
     state: object
     mask_rng: object
-    mask: ObservationMask | None
+    mask: ObservationMask
     t_stats: list
     masks: list
     alarm_time: int | None = None
@@ -153,9 +152,10 @@ class Monitor:
     its decided mask, pushes one stacked step term into the block's detector
     and scans once; scanning and alarms start after the n0 random warm-up
     steps.  The decide phase then picks the next masks of the rows that go
-    on with one `_next_mask` call: the policy's choice from this scan, or
-    random ones during warm-up.  `live` lists the rows still in the block,
-    whose detector and last scan rows these are.
+    on with one `_next_mask` call on this scan: the policy's choice, or
+    random ones during warm-up.  A row that stops at its alarm leaves the
+    block after it.  `live` lists the rows still in the block, whose
+    detector rows these are.
     """
 
     def __init__(self, scenario: Scenario, mask_rngs: list):
@@ -163,7 +163,6 @@ class Monitor:
         self.scenario = scenario
         self.h = scenario.window.h if scenario.window.h is not None else math.inf
         self.det = Detector(params.q, scenario.window, rows=len(mask_rngs))
-        self.scan = ScanResult.none(len(mask_rngs), params.q)
         self.t_abs = 0
         self.live = list(range(len(mask_rngs)))
         self._rows = [
@@ -175,8 +174,8 @@ class Monitor:
         """Advance the live rows in lockstep over their streams, one per live
         row and all of one length (ValueError otherwise).  With stop_at_alarm
         a row leaves the block at its first alarm (T_n > h); without, it goes
-        on, and its alarm time stays the first crossing.  A mask left pending
-        by an alarm is decided when the row's next step comes.  A
+        on, and its alarm time stays the first crossing.  Every row that goes
+        on has its next mask decided at the end of each step.  A
         NumericalError names the absolute step; each row's results equal
         those of advancing it alone, which is how to find the row that
         raised it."""
@@ -194,42 +193,39 @@ class Monitor:
                                      f"{len(obs)} after absolute step {self.t_abs}")
                 if ended:
                     break
-                _next_mask(self, live, [r for r, row in enumerate(live) if row.mask is None])
                 self.t_abs += 1
                 outs = [self._filter(row, y) for row, y in zip(live, obs)]
                 self.det.push_step(make_step_term(outs, params.C))
-                # Until the first scan, the block's scan stays ScanResult.none.
-                if self.t_abs >= n0 and self.t_abs > m2 + 1:
-                    self.scan = self.det.scan()
-                alarms = [self._note(row, r) for r, row in enumerate(live)]
-                going = [r for r, alarm in enumerate(alarms) if not alarm]
-                if stop_at_alarm and len(going) < len(live):
-                    self.det, self.scan = self.det.take(going), self.scan.take(going)
+                scan = (self.det.scan() if self.t_abs >= n0 and self.t_abs > m2 + 1
+                        else ScanResult.none(len(live), params.q))
+                alarms = [self._note(row, scan, r) for r, row in enumerate(live)]
+                going = [r for r, alarm in enumerate(alarms) if not (stop_at_alarm and alarm)]
+                _next_mask(self, live, going, scan)
+                if len(going) < len(live):
+                    self.det = self.det.take(going)
                     self.live = [self.live[r] for r in going]
                     live, iters = [live[r] for r in going], [iters[r] for r in going]
-                    going = range(len(live))
-                _next_mask(self, live, going)
         except NumericalError as exc:
             raise NumericalError(f"absolute step {self.t_abs}: {exc}") from exc
 
     def _filter(self, row: _Row, y) -> StepOutput:
         """Filter a row's next observation through its decided mask."""
-        mask, row.mask = row.mask, None
-        row.masks.append(mask.indices)
-        row.state, out = filter_step(row.state, self.scenario.model, mask, y[list(mask.indices)])
+        row.masks.append(row.mask.indices)
+        row.state, out = filter_step(row.state, self.scenario.model, row.mask,
+                                     y[list(row.mask.indices)])
         return out
 
-    def _note(self, row: _Row, r: int) -> bool:
+    def _note(self, row: _Row, scan: ScanResult, r: int) -> bool:
         """Record row r of this step's scan; True when it raises the row's
         first alarm."""
         mon = self.t_abs - self.scenario.n0
         if mon < 1:
             return False
-        t_stat = float(self.scan.t_stat[r])
+        t_stat = float(scan.t_stat[r])
         row.t_stats.append(t_stat)
-        if self.scan.tau_hat[r] is not None:
-            row.tau_hat = self.scan.tau_hat[r] - self.scenario.n0
-            row.f_hat = self.scan.f_hat[r]
+        if scan.tau_hat[r] is not None:
+            row.tau_hat = scan.tau_hat[r] - self.scenario.n0
+            row.f_hat = scan.f_hat[r]
         if t_stat > self.h and row.alarm_time is None:
             row.alarm_time = mon
             return True
@@ -240,7 +236,7 @@ class Monitor:
         row c * R + i is copy c of row i.  They share the frozen filter
         states and masks, and f_hat, which is replaced, not written."""
         other, n, stack = copy.copy(self), len(self._rows), list(range(len(self.live))) * copies
-        other.det, other.scan = self.det.take(stack), self.scan.take(stack)
+        other.det = self.det.take(stack)
         other.live = [c * n + i for c in range(copies) for i in self.live]
         other._rows = [replace(r, t_stats=list(r.t_stats), masks=list(r.masks),
                                mask_rng=copy.deepcopy(r.mask_rng)) for r in self._rows * copies]
@@ -284,14 +280,15 @@ def run_single(
     return monitor.records()[0]
 
 
-def _next_mask(block: Monitor, live: list, rows) -> None:
+def _next_mask(block: Monitor, live: list, rows: list, scan: ScanResult) -> None:
     """The decide phase: the next masks of these rows of a block, whose
-    live rows these are, in one call.  Warm-up steps, scans without an
-    estimate and the random policy draw at random; all other decisions go to
-    the UCR sampler as one stack."""
+    live rows and detector rows these are, from this step's scan, in one
+    call.  Warm-up steps, scans without an estimate and the random policy
+    draw at random; all other decisions go to the UCR sampler as one
+    stack."""
     if not rows:
         return
-    scenario, scan = block.scenario, block.scan
+    scenario = block.scenario
     policy, params = scenario.policy, scenario.model
     ucr = []
     for r in rows:

@@ -207,39 +207,25 @@ def _secular_boundary_max(
         hard = ~np.isfinite(t_lo) | ((t_lo <= 0.0) & (g0 <= r2))
         t = np.maximum(t_lo, 0.0)
         any_hard = hard.any()
-        # Newton on the rows of the decisions still iterating; hard rows keep
-        # their start and never hold a decision back.  A decision stops at
-        # the first iteration where all its other rows are within tolerance,
-        # exactly as it would alone: a longer iteration would move the bits
-        # of its converged rows.
-        t_end = None  # each row's result, once some rows are set aside
-        x2_w, safe_w, hard_w, t_w, t_min = x2, safe, hard, t, t
-        t_max = np.sqrt(x2.sum(axis=1) / r2)  # sum <= radius2 there
+        # Newton on every row; hard rows keep their start and never hold a
+        # decision back.  A decision's rows are going until the first
+        # iteration where all its rows that are not hard are within
+        # tolerance, and take no step after it, exactly as alone: a longer iteration would move
+        # the bits of its converged rows.
+        going = np.ones(len(t), dtype=bool)
+        t_w, t_max = t, np.sqrt(x2.sum(axis=1) / r2)  # sum <= radius2 at t_max
         target = 1.0 / sqrt_c
         for _ in range(40):
-            dt = safe_w + t_w[:, None]
-            g = (x2_w / dt**2).sum(axis=1)
+            dt = safe + t_w[:, None]
+            g = (x2 / dt**2).sum(axis=1)
             phi = 1.0 / np.sqrt(g)
-            dphi = np.power(g, -1.5) * (x2_w / dt**3).sum(axis=1)
+            dphi = np.power(g, -1.5) * (x2 / dt**3).sum(axis=1)
             step = (target - phi) / dphi
-            ok = np.abs(step) <= 1e-13 * (1.0 + t_w)
-            if any_hard:
-                ok |= hard_w
-            t_w = np.minimum(np.maximum(t_w + step, t_min), t_max)
-            if ok.all():
+            ok = (np.abs(step) <= 1e-13 * (1.0 + t_w)) | hard
+            t_w = np.where(going, np.minimum(np.maximum(t_w + step, t), t_max), t_w)
+            going &= (~ok).reshape(-1, n).any(axis=1).repeat(n)
+            if not going.any():
                 break
-            if len(t_w) > n:  # several decisions left: set the stopped ones aside
-                go = (~ok).reshape(-1, n).any(axis=1).repeat(n)
-                if not go.all():
-                    if t_end is None:
-                        t_end, rows = t.copy(), np.arange(len(t))
-                    t_end[rows] = t_w
-                    rows, x2_w, safe_w, hard_w, t_w, t_min, t_max, target = (
-                        a[go] for a in (rows, x2_w, safe_w, hard_w, t_w, t_min, t_max, target)
-                    )
-        if t_end is not None:
-            t_end[rows] = t_w
-            t_w = t_end
         t = np.where(hard, t, t_w) if any_hard else t_w
         g = (x2 / (safe + t[:, None]) ** 2).sum(axis=1)
         off = np.abs(g - r2) > BOUNDARY_RTOL * r2

@@ -67,10 +67,18 @@ class TestWindowConfig:
         assert (w.m1, w.m2, w.h) == (50, 5, 12.0)
 
 
+def slot_candidates(det: Detector) -> np.ndarray:
+    """The candidate k each ring slot holds at n: the one of its residue mod
+    m1 in n - m1 < k <= n, where k = n is a slot not yet reopened."""
+    n, m1 = det.n, det.window.m1
+    return n - (n - np.arange(m1)) % m1
+
+
 def ring(det: Detector, k: int):
     """(G, s, M) of live candidate k of a stack of one, read from the ring
     arrays the way exact_scan reads them."""
-    (slot,) = np.flatnonzero(det._k == k)
+    assert 0 <= k < det.n and k > det.n - det.window.m1
+    (slot,) = np.flatnonzero(slot_candidates(det) == k)
     return det._G[0, slot], det._s[0, slot], det._M[0, slot]
 
 
@@ -115,28 +123,34 @@ class TestPushStep:
         det = Detector(1, WindowConfig(m1=3, m2=0))
         for _ in range(5):
             det.push_step(scalar_term(0.5, u=1.0, w=1.0))
-        # n = 5: valid candidates satisfy k > n - m1 = 2.
-        with pytest.raises(KeyError):
-            det.g_next([2], [0])
+        # n = 5: valid candidates satisfy k > n - m1 = 2.  k = -1 was never
+        # opened, though its slot k % m1 = 2 is the next to open.
+        for k in (2, -1, 5):
+            with pytest.raises(KeyError):
+                det.g_next([k], [0])
         det.g_next([3], [0])
         det.g_next([4], [0])
 
     def test_matches_dense_reference(self, rng):
-        """Incremental ring buffer equals batch recomputation (Eq. oracle)."""
+        """Incremental ring buffer equals batch recomputation (Eq. oracle)
+        for every live candidate, in a ring that never evicts (m1 = 12) and
+        in one that wraps over the same 10 steps (m1 = 4)."""
         q = 3
         terms = []
-        det = Detector(q, WindowConfig(m1=12, m2=0))
+        dets = [Detector(q, WindowConfig(m1=m1, m2=0)) for m1 in (12, 4)]
         for _ in range(10):
             a = 0.8 * rng.normal(size=(q, q)) / np.sqrt(q)
             u = rng.normal(size=q)
             b = rng.normal(size=(q, q))
             terms.append(StepTerm(a_tilde=a[None], u=u[None], w=(b @ b.T)[None]))
-            det.push_step(terms[-1])
-        for k in [0, 3, 7]:
-            _, s_vec, m_mat = ring(det, k)
-            s_ref, m_ref = dense_reference(terms, k, 10)
-            np.testing.assert_allclose(s_vec, s_ref, atol=1e-8)
-            np.testing.assert_allclose(m_mat, m_ref, atol=1e-8)
+            for det in dets:
+                det.push_step(terms[-1])
+        for det in dets:
+            for k in range(max(10 - det.window.m1 + 1, 0), 10):
+                _, s_vec, m_mat = ring(det, k)
+                s_ref, m_ref = dense_reference(terms, k, 10)
+                np.testing.assert_allclose(s_vec, s_ref, atol=1e-8)
+                np.testing.assert_allclose(m_mat, m_ref, atol=1e-8)
 
 
 class TestEstimateShift:
@@ -286,7 +300,7 @@ def exact_scan(det: Detector) -> tuple[np.ndarray, ScanResult]:
     eigenvalue screen run on every candidate of the window: the reference
     for the certified screen."""
     n, w = det.n, det.window
-    k, (M,), (s,) = det._k, det._M, det._s
+    k, (M,), (s,) = slot_candidates(det), det._M, det._s
     valid = (k > n - w.m1) & (k < n - w.m2) & (k >= 0)
     order = np.argsort(k[valid])
     ks, Ms, ss = k[valid][order], M[valid][order], s[valid][order]
@@ -300,6 +314,12 @@ def exact_scan(det: Detector) -> tuple[np.ndarray, ScanResult]:
     sigma_f = 0.5 * (inv[best] + inv[best].T)
     return ks, ScanResult(np.array([stats[best]]), (int(ks[best]),), (sigma_f @ ss[best])[None],
                           sigma_f[None])
+
+
+def scan_rows(scan: ScanResult, rows: list) -> ScanResult:
+    """The given rows of a stack's scan, as a stack."""
+    return ScanResult(scan.t_stat[rows], tuple(scan.tau_hat[r] for r in rows),
+                      scan.f_hat[rows], scan.sigma_f[rows])
 
 
 def assert_scans_equal(got: ScanResult, want: ScanResult) -> None:
@@ -345,8 +365,9 @@ def test_certified_screen_matches_exact(seed, q, m1, data):
         if rng.random() < 0.3:
             continue
         accepted, ref = exact_scan(det)
-        ring, screened = det._screen(det._window_slots())
-        np.testing.assert_array_equal(det._k[ring[screened]], accepted)
+        ks = det._window()
+        _, screened = det._screen(ks)
+        np.testing.assert_array_equal(ks[screened[0]], accepted)
         assert_scans_equal(det.scan(), ref)
 
 

@@ -14,7 +14,7 @@ from pocpd.model import ChangeSpec
 from pocpd.monitor import Policy
 from pocpd.scenarios import built_in_scenario
 
-from test_detector import assert_scans_equal, exact_scan
+from test_detector import assert_scans_equal, exact_scan, scan_rows
 
 
 def stacked(terms: list) -> StepTerm:
@@ -39,7 +39,7 @@ def assert_rows_equal(stack: Detector, got, singles: list, wants: list) -> None:
     """Row r of the stack's scan, ring and bounds equals those of the stack
     of one singles[r]."""
     for r, (det, want) in enumerate(zip(singles, wants)):
-        assert_scans_equal(got.take([r]), want)
+        assert_scans_equal(scan_rows(got, [r]), want)
         if want.tau_hat == (None,):
             assert got.t_stat[r] == 0.0 and np.isnan(got.f_hat[r]).all()
         for name in ("_G", "_s", "_M", "_lo", "_hi"):
@@ -138,7 +138,7 @@ def test_screened_stack_equals_full_inverse_scan(seed, q, rows, m1, ties, data):
         if rng.random() < 0.3:
             continue
         got = stack.scan()
-        assert_equal_to_exact([got.take([r]) for r in range(rows)], singles)
+        assert_equal_to_exact([scan_rows(got, [r]) for r in range(rows)], singles)
 
 
 @pytest.mark.parametrize("q", [2, 3, 7, 15])
@@ -161,7 +161,7 @@ def test_near_ties_keep_both_candidates(q):
         stack.push_step(stacked(terms))
     got = stack.scan()
     assert all(k is not None for k in got.tau_hat)
-    assert_equal_to_exact([got.take([r]) for r in range(rows)], singles)
+    assert_equal_to_exact([scan_rows(got, [r]) for r in range(rows)], singles)
 
 
 @pytest.mark.parametrize("seed, rows, steps", [(0, None, 4), (7, 2, 2)])
@@ -181,7 +181,7 @@ def test_q2_statistic_takes_the_order_of_its_row_alone(seed, rows, steps):
             det.push_step(term)
         stack.push_step(stacked(terms))
         got = stack.scan()
-        assert_equal_to_exact([got.take([r]) for r in range(rows or 1)], singles)
+        assert_equal_to_exact([scan_rows(got, [r]) for r in range(rows or 1)], singles)
 
 
 def test_screen_inverts_few_of_the_accepted_candidates(monkeypatch):

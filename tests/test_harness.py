@@ -314,10 +314,14 @@ class TestIngestCsv:
         np.testing.assert_array_equal(stream, np.zeros((3, 2)))
 
     def test_header_skipped(self, tmp_path):
+        """The first non-blank row may be a header; a later one may not."""
         path = tmp_path / "h.csv"
-        path.write_text("a,b\n1,2\n3,4\n")
-        stream = ingest_csv(path)
-        np.testing.assert_array_equal(stream, [[1, 2], [3, 4]])
+        for text in ("a,b\n1,2\n3,4\n", "\n \na,b\n1,2\n3,4\n"):
+            path.write_text(text)
+            np.testing.assert_array_equal(ingest_csv(path), [[1, 2], [3, 4]])
+        path.write_text("\na,b\nc,d\n1,2\n")
+        with pytest.raises(ConfigError, match="non-numeric cell 'c' at row 2, column 0"):
+            ingest_csv(path)
 
     @pytest.mark.parametrize("header", ["", "a,b\n"], ids=["no-header", "header"])
     def test_byte_order_mark_dropped(self, tmp_path, header):

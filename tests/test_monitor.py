@@ -130,33 +130,6 @@ def test_no_stop_reports_the_first_crossing():
     assert record.masks == free.masks
 
 
-@pytest.mark.parametrize("policy_kind", ["e_aucrss", "random"])
-def test_alarm_on_the_last_row_decides_nothing_more(policy_kind, monkeypatch):
-    """With the alarm on the stream's last row, stop_at_alarm=False makes the
-    same sampler calls as stopping: the decision after an alarm waits for a
-    row that never comes."""
-    import pocpd.monitor as monitor
-
-    s = mini_scenario(h=8.0, policy_kind=policy_kind)
-    obs, rng = stream(s)
-    alarm = run_single(s, obs, rng).alarm_time
-    obs = obs[: s.n0 + alarm]  # the alarm falls on the last row
-    calls = []
-    for name in ("select_greedy", "select_random"):
-        fn = getattr(monitor, name)
-        monkeypatch.setattr(
-            monitor, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
-        )
-    counts = []
-    for stop in (True, False):
-        calls.clear()
-        record = run_single(s, obs, mask_rng(s), stop_at_alarm=stop)
-        assert record.alarm_time == alarm
-        counts.append(list(calls))
-    assert counts[0] == counts[1]
-    assert "select_greedy" in counts[0] or policy_kind == "random"
-
-
 def test_stream_must_be_a_matrix():
     s = mini_scenario(h=6.0)
     obs, rng = stream(s)
@@ -232,7 +205,7 @@ def test_advance_needs_streams_of_one_length():
 def test_block_calls_each_layer_once_per_step(monkeypatch):
     """A 25-replication bench-p10 in-control block (random policy, n0 10,
     horizon 10) filters once per replication-step, and makes one step term,
-    one push and one scan per block-step."""
+    one push, one scan and one decide phase per block-step."""
     import pocpd.monitor as monitor
 
     calls = {}
@@ -246,7 +219,7 @@ def test_block_calls_each_layer_once_per_step(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("filter_step", "make_step_term"):
+    for name in ("filter_step", "make_step_term", "_next_mask"):
         count(monitor, name)
     for name in ("push_step", "scan"):
         count(monitor.Detector, name)
@@ -257,7 +230,8 @@ def test_block_calls_each_layer_once_per_step(monkeypatch):
     [(lengths, error)] = run_blocks(s, STREAM_CALIBRATION, lambda s, rec: len(rec.masks))
     assert error is None and lengths == [20] * 25
     # 20 steps; the scans start at absolute step n0 = 10, as m2 + 2 = 7 < n0.
-    assert calls == {"filter_step": 25 * 20, "make_step_term": 20, "push_step": 20, "scan": 11}
+    assert calls == {"filter_step": 25 * 20, "make_step_term": 20, "push_step": 20, "scan": 11,
+                     "_next_mask": 20}
 
 
 @pytest.mark.parametrize("block", [3, 7])
