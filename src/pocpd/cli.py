@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -129,8 +130,17 @@ def cmd_calibrate(cfg: Config, args) -> int:
 
 
 def cmd_benchmark(cfg: Config, args) -> int:
-    if not cfg.arms[0].changes:  # the arms share the grid
+    base = cfg.arms[0]  # the arms share the grid and horizon_cap
+    if not base.changes:
         raise ConfigError("experiment.grid: benchmark needs at least one shift to sweep")
+    for i, change in enumerate(base.changes):
+        # The first shifted monitoring step is tau + 1.
+        if base.horizon_cap <= change.tau < math.inf:
+            raise ConfigError(
+                f"experiment.grid[{i}].tau: the change at tau {int(change.tau)} is never "
+                f"monitored: its first shifted step is past experiment.horizon_cap "
+                f"{base.horizon_cap}"
+            )
     table = ResultTable([])
     for arm in cfg.arms:
         if arm.window.h is None:

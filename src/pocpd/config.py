@@ -258,6 +258,16 @@ def _parse_changes(grid, q: int, path: str) -> tuple:
         f = [_value(v, f"{where}.f[{j}]", (int, float)) for j, v in enumerate(f)]
         tau = entry.get("tau", 0)
         changes.append(build(where, ChangeSpec, tau=math.inf if tau is None else tau, f=f))
+    # results.csv and plot_<scenario>.csv key a cell by its magnitude max |f|,
+    # so two entries of one magnitude would give two cells of one key.
+    seen = {}
+    for i, change in enumerate(changes):
+        j = seen.setdefault(change.magnitude, i)
+        if j != i:
+            raise ConfigError(
+                f"{path}[{i}]: same shift magnitude (max |f| = {change.magnitude:g}) as "
+                f"{path}[{j}], and the result tables key a cell by it"
+            )
     return tuple(changes)
 
 

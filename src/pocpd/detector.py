@@ -1,9 +1,11 @@
 """Windowed GLRT change detector.
 
 For every candidate change point k in a sliding window the detector keeps
-    G(n, k)   -- accumulated closed-loop propagation of a unit shift,
-    s_vec(k)  -- sum of G' C_Z' V^{-1} r over steps k+1..n,
-    m_mat(k)  -- sum of G' C_Z' V^{-1} C_Z G over the same steps.
+    G(n+1, k) -- closed-loop propagation of a unit shift, one step ahead,
+    s_vec(k)  -- sum of G(t, k)' C_Z' V^{-1} r over steps t = k+1..n,
+    m_mat(k)  -- sum of G(t, k)' C_Z' V^{-1} C_Z G(t, k) over the same steps,
+with G(k+1, k) = I and G(t+1, k) = a_tilde(t) G(t, k) + I: a push folds in
+the G it finds and leaves the next one, which g_next reads.
 The shift estimate is f_hat = m_mat^{-1} s_vec, and the scan statistic is the
 quadratic form s_vec' m_mat^{-1} s_vec maximized over candidates.  A scan
 skips the candidates whose m_mat fails the RCOND_SKIP eigenvalue test, and
@@ -167,20 +169,18 @@ class Detector:
         self._lo = np.zeros((rows, nslots))
         self._hi = np.zeros((rows, nslots))
         self._eye = np.eye(q)
-        self._a_prev: np.ndarray | None = None
         self.n = 0  # time of the last pushed step
 
     def take(self, rows: list) -> "Detector":
         """A copy of the given rows of a stack, as a stack."""
         stack = copy.copy(self)
-        for a in ("_G", "_s", "_M", "_lo", "_hi", "_a_prev"):
-            if getattr(self, a) is not None:
-                setattr(stack, a, getattr(self, a)[rows])
+        for a in ("_G", "_s", "_M", "_lo", "_hi"):
+            setattr(stack, a, getattr(self, a)[rows])
         return stack
 
     def push_step(self, term: StepTerm) -> None:
         """Fold the step at time n = self.n + 1 into every live candidate of
-        every row.
+        every row, then advance G to G(n+1, k) with this step's a_tilde.
 
         Every slot is updated, without gathering the live ones: a slot whose
         candidate just left the window, or that was never opened, holds
@@ -188,11 +188,10 @@ class Detector:
         """
         n = self.n + 1
         (rows, nslots), q = self._lo.shape, self._eye.shape[0]
-        # A term with another number of rows fails to reshape.
+        # A term with another number of rows fails to reshape, before any
+        # slot changes.
         u, w = term.u.reshape(rows, 1, q, 1), term.w.reshape(rows, 1, q, q)
-        if self._a_prev is not None:
-            self._G = self._a_prev.reshape(rows, 1, q, q) @ self._G
-            self._G += self._eye
+        a_tilde = term.a_tilde.reshape(rows, 1, q, q)
         G, s, M, lo, hi = self._G, self._s, self._M, self._lo, self._hi
         # Open k = n - 1 with G(n, n-1) = I.  Its slot held k - m1, already
         # out of the window.
@@ -205,18 +204,17 @@ class Detector:
         added = gt @ w @ G
         M += added
         hi += added.trace(axis1=-2, axis2=-1)
-        self._a_prev = term.a_tilde
+        self._G = a_tilde @ G  # G(n+1, k) = a_tilde(n) G(n, k) + I
+        self._G += self._eye
         self.n = n
 
     def g_next(self, ks: list, rows: list) -> np.ndarray:
         """G(n+1, k) for the sampler's one-step-ahead projection, one
         candidate k of `ks` per row of `rows`, as (len(rows), q, q)."""
-        if self._a_prev is None:
-            raise RuntimeError("no step pushed yet")
         k, n = np.asarray(ks), self.n
         if ((k <= n - self.window.m1) | (k < 0) | (k >= n)).any():
             raise KeyError(f"candidate k={k} is not live at n={n}")
-        return self._a_prev[rows] @ self._G[rows, k % self.window.m1] + self._eye
+        return self._G[rows, k % self.window.m1]
 
     def scan(self) -> ScanResult:
         """Maximize the GLRT over the window of each row; ties go to the most

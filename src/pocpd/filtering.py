@@ -121,10 +121,10 @@ def innovation_singular(v: np.ndarray, sigma_r2: float):
     reciprocal condition number below RCOND_SINGULAR.
 
     Precondition: V = C_Z P C_Z' + sigma_r2 I with P PSD, so no eigenvalue of
-    V lies below -RCOND_SINGULAR * lambda_max(V).  Returns a plain False when
-    sigma_r2 certifies every V, without computing eigenvalues; otherwise a
-    boolean per V from the eigenvalues.
+    V lies below -RCOND_SINGULAR * lambda_max(V).  Returns a boolean per V:
+    all False, without computing eigenvalues, when sigma_r2 certifies every
+    V, and otherwise from the eigenvalues.
     """
     if sigma_r2 > _CERTIFY_MARGIN * RCOND_SINGULAR * v.trace(axis1=-2, axis2=-1).max():
-        return False
+        return np.zeros(v.shape[:-2], dtype=bool)
     return rcond_from_eigvals(np.linalg.eigvalsh(v)) < RCOND_SINGULAR

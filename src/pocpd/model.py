@@ -209,6 +209,12 @@ class SimulatedStream:
     The noise (x_0, then w, then v) is drawn up front in a fixed order, so
     the rows are bit-identical to simulate_stream's.  `fork` copies the
     stream at its current row, to go on under another change.
+
+    x_0 is _psd_sqrt(stationary_cov) times a standard normal draw.  Where
+    eigenvalues repeat (bench-p10's: 0.129265 and 0.210857 twice, 0.15625
+    three times), np.linalg.eigh's basis is not unique, so the root, x_0
+    and every row depend on the BLAS kernel: under Sandybridge the p10 root
+    differs by up to 0.45, and that moves the p10 seed-0 references.
     """
 
     def __init__(self, params: ModelParams, change: ChangeSpec, horizon: int, seed):

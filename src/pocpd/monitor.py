@@ -163,7 +163,6 @@ class Monitor:
         self.scenario = scenario
         self.h = scenario.window.h if scenario.window.h is not None else math.inf
         self.det = Detector(params.q, scenario.window, rows=len(mask_rngs))
-        self.t_abs = 0
         self.live = list(range(len(mask_rngs)))
         self._rows = [
             _Row(filter_init(params), rng, select_random(params.p, scenario.m, rng), [], [])
@@ -184,19 +183,20 @@ class Monitor:
         scenario = self.scenario
         params, n0, m2 = scenario.model, scenario.n0, scenario.window.m2
         live, iters = [self._rows[i] for i in self.live], [iter(s) for s in streams]
+        t = self.det.n  # the absolute step
         try:
             while live:
                 obs = [next(it, None) for it in iters]
                 ended = sum(y is None for y in obs)
                 if 0 < ended < len(obs):
                     raise ValueError(f"streams end at different steps: {ended} of "
-                                     f"{len(obs)} after absolute step {self.t_abs}")
+                                     f"{len(obs)} after absolute step {t}")
                 if ended:
                     break
-                self.t_abs += 1
+                t += 1
                 outs = [self._filter(row, y) for row, y in zip(live, obs)]
                 self.det.push_step(make_step_term(outs, params.C))
-                scan = (self.det.scan() if self.t_abs >= n0 and self.t_abs > m2 + 1
+                scan = (self.det.scan() if t >= n0 and t > m2 + 1
                         else ScanResult.none(len(live), params.q))
                 alarms = [self._note(row, scan, r) for r, row in enumerate(live)]
                 going = [r for r, alarm in enumerate(alarms) if not (stop_at_alarm and alarm)]
@@ -206,7 +206,7 @@ class Monitor:
                     self.live = [self.live[r] for r in going]
                     live, iters = [live[r] for r in going], [iters[r] for r in going]
         except NumericalError as exc:
-            raise NumericalError(f"absolute step {self.t_abs}: {exc}") from exc
+            raise NumericalError(f"absolute step {t}: {exc}") from exc
 
     def _filter(self, row: _Row, y) -> StepOutput:
         """Filter a row's next observation through its decided mask."""
@@ -218,7 +218,7 @@ class Monitor:
     def _note(self, row: _Row, scan: ScanResult, r: int) -> bool:
         """Record row r of this step's scan; True when it raises the row's
         first alarm."""
-        mon = self.t_abs - self.scenario.n0
+        mon = self.det.n - self.scenario.n0
         if mon < 1:
             return False
         t_stat = float(scan.t_stat[r])

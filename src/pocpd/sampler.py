@@ -15,11 +15,10 @@ the stacked Cholesky, eigh, inv, einsum and matmul calls do the same
 per-matrix work as single calls, and each decision's Newton iteration
 stops at the iteration where it would stop alone.  A stop shared by the
 stack gives converged decisions extra steps, and that moves their last
-bits.  The BLAS kernel is a rewrite too.  Under
-OPENBLAS_CORETYPE=Sandybridge the ic-p10-greedy workload misses its seed-0
-reference at full size (achieved_add_ic 9.68 against 10.31) and at tiny
-size (h 4.692 against 4.498); under Haswell the p10 workloads pass, and
-replay-p30-greedy fails under both.
+bits.  The BLAS kernel is a rewrite too: under OPENBLAS_CORETYPE=Sandybridge
+and Haswell, replay-p30-greedy's masks move from step 58 of its seed-0
+reference.  The p10 workloads' misses under Sandybridge come not from the
+scorer but from x0 (model.SimulatedStream): with x0 pinned, they pass.
 
 A score depends on Z only through C_Z, its rows of C in index order (V adds
 sigma_r^2 I_m to every subset).  Where rows of C repeat
@@ -206,12 +205,11 @@ def _secular_boundary_max(
         g0 = (x2 / safe**2).sum(axis=1)
         hard = ~np.isfinite(t_lo) | ((t_lo <= 0.0) & (g0 <= r2))
         t = np.maximum(t_lo, 0.0)
-        any_hard = hard.any()
         # Newton on every row; hard rows keep their start and never hold a
         # decision back.  A decision's rows are going until the first
         # iteration where all its rows that are not hard are within
-        # tolerance, and take no step after it, exactly as alone: a longer iteration would move
-        # the bits of its converged rows.
+        # tolerance, and take no step after it, exactly as alone: a longer
+        # iteration would move the bits of its converged rows.
         going = np.ones(len(t), dtype=bool)
         t_w, t_max = t, np.sqrt(x2.sum(axis=1) / r2)  # sum <= radius2 at t_max
         target = 1.0 / sqrt_c
@@ -226,25 +224,22 @@ def _secular_boundary_max(
             going &= (~ok).reshape(-1, n).any(axis=1).repeat(n)
             if not going.any():
                 break
-        t = np.where(hard, t, t_w) if any_hard else t_w
+        t = np.where(hard, t, t_w)
         g = (x2 / (safe + t[:, None]) ** 2).sum(axis=1)
-        off = np.abs(g - r2) > BOUNDARY_RTOL * r2
-        if any_hard:
-            off &= ~hard
+        off = (np.abs(g - r2) > BOUNDARY_RTOL * r2) & ~hard
         if off.any():
             raise NumericalError("secular equation root-find did not converge")
 
         denom = d + t[:, None]
         pos = denom > 0
         ft = np.where(active & pos, xs / np.where(pos, denom, 1.0), 0.0)
-    if any_hard:
-        # Put the leftover radius on one top eigendirection, signed to help.
-        for i in np.flatnonzero(hard):
-            top = int(np.argmax(lams[i]))
-            rest = float((ft[i] ** 2).sum() - ft[i, top] ** 2)
-            extra = np.sqrt(max(r2[i] - rest, 0.0))
-            sign = 1.0 if hinv_f[i, top] >= 0 else -1.0
-            ft[i, top] = sign * extra
+    # Put a hard row's leftover radius on one top eigendirection, signed to help.
+    for i in np.flatnonzero(hard):
+        top = int(np.argmax(lams[i]))
+        rest = float((ft[i] ** 2).sum() - ft[i, top] ** 2)
+        extra = np.sqrt(max(r2[i] - rest, 0.0))
+        sign = 1.0 if hinv_f[i, top] >= 0 else -1.0
+        ft[i, top] = sign * extra
     scores = (lams * (ft + hinv_f) ** 2).sum(axis=1)
     return ft.reshape(shape), scores.reshape(shape[:2])
 
@@ -269,7 +264,7 @@ def _omega_array(
     m = mask_idx.shape[-1]
     v += params.obs_cov[:m, :m]
     bad = innovation_singular(v, params.sigma_r**2)
-    if bad is not False and bad.any():
+    if bad.any():
         offender = tuple(int(k) for k in mask_idx[tuple(np.argwhere(bad)[0])])
         raise NumericalError(f"innovation covariance singular for mask {offender}")
     vinv = np.linalg.inv(v)

@@ -301,6 +301,16 @@ class TestParseConfig:
          "experiment.grid[0].f[0]: expected a finite number, got str"),
         ("experiment", {"grid": [{"tau": 3, "f": [0.0, True]}]},
          "experiment.grid[0].f[1]: expected a finite number, got bool"),
+        # The result tables key a cell by max |f|: one shift of either sign,
+        # one shift at two change points, or two in-control entries.
+        ("experiment", {"grid": [0.5, -0.5]},
+         "experiment.grid[1]: same shift magnitude (max |f| = 0.5) as experiment.grid[0]"),
+        ("experiment", {"grid": [{"tau": 0, "f": [1.0, 0.0]}, {"tau": 5, "f": [0.0, -1.0]}]},
+         "experiment.grid[1]: same shift magnitude (max |f| = 1) as experiment.grid[0]"),
+        ("experiment", {"grid": [0.0, 0.2, {"tau": None, "f": [0.0, 0.0]}]},
+         "experiment.grid[2]: same shift magnitude (max |f| = 0) as experiment.grid[0]"),
+        ("experiment", {"grid": [{"tau": 4, "f": [0.0, 0.0]}, 0.0]},
+         "experiment.grid[1]: same shift magnitude (max |f| = 0) as experiment.grid[0]"),
     ],
 )
 def test_out_of_range_config_exits_2(tmp_path, capsys, section, patch, message):
@@ -480,6 +490,35 @@ class TestBenchmark:
                        "one shift to sweep\n")
         assert not (out / "results.csv").exists() and not out.exists()
         argv = ["--config", str(path), "--out", str(out), "simulate", "--horizon", "20"]
+        assert main(argv) == 0
+        assert (out / "stream.csv").exists()
+
+    @pytest.mark.parametrize("tau", [60, 75])
+    def test_unreachable_change_point_exits_2_before_calibrating(
+        self, tmp_path, capsys, monkeypatch, tau
+    ):
+        """With horizon_cap 60 the last monitored step is 60, and a change at
+        tau >= 60 first shifts step tau + 1: no replication could measure
+        its delay.  benchmark says so before it calibrates; simulate, whose
+        length is --horizon, still writes the stream."""
+        import pocpd.cli
+
+        def no_calibration(*args):
+            raise AssertionError("calibrate_h called")
+
+        monkeypatch.setattr(pocpd.cli, "calibrate_h", no_calibration)
+        doc = mini_config_doc()
+        doc["experiment"]["grid"] = [{"tau": tau, "f": [1.0, 0.0]}, 0.0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out), "benchmark"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: experiment.grid[0].tau: the change at tau {tau} "
+                       "is never monitored: its first shifted step is past "
+                       "experiment.horizon_cap 60\n")
+        assert not out.exists()
+        argv = ["--config", str(path), "--out", str(out), "simulate", "--horizon", "100"]
         assert main(argv) == 0
         assert (out / "stream.csv").exists()
 

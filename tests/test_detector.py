@@ -27,23 +27,28 @@ def scalar_term(a_tilde, u, w):
     )
 
 
-def dense_reference(terms, k, n):
-    """Independent dense recomputation of (G, s, M) for candidate k at time n
-    of the stream whose terms are stacks of one.
+def dense_g(terms, k, t):
+    """G(t, k) = sum_{s=k+1}^{t} prod_{l=s}^{t-1} A_l   (empty product = I),
+    built directly from the definition rather than the recurrence, for the
+    stream whose terms are stacks of one."""
+    q = terms[0].u.shape[1]
+    g = np.zeros((q, q))
+    for start in range(k + 1, t + 1):
+        prod = np.eye(q)
+        for l in range(start, t):
+            prod = terms[l - 1].a_tilde[0] @ prod
+        g += prod
+    return g
 
-    G(t, k) = sum_{s=k+1}^{t} prod_{l=s}^{t-1} A_l   (empty product = I), built
-    directly from the definition rather than the recurrence.
-    """
+
+def dense_reference(terms, k, n):
+    """Independent dense recomputation of (s, M) for candidate k at time n
+    of the stream whose terms are stacks of one, from dense_g's G(t, k)."""
     q = terms[0].u.shape[1]
     s_vec = np.zeros(q)
     m_mat = np.zeros((q, q))
     for t in range(k + 1, n + 1):
-        g = np.zeros((q, q))
-        for start in range(k + 1, t + 1):
-            prod = np.eye(q)
-            for l in range(start, t):
-                prod = terms[l - 1].a_tilde[0] @ prod
-            g += prod
+        g = dense_g(terms, k, t)
         term = terms[t - 1]
         s_vec += g.T @ term.u[0]
         m_mat += g.T @ term.w[0] @ g
@@ -75,8 +80,8 @@ def slot_candidates(det: Detector) -> np.ndarray:
 
 
 def ring(det: Detector, k: int):
-    """(G, s, M) of live candidate k of a stack of one, read from the ring
-    arrays the way exact_scan reads them."""
+    """(G(n+1, k), s, M) of live candidate k of a stack of one, read from the
+    ring arrays the way exact_scan reads them."""
     assert 0 <= k < det.n and k > det.n - det.window.m1
     (slot,) = np.flatnonzero(slot_candidates(det) == k)
     return det._G[0, slot], det._s[0, slot], det._M[0, slot]
@@ -94,11 +99,12 @@ def pinned_scan(terms, k):
 
 class TestPushStep:
     def test_first_step_identity(self):
-        """At t = k+1, G = I: accumulators are the raw step factors."""
+        """At t = k+1, G = I: accumulators are the raw step factors, and the
+        next step's G(k+2, k) is a_tilde + I."""
         det = Detector(1, WindowConfig(m1=10, m2=0))
         det.push_step(scalar_term(0.5, u=2.0, w=4.0))
-        g_mat, s_vec, m_mat = ring(det, 0)
-        assert g_mat[0, 0] == 1.0
+        _, s_vec, m_mat = ring(det, 0)
+        assert det.g_next([0], [0])[0, 0, 0] == 1.5
         assert s_vec[0] == 2.0
         assert m_mat[0, 0] == 4.0
 
@@ -113,11 +119,11 @@ class TestPushStep:
         assert m_mat[0, 0] == pytest.approx(3.0)
 
     def test_constant_half_geometric(self):
-        # q=1, A-tilde = 0.5 constant, n - k = 3: G = 1 + 0.5 + 0.25.
+        # q=1, A-tilde = 0.5 constant, n + 1 - k = 3: G = 1 + 0.5 + 0.25.
         det = Detector(1, WindowConfig(m1=10, m2=0))
-        for _ in range(3):
+        for _ in range(2):
             det.push_step(scalar_term(0.5, u=0.0, w=1.0))
-        assert ring(det, 0)[0][0, 0] == pytest.approx(1.75)
+        assert det.g_next([0], [0])[0, 0, 0] == pytest.approx(1.75)
 
     def test_eviction(self):
         det = Detector(1, WindowConfig(m1=3, m2=0))
@@ -134,7 +140,8 @@ class TestPushStep:
     def test_matches_dense_reference(self, rng):
         """Incremental ring buffer equals batch recomputation (Eq. oracle)
         for every live candidate, in a ring that never evicts (m1 = 12) and
-        in one that wraps over the same 10 steps (m1 = 4)."""
+        in one that wraps over the same 10 steps (m1 = 4): s and M at n, and
+        g_next's G(n+1, k)."""
         q = 3
         terms = []
         dets = [Detector(q, WindowConfig(m1=m1, m2=0)) for m1 in (12, 4)]
@@ -151,6 +158,8 @@ class TestPushStep:
                 s_ref, m_ref = dense_reference(terms, k, 10)
                 np.testing.assert_allclose(s_vec, s_ref, atol=1e-8)
                 np.testing.assert_allclose(m_mat, m_ref, atol=1e-8)
+                g_ref = dense_g(terms, k, 11)
+                np.testing.assert_allclose(det.g_next([k], [0])[0], g_ref, atol=1e-8)
 
 
 class TestEstimateShift:
@@ -405,5 +414,5 @@ def test_g_next_extends_recurrence(rng):
     a_last = 0.4 * rng.normal(size=(q, q))
     det.push_step(StepTerm(a_tilde=0.2 * np.eye(q)[None], u=np.zeros((1, q)), w=np.eye(q)[None]))
     det.push_step(StepTerm(a_tilde=a_last[None], u=np.zeros((1, q)), w=np.eye(q)[None]))
-    g_now = ring(det, 0)[0]
-    np.testing.assert_allclose(det.g_next([0], [0])[0], a_last @ g_now + np.eye(q), atol=1e-12)
+    # G(2, 0) = 0.2 I + I, so G(3, 0) = a_last G(2, 0) + I.
+    np.testing.assert_allclose(det.g_next([0], [0])[0], a_last * 1.2 + np.eye(q), atol=1e-12)

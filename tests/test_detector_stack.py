@@ -257,7 +257,7 @@ def test_take_copies_rows():
     stack = Detector(3, window, rows=3)
     for _ in range(5):
         stack.push_step(stacked([random_term(rng, 3, np.eye(3)[None]) for _ in range(3)]))
-    names = ("_G", "_s", "_M", "_lo", "_hi", "_a_prev")
+    names = ("_G", "_s", "_M", "_lo", "_hi")
     before = {name: getattr(stack, name).copy() for name in names}
     alone = stack.take([1])
     assert len(alone._lo) == 1 and alone.n == stack.n == 5

@@ -233,10 +233,17 @@ class TestInnovationSingular:
         b = rng.normal(size=(q, q))
         return np.einsum("nij,jk,nlk->nil", c, b @ b.T, c) + sigma_r2 * np.eye(m)
 
-    def test_certified_stack(self, rng):
+    def test_certified_stack(self, rng, monkeypatch):
+        """sigma_r2 certifies every V: all False, without eigenvalues."""
         v = self.stack(rng, 0.1)
-        assert innovation_singular(v, 0.1) is False
         assert not self.reference(v).any()
+
+        def no_eigenvalues(*args):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+        got = innovation_singular(v, 0.1)
+        assert got.dtype == bool and got.shape == v.shape[:1] and not got.any()
 
     @pytest.mark.parametrize("sigma_r2", [1e-14, 0.0])
     def test_uncertified_stack(self, rng, sigma_r2):

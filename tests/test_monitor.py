@@ -85,7 +85,7 @@ class TestMonitor:
         monitor.advance([obs])
         [record] = monitor.records()
         assert record.alarm_time is not None and monitor.live == []
-        assert monitor.t_abs == s.n0 + record.alarm_time < obs.shape[0]
+        assert monitor.det.n == s.n0 + record.alarm_time < obs.shape[0]
 
     @pytest.mark.parametrize(
         "policy_kind,rows",
