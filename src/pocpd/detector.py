@@ -35,7 +35,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError
 from .filtering import StepOutput, rcond_from_eigvals
@@ -133,20 +132,14 @@ class ScanResult:
                    np.full((rows, q, q), np.nan))
 
 
-def make_step_term(outs: list[StepOutput], C: np.ndarray) -> StepTerm:
-    """Fold the filter step outputs of a stack of R streams, with masks of
-    one size, into the stack's per-step factors, reusing the filter's
-    Cholesky factors of V."""
-    c_z = C[[o.mask.indices for o in outs]]  # (R, m, q)
-    rhs = np.concatenate([np.array([o.residual for o in outs])[..., None], c_z], axis=-1)
-    # One dpotrs per stream solves for r and C_Z together.  Stacking the
-    # transposes keeps each solution in the Fortran order dpotrs returns: a
-    # C-ordered stack sends the products for u down another BLAS path, which
-    # moves last bits.
-    vinv = np.array([dpotrs(o.v_chol, b, lower=1)[0].T for o, b in zip(outs, rhs)])
-    czt, vinv = c_z.swapaxes(-1, -2), vinv.swapaxes(-1, -2)
-    return StepTerm(np.array([o.a_tilde_used for o in outs]), (czt @ vinv[..., :1])[..., 0],
-                    czt @ vinv[..., 1:])
+def make_step_term(out: StepOutput, C: np.ndarray) -> StepTerm:
+    """Fold the stacked filter step output of R streams into the stack's
+    per-step factors, from the filter's solves V^{-1} [r, C_Z]."""
+    # Each row of v_solved keeps the Fortran order dpotrs returns: a C-ordered
+    # stack sends the products for u down another BLAS path, which moves last
+    # bits.
+    czt, vinv = C[out.masks].swapaxes(-1, -2), out.v_solved
+    return StepTerm(out.a_tilde_used, (czt @ vinv[..., :1])[..., 0], czt @ vinv[..., 1:])
 
 
 class Detector:

@@ -1,9 +1,12 @@
-"""One-step-ahead Kalman prediction under partial observation.
+"""One-step-ahead Kalman prediction under partial observation, for a stack
+of R streams in lockstep (one stream is the stack of R = 1).
 
-Each step sees only an m-row slice C_Z of the output matrix.  The recursion
-keeps the one-step predictor x_{t+1|t} and its covariance P_{t+1|t}; the
-innovation r_t = y_obs - C_Z x_{t|t-1} and its covariance V_t are returned
-for the downstream detector.
+Each step, row i sees only an m-row slice C_Z of the output matrix.  The
+recursion keeps the predictors x_{t+1|t} and covariances P_{t+1|t}; the
+innovations r_t = y_obs - C_Z x_{t|t-1} and their covariances V_t go to the
+detector.  Each row gets the bits it gets alone, as in the `detector` stack,
+and only dpotrf and dpotrs loop per row (scipy's batched cho_solve loops in
+Python): one dpotrs solves V X = [C_Z P', r, C_Z], each column as alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import NumericalError
 # stationary_covariance is not called here (filter_init reads the cached
 # ModelParams.stationary_cov); perfbench/tracing.py wraps this lookup site,
 # so the name stays importable from this module.
-from .model import ModelParams, ObservationMask, stationary_covariance
+from .model import ModelParams, stationary_covariance
 
 __all__ = ["FilterState", "StepOutput", "filter_init", "filter_step"]
 
@@ -33,78 +36,87 @@ _CERTIFY_MARGIN = 1e4
 
 @dataclass(frozen=True)
 class FilterState:
-    """Value-type recursion state; filter_step returns a new instance."""
+    """Value-type recursion state of a stack of R streams; filter_step
+    returns a new instance."""
 
-    x_pred: np.ndarray  # x_{t+1|t}, shape (q,)
-    p_pred: np.ndarray  # P_{t+1|t}, shape (q, q), symmetric PSD
-    t: int  # number of steps processed
+    x_pred: np.ndarray  # x_{t+1|t}, shape (R, q)
+    p_pred: np.ndarray  # P_{t+1|t}, shape (R, q, q), symmetric PSD
+    t: int  # number of steps processed, shared by the rows
+
+    def take(self, rows: list) -> "FilterState":
+        """The given rows of the stack, as a stack."""
+        return FilterState(self.x_pred[rows], self.p_pred[rows], self.t)
 
 
 @dataclass(frozen=True)
 class StepOutput:
-    """Per-step residual products consumed by the detector."""
+    """Per-step residual products of a stack of R streams, consumed by the
+    detector."""
 
-    residual: np.ndarray  # r_t, shape (m,)
-    v_mat: np.ndarray  # V_t = C_Z P C_Z' + sigma_r^2 I, shape (m, m)
-    v_chol: np.ndarray  # lower Cholesky factor of V_t (LAPACK potrf layout)
-    mask: ObservationMask
-    a_tilde_used: np.ndarray  # closed-loop transition of this step, (q, q)
-
-
-def filter_init(params: ModelParams) -> FilterState:
-    """Start from the steady-state prior: zero mean, stationary covariance."""
-    return FilterState(x_pred=np.zeros(params.q), p_pred=params.stationary_cov, t=0)
+    residual: np.ndarray  # r_t, shape (R, m)
+    v_mat: np.ndarray  # V_t = C_Z P C_Z' + sigma_r^2 I, shape (R, m, m)
+    v_chol: np.ndarray  # lower Cholesky factors of V_t (LAPACK potrf layout)
+    masks: np.ndarray  # observed indices, shape (R, m)
+    a_tilde_used: np.ndarray  # closed-loop transition of this step, (R, q, q)
+    v_solved: np.ndarray  # V_t^{-1} [r_t, C_Z], (R, m, 1 + q), as dpotrs lays it out
 
 
-def filter_step(
-    state: FilterState,
-    params: ModelParams,
-    mask: ObservationMask,
-    y_obs: np.ndarray,
-) -> tuple[FilterState, StepOutput]:
-    """Advance the predictor by one partially-observed step.
+def filter_init(params: ModelParams, rows: int = 1) -> FilterState:
+    """Start R rows from the steady-state prior: zero mean, stationary P."""
+    p_pred = np.repeat(params.stationary_cov[None], rows, axis=0)
+    return FilterState(x_pred=np.zeros((rows, params.q)), p_pred=p_pred, t=0)
 
-    Raises NumericalError if the innovation covariance is numerically
-    singular (reciprocal condition number below RCOND_SINGULAR).
+
+def filter_step(state: FilterState, params: ModelParams, masks: np.ndarray,
+                y_obs: np.ndarray) -> tuple[FilterState, StepOutput]:
+    """Advance a stack by one partially-observed step: row i observes the
+    indices masks[i] of an (R, m) index array as y_obs[i], (R, m).
+
+    Raises NumericalError, naming the step and the first failing row's mask,
+    if an innovation covariance is numerically singular (reciprocal
+    condition number below RCOND_SINGULAR) or not positive definite.
     """
-    y_obs = np.asarray(y_obs, dtype=float)
-    if y_obs.shape != (len(mask),):
-        raise ValueError(
-            f"y_obs has shape {y_obs.shape}, expected ({len(mask)},) for the mask"
-        )
-    if mask.p != params.p:
-        raise ValueError(f"mask is over {mask.p} dimensions, model has p={params.p}")
-    idx = list(mask.indices)
-    c_z = params.C[idx, :]
-    P = state.p_pred
-    v_mat = c_z @ P @ c_z.T + params.obs_cov[: len(idx), : len(idx)]
-    v_mat = 0.5 * (v_mat + v_mat.T)
-    if innovation_singular(v_mat, params.sigma_r**2):
-        raise NumericalError(
-            f"innovation covariance singular at step t={state.t + 1} "
-            f"(mask {mask.indices})"
-        )
+    masks, y_obs = np.asarray(masks), np.asarray(y_obs, dtype=float)
+    if (masks.ndim != 2 or y_obs.shape != masks.shape or len(masks) != len(state.x_pred)
+            or masks.min() < 0 or masks.max() >= params.p):
+        raise ValueError(f"masks {masks.shape} of indices in [0, {params.p}) and y_obs "
+                         f"{y_obs.shape} must both be (R, m), R = {len(state.x_pred)}")
+    t, (q, m) = state.t + 1, (params.q, masks.shape[1])
+
+    def where(r):  # with Python ints: "(0, 2)", not "(np.int64(0), ...)"
+        return f"at step t={t} (mask {tuple(masks[r].tolist())})"
+    c_z, P = params.C[masks], state.p_pred  # (R, m, q), (R, q, q)
+    v_mat = c_z @ P @ c_z.swapaxes(-1, -2) + params.obs_cov[:m, :m]
+    v_mat = 0.5 * (v_mat + v_mat.swapaxes(-1, -2))
+    singular = innovation_singular(v_mat, params.sigma_r**2)
+    if singular.any():
+        raise NumericalError(f"innovation covariance singular {where(singular.argmax())}")
+    x = state.x_pred[..., None]
+    residual = y_obs - (c_z @ x)[..., 0]
+    rhs = np.concatenate([c_z @ P.swapaxes(-1, -2), residual[..., None], c_z], axis=-1)
     # The LAPACK routines cho_factor / cho_solve call, without their wrapper
     # cost; same arguments, so the same bits.
-    chol, info = dpotrf(v_mat, lower=1, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    # K = P C_Z' V^{-1}, via the Cholesky factor of the m x m innovation.
-    k_gain = dpotrs(chol, c_z @ P.T, lower=1, overwrite_b=1)[0].T
+    chols, solved = [], []
+    for r, v in enumerate(v_mat):
+        chol, info = dpotrf(v, lower=1, clean=0)
+        if info != 0:
+            raise NumericalError(f"innovation covariance not positive definite "
+                                 f"(leading minor {info}) {where(r)}")
+        chols.append(chol)
+        solved.append(dpotrs(chol, rhs[r], lower=1)[0].T)
+    solved = np.array(solved)  # (R, 2q + 1, m), C-ordered: X' per row
+    k_gain = solved[:, :q]  # K = P C_Z' V^{-1}, (R, q, m), C-ordered per row as alone
     a_tilde = params.A @ (params.identity - k_gain @ c_z)
-    residual = y_obs - c_z @ state.x_pred
-    x_next = a_tilde @ state.x_pred + params.A @ (k_gain @ y_obs)
+    x_next = (a_tilde @ x + params.A @ (k_gain @ y_obs[..., None]))[..., 0]
     # Joseph-form covariance propagation: the A K R K' A' term keeps P the
     # exact predictor covariance, so V_t is the true innovation covariance.
     ak = params.A @ k_gain
-    p_next = a_tilde @ P @ a_tilde.T + params.sigma_r**2 * (ak @ ak.T) + params.state_cov
-    p_next = 0.5 * (p_next + p_next.T)
-    new_state = FilterState(x_pred=x_next, p_pred=p_next, t=state.t + 1)
-    return new_state, StepOutput(
-        residual=residual, v_mat=v_mat, v_chol=chol, mask=mask, a_tilde_used=a_tilde
-    )
+    p_next = (a_tilde @ P @ a_tilde.swapaxes(-1, -2)
+              + params.sigma_r**2 * (ak @ ak.swapaxes(-1, -2)) + params.state_cov)
+    p_next = 0.5 * (p_next + p_next.swapaxes(-1, -2))
+    return FilterState(x_pred=x_next, p_pred=p_next, t=t), StepOutput(
+        residual=residual, v_mat=v_mat, v_chol=np.array(chols), masks=masks,
+        a_tilde_used=a_tilde, v_solved=solved[:, q:].swapaxes(-1, -2))
 
 
 def rcond_from_eigvals(vals: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .detector import Detector, ScanResult, WindowConfig, make_step_term
 from .errors import NumericalError
-from .filtering import StepOutput, filter_init, filter_step
+from .filtering import filter_init, filter_step
 from .model import ChangeSpec, ModelParams, ObservationMask, simulate_stream
 from .sampler import (
     AlphaSchedule,
@@ -131,10 +131,9 @@ def simulate_run_stream(
 
 @dataclass
 class _Row:
-    """One stream of a block: its filter state, mask generator and next
-    mask, and its record so far (as in RunRecord)."""
+    """One stream of a block: its mask generator and next mask, and its
+    record so far (as in RunRecord)."""
 
-    state: object
     mask_rng: object
     mask: ObservationMask
     t_stats: list
@@ -148,14 +147,14 @@ class Monitor:
     """The monitoring loop of R streams of one scenario, in lockstep:
     resumable and forkable.  One stream is the block of one.
 
-    Each step has two phases.  The observe phase filters each row through
-    its decided mask, pushes one stacked step term into the block's detector
-    and scans once; scanning and alarms start after the n0 random warm-up
-    steps.  The decide phase then picks the next masks of the rows that go
-    on with one `_next_mask` call on this scan: the policy's choice, or
-    random ones during warm-up.  A row that stops at its alarm leaves the
-    block after it.  `live` lists the rows still in the block, whose
-    detector rows these are.
+    Each step has two phases.  The observe phase filters the live rows
+    through their decided masks as one stack, pushes one stacked step term
+    into the block's detector and scans once; scanning and alarms start
+    after the n0 random warm-up steps.  The decide phase then picks the next
+    masks of the rows that go on with one `_next_mask` call on this scan: the
+    policy's choice, or random ones during warm-up.  A row that stops at its
+    alarm leaves the block after it.  `live` lists the rows still in the
+    block, whose filter state and detector rows these are.
     """
 
     def __init__(self, scenario: Scenario, mask_rngs: list):
@@ -163,11 +162,10 @@ class Monitor:
         self.scenario = scenario
         self.h = scenario.window.h if scenario.window.h is not None else math.inf
         self.det = Detector(params.q, scenario.window, rows=len(mask_rngs))
+        self.state = filter_init(params, rows=len(mask_rngs))
         self.live = list(range(len(mask_rngs)))
-        self._rows = [
-            _Row(filter_init(params), rng, select_random(params.p, scenario.m, rng), [], [])
-            for rng in mask_rngs
-        ]
+        self._rows = [_Row(rng, select_random(params.p, scenario.m, rng), [], [])
+                      for rng in mask_rngs]
 
     def advance(self, streams: list, stop_at_alarm: bool = True) -> None:
         """Advance the live rows in lockstep over their streams, one per live
@@ -194,26 +192,23 @@ class Monitor:
                 if ended:
                     break
                 t += 1
-                outs = [self._filter(row, y) for row, y in zip(live, obs)]
-                self.det.push_step(make_step_term(outs, params.C))
+                masks = np.array([row.mask.indices for row in live])
+                for row in live:
+                    row.masks.append(row.mask.indices)
+                self.state, out = filter_step(self.state, params, masks,
+                                              np.take_along_axis(np.array(obs), masks, 1))
+                self.det.push_step(make_step_term(out, params.C))
                 scan = (self.det.scan() if t >= n0 and t > m2 + 1
                         else ScanResult.none(len(live), params.q))
                 alarms = [self._note(row, scan, r) for r, row in enumerate(live)]
                 going = [r for r, alarm in enumerate(alarms) if not (stop_at_alarm and alarm)]
                 _next_mask(self, live, going, scan)
                 if len(going) < len(live):
-                    self.det = self.det.take(going)
+                    self.det, self.state = self.det.take(going), self.state.take(going)
                     self.live = [self.live[r] for r in going]
                     live, iters = [live[r] for r in going], [iters[r] for r in going]
         except NumericalError as exc:
             raise NumericalError(f"absolute step {t}: {exc}") from exc
-
-    def _filter(self, row: _Row, y) -> StepOutput:
-        """Filter a row's next observation through its decided mask."""
-        row.masks.append(row.mask.indices)
-        row.state, out = filter_step(row.state, self.scenario.model, row.mask,
-                                     y[list(row.mask.indices)])
-        return out
 
     def _note(self, row: _Row, scan: ScanResult, r: int) -> bool:
         """Record row r of this step's scan; True when it raises the row's
@@ -233,10 +228,10 @@ class Monitor:
 
     def fork(self, copies: int = 1) -> "Monitor":
         """`copies` independent copies of the block's R rows as one block:
-        row c * R + i is copy c of row i.  They share the frozen filter
-        states and masks, and f_hat, which is replaced, not written."""
+        row c * R + i is copy c of row i.  They share the frozen masks, and
+        f_hat, which is replaced, not written."""
         other, n, stack = copy.copy(self), len(self._rows), list(range(len(self.live))) * copies
-        other.det = self.det.take(stack)
+        other.det, other.state = self.det.take(stack), self.state.take(stack)
         other.live = [c * n + i for c in range(copies) for i in self.live]
         other._rows = [replace(r, t_stats=list(r.t_stats), masks=list(r.masks),
                                mask_rng=copy.deepcopy(r.mask_rng)) for r in self._rows * copies]
@@ -282,7 +277,7 @@ def run_single(
 
 def _next_mask(block: Monitor, live: list, rows: list, scan: ScanResult) -> None:
     """The decide phase: the next masks of these rows of a block, whose
-    live rows and detector rows these are, from this step's scan, in one
+    live, filter and detector rows these are, from this step's scan, in one
     call.  Warm-up steps, scans without an estimate and the random policy
     draw at random; all other decisions go to the UCR sampler as one
     stack."""
@@ -302,7 +297,7 @@ def _next_mask(block: Monitor, live: list, rows: list, scan: ScanResult) -> None
         f_hat=scan.f_hat[ucr],
         sigma_f=scan.sigma_f[ucr],
         g_next=block.det.g_next([scan.tau_hat[r] for r in ucr], ucr),
-        p_pred=np.array([live[r].state.p_pred for r in ucr]),
+        p_pred=block.state.p_pred[ucr],
         params=params,
         alpha=np.array([adaptive_alpha(scan.t_stat[r], policy.alpha) for r in ucr]),
     )

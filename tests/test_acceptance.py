@@ -26,7 +26,7 @@ from pocpd.calibration import (
 )
 from pocpd.detector import Detector, WindowConfig, make_step_term
 from pocpd.filtering import filter_init, filter_step
-from pocpd.model import ChangeSpec, ModelParams, ObservationMask, simulate_stream
+from pocpd.model import ChangeSpec, ModelParams, simulate_stream
 from pocpd.monitor import Policy, Scenario, replication_rngs, run_single, simulate_run_stream
 from pocpd.sampler import (
     AlphaSchedule,
@@ -342,12 +342,12 @@ class TestCriterion5FilterOracle:
             model = random_stable_model(rng, q=q, p=p)
             y, _ = simulate_stream(model, ChangeSpec.none(q), 30, seed=rng)
             state = filter_init(model)
-            mask = ObservationMask.full(p)
+            masks = [list(range(p))]
             xs, ps = [], []
             for t in range(30):
-                state, _ = filter_step(state, model, mask, y[t])
-                xs.append(state.x_pred)
-                ps.append(state.p_pred)
+                state, _ = filter_step(state, model, masks, y[t][None])
+                xs.append(state.x_pred[0])
+                ps.append(state.p_pred[0])
             ref_x, ref_p = classic_kalman_predictor(model, y)
             worst = max(
                 worst,
@@ -422,17 +422,17 @@ class TestCriterion7NullDistribution:
                 for rep in range(n_reps)
             ]
         )
-        mask = ObservationMask.full(p)
+        masks = [list(range(p))]
         # Shared deterministic pieces of the recursion (the gain sequence
         # does not depend on the data under a fixed mask).
         shared = []
         state = filter_init(model)
         for t in range(n_steps):
-            p_prev = state.p_pred
-            state, out = filter_step(state, model, mask, np.zeros(p))
-            vinv = np.linalg.inv(out.v_mat)
+            p_prev = state.p_pred[0]
+            state, out = filter_step(state, model, masks, np.zeros((1, p)))
+            vinv = np.linalg.inv(out.v_mat[0])
             # Gain K = P C' V^{-1} of this step.
-            shared.append((out.a_tilde_used, vinv, p_prev @ model.C.T @ vinv))
+            shared.append((out.a_tilde_used[0], vinv, p_prev @ model.C.T @ vinv))
         # Per-replication residual accumulation for candidate k = 0.
         x_pred = np.zeros((n_reps, q))
         g = np.eye(q)
@@ -466,10 +466,10 @@ class TestCriterion7NullDistribution:
         state = filter_init(model)
         # At n = 10 the window n - m1 < k < n - m2 holds only k = 0.
         det = Detector(7, WindowConfig(m1=11, m2=9))
-        mask = ObservationMask.full(10)
+        masks = [list(range(10))]
         for t in range(10):
-            state, out = filter_step(state, model, mask, y[t])
-            det.push_step(make_step_term([out], model.C))
+            state, out = filter_step(state, model, masks, y[t][None])
+            det.push_step(make_step_term(out, model.C))
         scan = det.scan()
         assert scan.tau_hat == (0,)
         lib_stat = scan.t_stat[0]
@@ -481,14 +481,14 @@ class TestCriterion7NullDistribution:
         m_mat = np.zeros((7, 7))
         prev_a = None
         for t in range(10):
-            state, out = filter_step(state, model, mask, y[t])
-            vinv = np.linalg.inv(out.v_mat)
+            state, out = filter_step(state, model, masks, y[t][None])
+            vinv = np.linalg.inv(out.v_mat[0])
             if prev_a is not None:
                 g = prev_a @ g + np.eye(7)
-            resid = out.residual
+            resid = out.residual[0]
             s_vec += g.T @ (model.C.T @ vinv @ resid)
             m_mat += g.T @ (model.C.T @ vinv @ model.C) @ g
-            prev_a = out.a_tilde_used
+            prev_a = out.a_tilde_used[0]
         manual = float(s_vec @ np.linalg.solve(m_mat, s_vec))
         assert manual == pytest.approx(lib_stat, rel=1e-8)
 

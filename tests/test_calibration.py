@@ -405,11 +405,12 @@ class TestLockstepBlocks:
             rows[rep, step] = simulate_run_stream(base, ic, sim_rng)[step - 1]
         filter_step = pocpd.monitor.filter_step
 
-        def failing(state, params, mask, y_obs):
+        def failing(state, params, masks, y_obs):
             for (rep, step), row in rows.items():
-                if state.t + 1 == step and np.array_equal(y_obs, row[list(mask.indices)]):
+                if state.t + 1 == step and any(np.array_equal(y, row[idx])
+                                               for idx, y in zip(masks, y_obs)):
                     raise np.linalg.LinAlgError(f"injected into replication {rep}")
-            return filter_step(state, params, mask, y_obs)
+            return filter_step(state, params, masks, y_obs)
 
         monkeypatch.setattr(pocpd.monitor, "filter_step", failing)
         with pytest.raises(np.linalg.LinAlgError, match=r"^injected into replication 9$"):

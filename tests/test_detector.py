@@ -14,7 +14,7 @@ from pocpd.detector import (
     make_step_term,
 )
 from pocpd.filtering import filter_init, filter_step, rcond_from_eigvals
-from pocpd.model import ChangeSpec, ObservationMask, simulate_stream
+from pocpd.model import ChangeSpec, simulate_stream
 from pocpd.scenarios import benchmark_p10_model
 
 from conftest import random_stable_model
@@ -295,10 +295,10 @@ class TestScan:
             )
             state = filter_init(m)
             det = Detector(7, window)
-            mask = ObservationMask.full(10)
+            masks = [list(range(10))]
             for t in range(100):
-                state, out = filter_step(state, m, mask, y[t])
-                det.push_step(make_step_term([out], m.C))
+                state, out = filter_step(state, m, masks, y[t][None])
+                det.push_step(make_step_term(out, m.C))
             res = det.scan()
             errs.append(res.tau_hat[0] - tau_true)
         assert abs(float(np.median(errs))) <= 10
@@ -397,15 +397,14 @@ class TestMakeStepTerm:
     def test_factors(self, rng):
         m = benchmark_p10_model()
         state = filter_init(m)
-        mask = ObservationMask(indices=(0, 2, 5), p=10)
-        y = rng.normal(size=3)
-        _, out = filter_step(state, m, mask, y)
-        term = make_step_term([out], m.C)
+        y = rng.normal(size=(1, 3))
+        _, out = filter_step(state, m, [[0, 2, 5]], y)
+        term = make_step_term(out, m.C)
         c_z = m.C[[0, 2, 5], :]
-        vinv = np.linalg.inv(out.v_mat)
-        np.testing.assert_allclose(term.u[0], c_z.T @ vinv @ out.residual, atol=1e-12)
+        vinv = np.linalg.inv(out.v_mat[0])
+        np.testing.assert_allclose(term.u[0], c_z.T @ vinv @ out.residual[0], atol=1e-12)
         np.testing.assert_allclose(term.w[0], c_z.T @ vinv @ c_z, atol=1e-12)
-        np.testing.assert_array_equal(term.a_tilde[0], out.a_tilde_used)
+        np.testing.assert_array_equal(term.a_tilde[0], out.a_tilde_used[0])
 
 
 def test_g_next_extends_recurrence(rng):

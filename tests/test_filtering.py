@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
+
+import pocpd.filtering
 
 from pocpd.detector import make_step_term
 from pocpd.errors import NumericalError
-from pocpd.filtering import filter_init, filter_step, innovation_singular
+from pocpd.filtering import FilterState, filter_init, filter_step, innovation_singular
 from pocpd.model import (
     ChangeSpec,
     ModelParams,
@@ -77,18 +80,76 @@ def test_single_factorization_bit_identical(model, m):
     rng = np.random.default_rng(m)
     y, _ = simulate_stream(model, ChangeSpec.none(model.q), 150, seed=rng)
     state = filter_init(model)
-    x_ref, p_ref = state.x_pred, state.p_pred
+    x_ref, p_ref = state.x_pred[0], state.p_pred[0]
     for t in range(150):
         idx = tuple(sorted(rng.choice(model.p, size=m, replace=False).tolist()))
         mask = ObservationMask(indices=idx, p=model.p)
-        state, out = filter_step(state, model, mask, y[t, list(idx)])
-        term = make_step_term([out], model.C)
+        state, out = filter_step(state, model, [idx], y[t, list(idx)][None])
+        term = make_step_term(out, model.C)
         x_ref, p_ref, ref = cho_wrapper_step(x_ref, p_ref, model, mask, y[t, list(idx)])
-        got = (out.a_tilde_used, out.residual, out.v_mat, term.u[0], term.w[0])
-        np.testing.assert_array_equal(state.x_pred, x_ref)
-        np.testing.assert_array_equal(state.p_pred, p_ref)
+        got = (out.a_tilde_used[0], out.residual[0], out.v_mat[0], term.u[0], term.w[0])
+        np.testing.assert_array_equal(state.x_pred[0], x_ref)
+        np.testing.assert_array_equal(state.p_pred[0], p_ref)
         for g, r in zip(got, ref):
             np.testing.assert_array_equal(g, r)
+
+
+def per_row_step(x_pred, p_pred, params, idx, y_obs):
+    """One row's Kalman step through per-matrix LAPACK calls, as the filter
+    ran before it was stacked; also V^{-1} [r, C_Z] from a solve of its own,
+    as the step term computed it."""
+    c_z = params.C[idx, :]
+    v_mat = c_z @ p_pred @ c_z.T + params.obs_cov[: len(idx), : len(idx)]
+    v_mat = 0.5 * (v_mat + v_mat.T)
+    chol, info = dpotrf(v_mat, lower=1, clean=0)
+    assert info == 0
+    k_gain = dpotrs(chol, c_z @ p_pred.T, lower=1, overwrite_b=1)[0].T
+    a_tilde = params.A @ (params.identity - k_gain @ c_z)
+    residual = y_obs - c_z @ x_pred
+    x_next = a_tilde @ x_pred + params.A @ (k_gain @ y_obs)
+    ak = params.A @ k_gain
+    p_next = a_tilde @ p_pred @ a_tilde.T + params.sigma_r**2 * (ak @ ak.T) + params.state_cov
+    p_next = 0.5 * (p_next + p_next.T)
+    solved = dpotrs(chol, np.concatenate([residual[:, None], c_z], axis=1), lower=1)[0]
+    return x_next, p_next, (residual, a_tilde, chol, solved)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q", [3, 7, 15])
+def test_stack_rows_equal_stacks_of_one(q, m):
+    """Over 60 steps of random masks, each row of a stack of R = 4 or 25
+    equals that row filtered as a stack of one, byte for byte, and both
+    equal the per-row reference step in x, P, the residual, a_tilde, the
+    Cholesky factor and V^{-1} [r, C_Z] (the fused solve against one of its
+    own).  q = 7 and 15 are bench-p10 and bench-p30, whose C repeats rows."""
+    rng = np.random.default_rng(100 * q + m)
+    model = {3: random_stable_model(rng, q=3, p=5), 7: benchmark_p10_model(),
+             15: benchmark_p30_model()}[q]
+    rows, steps = 25, 60
+    masks = np.sort([[rng.choice(model.p, size=m, replace=False) for _ in range(rows)]
+                     for _ in range(steps)], axis=-1)
+    y = rng.normal(size=(steps, rows, m))
+    stacks = {n: filter_init(model, rows=n) for n in (1, 4, 25)}
+    alone = [filter_init(model) for _ in range(rows)]
+    ref = [(np.zeros(q), model.stationary_cov) for _ in range(rows)]
+    for t in range(steps):
+        outs = {}
+        for n in stacks:
+            stacks[n], outs[n] = filter_step(stacks[n], model, masks[t, :n], y[t, :n])
+        for r in range(rows):
+            alone[r], one = filter_step(alone[r], model, masks[t, r : r + 1], y[t, r : r + 1])
+            got = (alone[r].x_pred[0], alone[r].p_pred[0], one.residual[0],
+                   one.a_tilde_used[0], one.v_chol[0], one.v_solved[0])
+            x, p, (residual, a_tilde, chol, solved) = per_row_step(*ref[r], model, masks[t, r],
+                                                                   y[t, r])
+            ref[r] = x, p
+            for g, want in zip(got, (x, p, residual, a_tilde, chol, solved)):
+                np.testing.assert_array_equal(g, want)
+            for n, out in outs.items():
+                if r < n:
+                    row = (stacks[n].x_pred[r], stacks[n].p_pred[r], out.residual[r],
+                           out.a_tilde_used[r], out.v_chol[r], out.v_solved[r])
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(row, got))
 
 
 class TestFilterInit:
@@ -97,7 +158,7 @@ class TestFilterInit:
             A=np.array([[0.5]]), C=np.ones((1, 1)), sigma_q=0.1, sigma_r=0.1
         )
         s = filter_init(m)
-        assert s.p_pred[0, 0] == pytest.approx(0.01 / 0.75, rel=1e-9)
+        assert s.p_pred[0, 0, 0] == pytest.approx(0.01 / 0.75, rel=1e-9)
         np.testing.assert_array_equal(s.x_pred, 0.0)
         assert s.t == 0
 
@@ -105,7 +166,14 @@ class TestFilterInit:
         m = ModelParams(
             A=np.zeros((2, 2)), C=np.eye(2), sigma_q=0.2, sigma_r=0.1
         )
-        np.testing.assert_allclose(filter_init(m).p_pred, 0.04 * np.eye(2))
+        np.testing.assert_allclose(filter_init(m).p_pred, 0.04 * np.eye(2)[None])
+
+    def test_rows(self):
+        m = benchmark_p10_model()
+        s = filter_init(m, rows=3)
+        assert s.x_pred.shape == (3, 7) and s.t == 0
+        np.testing.assert_array_equal(s.x_pred, 0.0)
+        np.testing.assert_array_equal(s.p_pred, np.stack([m.stationary_cov] * 3))
 
 
 class TestFilterStep:
@@ -114,26 +182,24 @@ class TestFilterStep:
         m = ModelParams(
             A=np.array([[0.5]]), C=np.ones((1, 1)), sigma_q=0.1, sigma_r=0.1
         )
-        state = filter_init(m)
-        # Overwrite to the worked values P = 1, x = 0.
-        state = type(state)(x_pred=np.zeros(1), p_pred=np.ones((1, 1)), t=0)
-        mask = ObservationMask.full(1)
-        new, out = filter_step(state, m, mask, np.array([1.0]))
+        # The worked values P = 1, x = 0.
+        state = FilterState(x_pred=np.zeros((1, 1)), p_pred=np.ones((1, 1, 1)), t=0)
+        new, out = filter_step(state, m, [[0]], np.array([[1.0]]))
         # K = P C' V^{-1} = 1 / 1.01, so A-tilde = A (1 - K C) and x+ = A K y.
-        assert out.a_tilde_used[0, 0] == pytest.approx(0.5 * (1 - 1 / 1.01), rel=1e-10)
-        assert new.x_pred[0] == pytest.approx(0.5 / 1.01, rel=1e-10)
-        assert out.residual[0] == pytest.approx(1.0)
-        assert out.v_mat[0, 0] == pytest.approx(1.01)
+        assert out.a_tilde_used[0, 0, 0] == pytest.approx(0.5 * (1 - 1 / 1.01), rel=1e-10)
+        assert new.x_pred[0, 0] == pytest.approx(0.5 / 1.01, rel=1e-10)
+        assert out.residual[0, 0] == pytest.approx(1.0)
+        assert out.v_mat[0, 0, 0] == pytest.approx(1.01)
 
     def test_zero_innovation_step(self):
         m = benchmark_p10_model()
         state = filter_init(m)
-        state = type(state)(x_pred=np.arange(1.0, 8.0), p_pred=state.p_pred, t=0)
-        mask = ObservationMask(indices=(1, 4, 6), p=10)
-        y = m.C[list(mask.indices), :] @ state.x_pred
-        new, out = filter_step(state, m, mask, y)
+        state = FilterState(x_pred=np.arange(1.0, 8.0)[None], p_pred=state.p_pred, t=0)
+        idx = [1, 4, 6]
+        y = m.C[idx, :] @ state.x_pred[0]
+        new, out = filter_step(state, m, [idx], y[None])
         np.testing.assert_allclose(out.residual, 0.0, atol=1e-12)
-        np.testing.assert_allclose(new.x_pred, m.A @ state.x_pred, atol=1e-12)
+        np.testing.assert_allclose(new.x_pred[0], m.A @ state.x_pred[0], atol=1e-12)
 
     def test_full_observation_matches_classic_kalman(self, rng):
         for _ in range(20):
@@ -142,12 +208,12 @@ class TestFilterStep:
             m = random_stable_model(rng, q=q, p=p)
             y, _ = simulate_stream(m, ChangeSpec.none(q), 40, seed=rng)
             state = filter_init(m)
-            mask = ObservationMask.full(p)
+            masks = [list(range(p))]
             xs, ps = [], []
             for t in range(40):
-                state, _ = filter_step(state, m, mask, y[t])
-                xs.append(state.x_pred)
-                ps.append(state.p_pred)
+                state, _ = filter_step(state, m, masks, y[t][None])
+                xs.append(state.x_pred[0])
+                ps.append(state.p_pred[0])
             ref_x, ref_p = classic_kalman_predictor(m, y)
             np.testing.assert_allclose(np.array(xs), ref_x, atol=1e-10)
             np.testing.assert_allclose(np.array(ps), ref_p, atol=1e-10)
@@ -158,25 +224,63 @@ class TestFilterStep:
         )
         state = filter_init(m)
         with pytest.raises(NumericalError, match="singular"):
-            filter_step(state, m, ObservationMask.full(2), np.zeros(2))
+            filter_step(state, m, [[0, 1]], np.zeros((1, 2)))
+
+    def test_singular_row_is_named(self):
+        """Of three rows, the last two singular: the error names the first
+        of them, with its mask in Python ints."""
+        m = ModelParams(
+            A=np.zeros((2, 2)), C=np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]),
+            sigma_q=0.0, sigma_r=0.0,
+        )
+        state = FilterState(np.zeros((3, 2)), np.stack([np.eye(2)] * 3), t=4)
+        with pytest.raises(NumericalError,
+                           match=r"^innovation covariance singular at step t=5 \(mask \(0, 2\)\)$"):
+            filter_step(state, m, [[0, 1], [0, 2], [0, 2]], np.zeros((3, 2)))
+
+    def test_failed_factor_is_named(self, monkeypatch):
+        """dpotrf fails on the second of three rows: a NumericalError names
+        the step and that row's mask, not a bare LinAlgError."""
+        m = benchmark_p10_model()
+        calls = []
+
+        def failing(v, **kwargs):
+            calls.append(v)
+            chol, info = dpotrf(v, **kwargs)
+            return chol, 2 if len(calls) == 2 else info
+
+        monkeypatch.setattr(pocpd.filtering, "dpotrf", failing)
+        with pytest.raises(NumericalError, match=r"^innovation covariance not positive "
+                           r"definite \(leading minor 2\) at step t=1 \(mask \(3, 8\)\)$"):
+            filter_step(filter_init(m, rows=3), m, [[0, 1], [3, 8], [2, 4]], np.zeros((3, 2)))
 
     def test_shape_validation(self):
         m = benchmark_p10_model()
         state = filter_init(m)
         with pytest.raises(ValueError):
-            filter_step(state, m, ObservationMask(indices=(0, 1), p=10), np.zeros(3))
+            filter_step(state, m, [(0, 1)], np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("masks,y_obs", [
+        ([0, 1], np.zeros(2)),  # not a stack
+        ([[0, 1], [2, 3]], np.zeros((2, 2))),  # more rows than the state
+        ([[0, 10]], np.zeros((1, 2))),  # index past p
+        ([[-1, 2]], np.zeros((1, 2))),  # negative index
+    ])
+    def test_malformed_masks(self, masks, y_obs):
+        m = benchmark_p10_model()
+        with pytest.raises(ValueError, match=r"must both be \(R, m\), R = 1$"):
+            filter_step(filter_init(m), m, masks, y_obs)
 
     def test_p_pred_stays_symmetric_psd(self, rng):
         m = benchmark_p10_model()
         y, _ = simulate_stream(m, ChangeSpec.none(7), 200, seed=rng)
         state = filter_init(m)
         for t in range(200):
-            idx = tuple(sorted(rng.choice(10, size=2, replace=False).tolist()))
-            mask = ObservationMask(indices=idx, p=10)
-            state, out = filter_step(state, m, mask, y[t, list(idx)])
-            np.testing.assert_allclose(state.p_pred, state.p_pred.T)
-            assert np.min(np.linalg.eigvalsh(state.p_pred)) >= -1e-10
-            assert np.min(np.linalg.eigvalsh(out.v_mat)) > 0
+            idx = sorted(rng.choice(10, size=2, replace=False).tolist())
+            state, out = filter_step(state, m, [idx], y[t, idx][None])
+            np.testing.assert_allclose(state.p_pred[0], state.p_pred[0].T)
+            assert np.min(np.linalg.eigvalsh(state.p_pred[0])) >= -1e-10
+            assert np.min(np.linalg.eigvalsh(out.v_mat[0])) > 0
 
     def test_ic_residuals_standardized(self, rng):
         """Standardized innovations are mean 0, covariance I under IC."""
@@ -186,11 +290,10 @@ class TestFilterStep:
         state = filter_init(m)
         zs = []
         for t in range(n_steps):
-            idx = tuple(sorted(rng.choice(10, size=3, replace=False).tolist()))
-            mask = ObservationMask(indices=idx, p=10)
-            state, out = filter_step(state, m, mask, y[t, list(idx)])
-            vals, vecs = np.linalg.eigh(out.v_mat)
-            z = (vecs / np.sqrt(vals)) .T @ out.residual
+            idx = sorted(rng.choice(10, size=3, replace=False).tolist())
+            state, out = filter_step(state, m, [idx], y[t, idx][None])
+            vals, vecs = np.linalg.eigh(out.v_mat[0])
+            z = (vecs / np.sqrt(vals)) .T @ out.residual[0]
             zs.append(vecs @ z)
         z = np.array(zs)
         n = z.size
@@ -206,10 +309,10 @@ def test_filter_step_is_pure(seed):
     rng = np.random.default_rng(seed)
     m = random_stable_model(rng, q=2, p=3)
     state = filter_init(m)
-    mask = ObservationMask(indices=(0, 2), p=3)
-    y = rng.normal(size=2)
-    s1, o1 = filter_step(state, m, mask, y)
-    s2, o2 = filter_step(state, m, mask, y)
+    masks = [[0, 2]]
+    y = rng.normal(size=(1, 2))
+    s1, o1 = filter_step(state, m, masks, y)
+    s2, o2 = filter_step(state, m, masks, y)
     np.testing.assert_array_equal(s1.x_pred, s2.x_pred)
     np.testing.assert_array_equal(s1.p_pred, s2.p_pred)
     np.testing.assert_array_equal(o1.residual, o2.residual)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pocpd.calibration
+import pocpd.filtering
 import pocpd.monitor
 from pocpd.calibration import (
     STREAM_EVALUATION,
@@ -119,14 +120,14 @@ def shift(tau, f0, f1):
 
 
 def fail_filter_step(monkeypatch, when):
-    """Make the monitor's filter step raise a NumericalError when
-    when(state, y_obs) holds."""
+    """Make the monitor's stacked filter step raise a NumericalError when
+    when(state, y) holds for the observations y of any row."""
     filter_step = pocpd.monitor.filter_step
 
-    def failing(state, params, mask, y_obs):
-        if when(state, y_obs):
+    def failing(state, params, masks, y_obs):
+        if any(when(state, y) for y in y_obs):
             raise NumericalError("injected")
-        return filter_step(state, params, mask, y_obs)
+        return filter_step(state, params, masks, y_obs)
 
     monkeypatch.setattr(pocpd.monitor, "filter_step", failing)
 
@@ -262,6 +263,36 @@ def test_failing_filter_in_a_block_names_one_step(monkeypatch):
     )
     assert want.cells[0].error is None
     assert run_scenario(scenario).cells == want.cells
+
+
+def test_failed_factor_in_a_block_names_its_source(monkeypatch):
+    """dpotrf fails on replication 3's row at absolute step 11, in the middle
+    of a block of 7: the cell error names the seed, lane, replication and
+    step, and the row's mask in Python ints, as a singular V does."""
+    monkeypatch.setattr(pocpd.calibration, "IC_BLOCK", 7)
+    scenario = replace(mini_scenario(h=12.0, replications=10), changes=(ChangeSpec.none(2),))
+    sim_rng, _ = replication_rngs(scenario.seed, STREAM_EVALUATION, 3)
+    row = simulate_run_stream(scenario, scenario.changes[0], sim_rng)[10]
+    filter_step, dpotrf = pocpd.monitor.filter_step, pocpd.filtering.dpotrf
+    failing = []  # whether each row's factor of this step fails, in row order
+
+    def marking(state, params, masks, y_obs):
+        failing[:] = [state.t == 10 and np.array_equal(y, row[idx])
+                      for idx, y in zip(masks, y_obs)]
+        return filter_step(state, params, masks, y_obs)
+
+    def factor(v, **kwargs):
+        chol, info = dpotrf(v, **kwargs)
+        return chol, 1 if failing.pop(0) else info
+
+    monkeypatch.setattr(pocpd.monitor, "filter_step", marking)
+    monkeypatch.setattr(pocpd.filtering, "dpotrf", factor)
+    [cell] = run_scenario(scenario).cells
+    assert re.match(
+        r"^seed 17, stream lane 2, replication 3, absolute step 11: innovation covariance "
+        r"not positive definite \(leading minor 1\) at step t=11 \(mask \(\d, \d\)\)$",
+        cell.error,
+    )
 
 
 def test_exhaustive_p30_sweep_keeps_the_candidate_budget(monkeypatch):

@@ -204,8 +204,10 @@ def test_advance_needs_streams_of_one_length():
 
 def test_block_calls_each_layer_once_per_step(monkeypatch):
     """A 25-replication bench-p10 in-control block (random policy, n0 10,
-    horizon 10) filters once per replication-step, and makes one step term,
-    one push, one scan and one decide phase per block-step."""
+    horizon 10) makes one filter step, one step term, one push, one scan and
+    one decide phase per block-step, and one Cholesky factor per
+    replication-step."""
+    import pocpd.filtering as filtering
     import pocpd.monitor as monitor
 
     calls = {}
@@ -221,6 +223,7 @@ def test_block_calls_each_layer_once_per_step(monkeypatch):
 
     for name in ("filter_step", "make_step_term", "_next_mask"):
         count(monitor, name)
+    count(filtering, "dpotrf")
     for name in ("push_step", "scan"):
         count(monitor.Detector, name)
     s = replace(
@@ -230,8 +233,8 @@ def test_block_calls_each_layer_once_per_step(monkeypatch):
     [(lengths, error)] = run_blocks(s, STREAM_CALIBRATION, lambda s, rec: len(rec.masks))
     assert error is None and lengths == [20] * 25
     # 20 steps; the scans start at absolute step n0 = 10, as m2 + 2 = 7 < n0.
-    assert calls == {"filter_step": 25 * 20, "make_step_term": 20, "push_step": 20, "scan": 11,
-                     "_next_mask": 20}
+    assert calls == {"filter_step": 20, "make_step_term": 20, "push_step": 20, "scan": 11,
+                     "_next_mask": 20, "dpotrf": 25 * 20}
 
 
 @pytest.mark.parametrize("block", [3, 7])
