@@ -31,14 +31,12 @@ from .harness import (
 from .model import (
     ChangeSpec,
     ModelParams,
-    ObservationMask,
     simulate_stream,
     stationary_covariance,
 )
 from .monitor import Policy, RunRecord, Scenario, run_single
 from .sampler import (
     AlphaSchedule,
-    SamplingDecision,
     UcrInputs,
     adaptive_alpha,
     chi2_quantile,
@@ -62,11 +60,9 @@ __all__ = [
     "FilterState",
     "ModelParams",
     "NumericalError",
-    "ObservationMask",
     "Policy",
     "ResultTable",
     "RunRecord",
-    "SamplingDecision",
     "ScanResult",
     "Scenario",
     "StepOutput",

@@ -55,7 +55,6 @@ class StepOutput:
 
     residual: np.ndarray  # r_t, shape (R, m)
     v_mat: np.ndarray  # V_t = C_Z P C_Z' + sigma_r^2 I, shape (R, m, m)
-    v_chol: np.ndarray  # lower Cholesky factors of V_t (LAPACK potrf layout)
     masks: np.ndarray  # observed indices, shape (R, m)
     a_tilde_used: np.ndarray  # closed-loop transition of this step, (R, q, q)
     v_solved: np.ndarray  # V_t^{-1} [r_t, C_Z], (R, m, 1 + q), as dpotrs lays it out
@@ -96,13 +95,12 @@ def filter_step(state: FilterState, params: ModelParams, masks: np.ndarray,
     rhs = np.concatenate([c_z @ P.swapaxes(-1, -2), residual[..., None], c_z], axis=-1)
     # The LAPACK routines cho_factor / cho_solve call, without their wrapper
     # cost; same arguments, so the same bits.
-    chols, solved = [], []
+    solved = []
     for r, v in enumerate(v_mat):
         chol, info = dpotrf(v, lower=1, clean=0)
         if info != 0:
             raise NumericalError(f"innovation covariance not positive definite "
                                  f"(leading minor {info}) {where(r)}")
-        chols.append(chol)
         solved.append(dpotrs(chol, rhs[r], lower=1)[0].T)
     solved = np.array(solved)  # (R, 2q + 1, m), C-ordered: X' per row
     k_gain = solved[:, :q]  # K = P C_Z' V^{-1}, (R, q, m), C-ordered per row as alone
@@ -115,7 +113,7 @@ def filter_step(state: FilterState, params: ModelParams, masks: np.ndarray,
               + params.sigma_r**2 * (ak @ ak.swapaxes(-1, -2)) + params.state_cov)
     p_next = 0.5 * (p_next + p_next.swapaxes(-1, -2))
     return FilterState(x_pred=x_next, p_pred=p_next, t=t), StepOutput(
-        residual=residual, v_mat=v_mat, v_chol=np.array(chols), masks=masks,
+        residual=residual, v_mat=v_mat, masks=masks,
         a_tilde_used=a_tilde, v_solved=solved[:, q:].swapaxes(-1, -2))
 
 

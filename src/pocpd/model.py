@@ -1,4 +1,4 @@
-"""Linear-Gaussian state-space model: parameters, masks, and stream simulation.
+"""Linear-Gaussian state-space model: parameters and stream simulation.
 
 The monitored process is a latent AR(1) state x_t = A x_{t-1} + w_t observed
 through y_t = C x_t + v_t with isotropic noises Q = sigma_q^2 I and
@@ -21,7 +21,6 @@ from .errors import NumericalError
 __all__ = [
     "ModelParams",
     "ChangeSpec",
-    "ObservationMask",
     "stationary_covariance",
     "SimulatedStream",
     "simulate_stream",
@@ -146,31 +145,6 @@ class ChangeSpec:
         if self.tau == math.inf:
             return 0.0
         return float(np.max(np.abs(self.f)))
-
-
-@dataclass(frozen=True)
-class ObservationMask:
-    """Sorted, distinct 0-based indices of the observed dimensions."""
-
-    indices: tuple
-    p: int
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if not idx:
-            raise ValueError("mask must observe at least one dimension")
-        if sorted(set(idx)) != list(idx):
-            raise ValueError(f"mask indices must be sorted and distinct: {idx}")
-        if idx[0] < 0 or idx[-1] >= self.p:
-            raise ValueError(f"mask indices {idx} out of range [0, {self.p})")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @classmethod
-    def full(cls, p: int) -> "ObservationMask":
-        return cls(indices=tuple(range(p)), p=p)
 
 
 # Convergence test of stationary_covariance: the largest entry change of a

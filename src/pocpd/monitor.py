@@ -18,7 +18,7 @@ import numpy as np
 from .detector import Detector, ScanResult, WindowConfig, make_step_term
 from .errors import NumericalError
 from .filtering import filter_init, filter_step
-from .model import ChangeSpec, ModelParams, ObservationMask, simulate_stream
+from .model import ChangeSpec, ModelParams, simulate_stream
 from .sampler import (
     AlphaSchedule,
     UcrInputs,
@@ -131,11 +131,10 @@ def simulate_run_stream(
 
 @dataclass
 class _Row:
-    """One stream of a block: its mask generator and next mask, and its
-    record so far (as in RunRecord)."""
+    """One stream of a block: its mask generator and its record so far (as
+    in RunRecord)."""
 
     mask_rng: object
-    mask: ObservationMask
     t_stats: list
     masks: list
     alarm_time: int | None = None
@@ -154,7 +153,8 @@ class Monitor:
     masks of the rows that go on with one `_next_mask` call on this scan: the
     policy's choice, or random ones during warm-up.  A row that stops at its
     alarm leaves the block after it.  `live` lists the rows still in the
-    block, whose filter state and detector rows these are.
+    block, whose filter state, detector rows and next masks `masks`, an
+    (R, m) index array, these are.
     """
 
     def __init__(self, scenario: Scenario, mask_rngs: list):
@@ -164,8 +164,8 @@ class Monitor:
         self.det = Detector(params.q, scenario.window, rows=len(mask_rngs))
         self.state = filter_init(params, rows=len(mask_rngs))
         self.live = list(range(len(mask_rngs)))
-        self._rows = [_Row(rng, select_random(params.p, scenario.m, rng), [], [])
-                      for rng in mask_rngs]
+        self.masks = np.array([select_random(params.p, scenario.m, rng) for rng in mask_rngs])
+        self._rows = [_Row(rng, [], []) for rng in mask_rngs]
 
     def advance(self, streams: list, stop_at_alarm: bool = True) -> None:
         """Advance the live rows in lockstep over their streams, one per live
@@ -192,9 +192,9 @@ class Monitor:
                 if ended:
                     break
                 t += 1
-                masks = np.array([row.mask.indices for row in live])
-                for row in live:
-                    row.masks.append(row.mask.indices)
+                masks = self.masks
+                for row, mask in zip(live, masks.tolist()):
+                    row.masks.append(tuple(mask))
                 self.state, out = filter_step(self.state, params, masks,
                                               np.take_along_axis(np.array(obs), masks, 1))
                 self.det.push_step(make_step_term(out, params.C))
@@ -202,7 +202,7 @@ class Monitor:
                         else ScanResult.none(len(live), params.q))
                 alarms = [self._note(row, scan, r) for r, row in enumerate(live)]
                 going = [r for r, alarm in enumerate(alarms) if not (stop_at_alarm and alarm)]
-                _next_mask(self, live, going, scan)
+                self.masks = _next_mask(self, live, going, scan)
                 if len(going) < len(live):
                     self.det, self.state = self.det.take(going), self.state.take(going)
                     self.live = [self.live[r] for r in going]
@@ -228,10 +228,11 @@ class Monitor:
 
     def fork(self, copies: int = 1) -> "Monitor":
         """`copies` independent copies of the block's R rows as one block:
-        row c * R + i is copy c of row i.  They share the frozen masks, and
-        f_hat, which is replaced, not written."""
+        row c * R + i is copy c of row i.  They share f_hat, which is
+        replaced, not written."""
         other, n, stack = copy.copy(self), len(self._rows), list(range(len(self.live))) * copies
         other.det, other.state = self.det.take(stack), self.state.take(stack)
+        other.masks = self.masks[stack]
         other.live = [c * n + i for c in range(copies) for i in self.live]
         other._rows = [replace(r, t_stats=list(r.t_stats), masks=list(r.masks),
                                mask_rng=copy.deepcopy(r.mask_rng)) for r in self._rows * copies]
@@ -275,32 +276,31 @@ def run_single(
     return monitor.records()[0]
 
 
-def _next_mask(block: Monitor, live: list, rows: list, scan: ScanResult) -> None:
+def _next_mask(block: Monitor, live: list, rows: list, scan: ScanResult) -> np.ndarray:
     """The decide phase: the next masks of these rows of a block, whose
     live, filter and detector rows these are, from this step's scan, in one
-    call.  Warm-up steps, scans without an estimate and the random policy
-    draw at random; all other decisions go to the UCR sampler as one
-    stack."""
-    if not rows:
-        return
+    call, as a (len(rows), m) index array.  Warm-up steps, scans without an
+    estimate and the random policy draw at random; all other decisions go
+    to the UCR sampler as one stack."""
     scenario = block.scenario
     policy, params = scenario.policy, scenario.model
-    ucr = []
-    for r in rows:
+    masks = np.empty((len(rows), scenario.m), dtype=np.intp)
+    at, ucr = [], []  # the UCR decisions' positions in rows, and their rows
+    for k, r in enumerate(rows):
         if policy.kind == "random" or scan.tau_hat[r] is None:
-            live[r].mask = select_random(params.p, scenario.m, live[r].mask_rng)
+            masks[k] = select_random(params.p, scenario.m, live[r].mask_rng)
         else:
+            at.append(k)
             ucr.append(r)
-    if not ucr:
-        return
-    inputs = UcrInputs(
-        f_hat=scan.f_hat[ucr],
-        sigma_f=scan.sigma_f[ucr],
-        g_next=block.det.g_next([scan.tau_hat[r] for r in ucr], ucr),
-        p_pred=block.state.p_pred[ucr],
-        params=params,
-        alpha=np.array([adaptive_alpha(scan.t_stat[r], policy.alpha) for r in ucr]),
-    )
-    select = select_exhaustive if policy.kind == "aucrss" else select_greedy
-    for r, decision in zip(ucr, select(inputs, scenario.m)):
-        live[r].mask = decision.mask
+    if ucr:
+        inputs = UcrInputs(
+            f_hat=scan.f_hat[ucr],
+            sigma_f=scan.sigma_f[ucr],
+            g_next=block.det.g_next([scan.tau_hat[r] for r in ucr], ucr),
+            p_pred=block.state.p_pred[ucr],
+            params=params,
+            alpha=adaptive_alpha(scan.t_stat[ucr], policy.alpha),
+        )
+        select = select_exhaustive if policy.kind == "aucrss" else select_greedy
+        masks[at] = select(inputs, scenario.m)[0]
+    return masks

@@ -39,12 +39,11 @@ from scipy.special import gammaincinv
 
 from .errors import NumericalError
 from .filtering import innovation_singular
-from .model import ModelParams, ObservationMask
+from .model import ModelParams
 
 __all__ = [
     "AlphaSchedule",
     "UcrInputs",
-    "SamplingDecision",
     "chi2_quantile",
     "adaptive_alpha",
     "omega",
@@ -95,9 +94,10 @@ class AlphaSchedule:
             raise ValueError(f"d must be a finite number, got {self.d}")
 
 
-def adaptive_alpha(t_stat: float, schedule: AlphaSchedule) -> float:
-    raw = max((t_stat - schedule.d) / schedule.l, 0.0) + schedule.alpha_min
-    return min(raw, schedule.alpha_max)
+def adaptive_alpha(t_stat, schedule: AlphaSchedule):
+    """The exploration level of each scan statistic of a stack (or of one)."""
+    raw = np.maximum((t_stat - schedule.d) / schedule.l, 0.0) + schedule.alpha_min
+    return np.minimum(raw, schedule.alpha_max)
 
 
 @dataclass(frozen=True)
@@ -154,21 +154,10 @@ class UcrInputs:
         return wide, b[:, None], bf[:, None, :, None], f_hat[:, None]
 
 
-@dataclass(frozen=True)
-class SamplingDecision:
-    mask: ObservationMask
-    score: float
-    f_star: np.ndarray
-
-
-def omega(
-    mask: ObservationMask,
-    g_next: np.ndarray,
-    p_pred: np.ndarray,
-    params: ModelParams,
-) -> np.ndarray:
-    """Projected information matrix G' C_Z' V^{-1} C_Z G for one subset."""
-    return _omega_array(np.array([[mask.indices]]), g_next[None], p_pred[None], params)[0, 0]
+def omega(indices, g_next: np.ndarray, p_pred: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Projected information matrix G' C_Z' V^{-1} C_Z G for one subset,
+    given its observed indices."""
+    return _omega_array(np.array([[indices]]), g_next[None], p_pred[None], params)[0, 0]
 
 
 def _secular_boundary_max(
@@ -348,27 +337,21 @@ def distinct_subsets(params: ModelParams, m: int) -> int:
     return int(_distinct(classes[_combinations(params.p, m)].tobytes(), m)[1].max()) + 1
 
 
-def _best(inputs: UcrInputs, cands: np.ndarray, scores, f_stars):
-    """Each decision's first best of its candidates, (R, n, m), as a list of
-    R SamplingDecisions."""
-    return [
-        SamplingDecision(
-            mask=_mask(inputs.params.p, tuple(cands[r, k].tolist())),
-            score=float(scores[r, k]),
-            f_star=f_stars[r, k],
-        )
-        for r, k in enumerate(scores.argmax(axis=1))
-    ]
+def _best(cands: np.ndarray, scores: np.ndarray, f_stars: np.ndarray):
+    """Each decision's first best of its candidates, (R, n, m): its mask
+    (R, m), score (R,) and maximizer (R, q)."""
+    at = np.arange(len(cands)), scores.argmax(axis=1)
+    return cands[at], scores[at], f_stars[at]
 
 
-def select_exhaustive(inputs: UcrInputs, m: int) -> list[SamplingDecision]:
-    """Best subset over all C(p, m) masks for each of the R decisions;
-    ties go to the lexicographically smallest index set (argmax keeps the
-    first)."""
+def select_exhaustive(inputs: UcrInputs, m: int):
+    """Best subset over all C(p, m) masks for each of the R decisions, as
+    (masks (R, m), scores (R,), maximizers (R, q)); ties go to the
+    lexicographically smallest index set (argmax keeps the first)."""
     p = inputs.params.p
     _check_subset_size(m, p)
     cands = _combinations(p, m)[None].repeat(len(inputs.f_hat), axis=0)
-    return _best(inputs, cands, *_score_mask_array(cands, inputs))
+    return _best(cands, *_score_mask_array(cands, inputs))
 
 
 @lru_cache(maxsize=16)
@@ -379,14 +362,14 @@ def _combinations(p: int, m: int) -> np.ndarray:
     return combos
 
 
-def select_greedy(inputs: UcrInputs, m: int) -> list[SamplingDecision]:
+def select_greedy(inputs: UcrInputs, m: int):
     """Grow each of the R decisions' subsets one index per round, keeping
     the best extension (the smallest candidate index on ties), with one
-    scorer call per round for all of them."""
+    scorer call per round for all of them.  Returns the last round's best,
+    as select_exhaustive does."""
     p = inputs.params.p
     _check_subset_size(m, p)
     n_dec = len(inputs.f_hat)
-    decs = np.arange(n_dec)
     taken = np.zeros((n_dec, p), dtype=bool)
     chosen = np.empty((n_dec, 0), dtype=np.intp)
     for k in range(m):
@@ -394,25 +377,15 @@ def select_greedy(inputs: UcrInputs, m: int) -> list[SamplingDecision]:
         pool = (~taken).nonzero()[1].reshape(n_dec, p - k, 1)
         cands = np.concatenate((chosen[:, None].repeat(p - k, axis=1), pool), axis=2)
         cands.sort(axis=2)
-        scores, f_stars = _score_mask_array(cands, inputs)
-        best = scores.argmax(axis=1)
-        taken[decs, pool[decs, best, 0]] = True
-        chosen = cands[decs, best]
-    # The last round's best candidate is the chosen set.
-    return _best(inputs, cands, scores, f_stars)
+        chosen, scores, f_stars = _best(cands, *_score_mask_array(cands, inputs))
+        taken[np.arange(n_dec)[:, None], chosen] = True
+    return chosen, scores, f_stars
 
 
-def select_random(p: int, m: int, rng: np.random.Generator) -> ObservationMask:
-    """Uniform draw over all C(p, m) index subsets."""
+def select_random(p: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw over all C(p, m) index subsets: its indices, ascending, (m,)."""
     _check_subset_size(m, p)
-    return _mask(p, tuple(sorted(rng.choice(p, size=m, replace=False).tolist())))
-
-
-# Random draws repeat few masks (45 on bench-p10 at m = 2), so each is built
-# and validated once; masks are frozen, so the draws can share them.
-@lru_cache(maxsize=4096)
-def _mask(p: int, indices: tuple) -> ObservationMask:
-    return ObservationMask(indices=indices, p=p)
+    return np.sort(rng.choice(p, size=m, replace=False))
 
 
 def _check_subset_size(m: int, p: int) -> None:

@@ -13,7 +13,6 @@ from pocpd.filtering import FilterState, filter_init, filter_step, innovation_si
 from pocpd.model import (
     ChangeSpec,
     ModelParams,
-    ObservationMask,
     simulate_stream,
     stationary_covariance,
 )
@@ -45,11 +44,11 @@ def classic_kalman_predictor(params, y_seq):
     return np.array(xs), np.array(ps)
 
 
-def cho_wrapper_step(x_pred, p_pred, params, mask, y_obs):
+def cho_wrapper_step(x_pred, p_pred, params, idx, y_obs):
     """filter_step + make_step_term through scipy's cho_factor / cho_solve,
     factoring V once for the filter and once for the step term: the
     reference for the single raw-LAPACK factorization."""
-    idx = list(mask.indices)
+    idx = list(idx)
     c_z = params.C[idx, :]
     v_mat = c_z @ p_pred @ c_z.T + params.sigma_r**2 * np.eye(len(idx))
     v_mat = 0.5 * (v_mat + v_mat.T)
@@ -83,10 +82,9 @@ def test_single_factorization_bit_identical(model, m):
     x_ref, p_ref = state.x_pred[0], state.p_pred[0]
     for t in range(150):
         idx = tuple(sorted(rng.choice(model.p, size=m, replace=False).tolist()))
-        mask = ObservationMask(indices=idx, p=model.p)
         state, out = filter_step(state, model, [idx], y[t, list(idx)][None])
         term = make_step_term(out, model.C)
-        x_ref, p_ref, ref = cho_wrapper_step(x_ref, p_ref, model, mask, y[t, list(idx)])
+        x_ref, p_ref, ref = cho_wrapper_step(x_ref, p_ref, model, idx, y[t, list(idx)])
         got = (out.a_tilde_used[0], out.residual[0], out.v_mat[0], term.u[0], term.w[0])
         np.testing.assert_array_equal(state.x_pred[0], x_ref)
         np.testing.assert_array_equal(state.p_pred[0], p_ref)
@@ -111,7 +109,7 @@ def per_row_step(x_pred, p_pred, params, idx, y_obs):
     p_next = a_tilde @ p_pred @ a_tilde.T + params.sigma_r**2 * (ak @ ak.T) + params.state_cov
     p_next = 0.5 * (p_next + p_next.T)
     solved = dpotrs(chol, np.concatenate([residual[:, None], c_z], axis=1), lower=1)[0]
-    return x_next, p_next, (residual, a_tilde, chol, solved)
+    return x_next, p_next, (residual, a_tilde, solved)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -119,9 +117,9 @@ def per_row_step(x_pred, p_pred, params, idx, y_obs):
 def test_stack_rows_equal_stacks_of_one(q, m):
     """Over 60 steps of random masks, each row of a stack of R = 4 or 25
     equals that row filtered as a stack of one, byte for byte, and both
-    equal the per-row reference step in x, P, the residual, a_tilde, the
-    Cholesky factor and V^{-1} [r, C_Z] (the fused solve against one of its
-    own).  q = 7 and 15 are bench-p10 and bench-p30, whose C repeats rows."""
+    equal the per-row reference step in x, P, the residual, a_tilde and
+    V^{-1} [r, C_Z] (the fused solve against one of its own, from the same
+    Cholesky factor).  q = 7 and 15 are bench-p10 and bench-p30, whose C repeats rows."""
     rng = np.random.default_rng(100 * q + m)
     model = {3: random_stable_model(rng, q=3, p=5), 7: benchmark_p10_model(),
              15: benchmark_p30_model()}[q]
@@ -139,16 +137,15 @@ def test_stack_rows_equal_stacks_of_one(q, m):
         for r in range(rows):
             alone[r], one = filter_step(alone[r], model, masks[t, r : r + 1], y[t, r : r + 1])
             got = (alone[r].x_pred[0], alone[r].p_pred[0], one.residual[0],
-                   one.a_tilde_used[0], one.v_chol[0], one.v_solved[0])
-            x, p, (residual, a_tilde, chol, solved) = per_row_step(*ref[r], model, masks[t, r],
-                                                                   y[t, r])
+                   one.a_tilde_used[0], one.v_solved[0])
+            x, p, (residual, a_tilde, solved) = per_row_step(*ref[r], model, masks[t, r], y[t, r])
             ref[r] = x, p
-            for g, want in zip(got, (x, p, residual, a_tilde, chol, solved)):
+            for g, want in zip(got, (x, p, residual, a_tilde, solved)):
                 np.testing.assert_array_equal(g, want)
             for n, out in outs.items():
                 if r < n:
                     row = (stacks[n].x_pred[r], stacks[n].p_pred[r], out.residual[r],
-                           out.a_tilde_used[r], out.v_chol[r], out.v_solved[r])
+                           out.a_tilde_used[r], out.v_solved[r])
                     assert all(a.tobytes() == b.tobytes() for a, b in zip(row, got))
 
 

@@ -10,7 +10,6 @@ from pocpd.errors import NumericalError
 from pocpd.model import (
     ChangeSpec,
     ModelParams,
-    ObservationMask,
     SimulatedStream,
     simulate_stream,
     stationary_covariance,
@@ -82,21 +81,6 @@ class TestChangeSpec:
     def test_integral_taus_accepted(self):
         for tau in (np.int64(3), 3.0, np.float64(3.0)):
             assert ChangeSpec(tau=tau, f=np.ones(2)).magnitude == 1.0
-
-
-class TestObservationMask:
-    def test_sorted_distinct_required(self):
-        with pytest.raises(ValueError):
-            ObservationMask(indices=(2, 1), p=5)
-        with pytest.raises(ValueError):
-            ObservationMask(indices=(1, 1), p=5)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            ObservationMask(indices=(0, 5), p=5)
-
-    def test_full(self):
-        assert ObservationMask.full(4).indices == (0, 1, 2, 3)
 
 
 class TestStationaryCovariance:

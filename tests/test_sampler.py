@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from pocpd.errors import NumericalError
-from pocpd.model import ModelParams, ObservationMask
+from pocpd.model import ModelParams
 from pocpd.sampler import (
     AlphaSchedule,
     UcrInputs,
@@ -40,6 +42,12 @@ def make_inputs(rng, q, p, alpha, f_scale=1.0):
         params=params,
         alpha=np.array([alpha]),
     )
+
+
+def assert_same_decisions(got, want):
+    """Two selections, each (masks, scores, f_stars), are equal bit for bit."""
+    for name, a, b in zip(("masks", "scores", "f_stars"), got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def boundary_residual(inputs, f_star):
@@ -88,6 +96,23 @@ class TestAlphaSchedule:
     def test_linear_segment(self):
         assert adaptive_alpha(20.0, self.SCHED) == pytest.approx(0.1 + 5 / 6.67)
 
+    @pytest.mark.parametrize("sched", [SCHED, AlphaSchedule(d=0.0, l=1.0, alpha_min=0.1,
+                                                            alpha_max=0.5)])
+    def test_stack_equals_scalar_form(self, sched):
+        """A stack of statistics gets, bit for bit, the scalar form
+        min(max((t - d) / l, 0.0) + alpha_min, alpha_max) of each: below d,
+        on the linear segment, around the alpha_max cap and at +-0.0 (with
+        d = 0, t - d is -0.0 at t = -0.0)."""
+        cap = sched.d + (sched.alpha_max - sched.alpha_min) * sched.l
+        ts = np.concatenate([
+            [-0.0, 0.0, sched.d - 4.0, sched.d, np.nextafter(sched.d, np.inf), 0.5 * (sched.d + cap),
+             np.nextafter(cap, -np.inf), cap, np.nextafter(cap, np.inf), cap + 7.0, 1e300],
+            np.random.default_rng(5).uniform(sched.d - 5.0, cap + 5.0, 1000),
+        ])
+        want = np.array([min(max((t - sched.d) / sched.l, 0.0) + sched.alpha_min, sched.alpha_max)
+                         for t in ts])
+        assert adaptive_alpha(ts, sched).tobytes() == want.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AlphaSchedule(d=0, l=1.0, alpha_min=0.9, alpha_max=0.5)
@@ -123,8 +148,7 @@ class TestOmega:
             sigma_q=0.1,
             sigma_r=0.1,
         )
-        mask = ObservationMask(indices=(2, 3), p=4)
-        om = omega(mask, np.eye(2), np.eye(2), params)
+        om = omega((2, 3), np.eye(2), np.eye(2), params)
         np.testing.assert_array_equal(om, 0.0)
 
     def test_scalar_substitution(self):
@@ -135,9 +159,7 @@ class TestOmega:
             sigma_q=0.1,
             sigma_r=np.sqrt(0.5),
         )
-        om = omega(
-            ObservationMask.full(1), np.array([[2.0]]), np.array([[0.5]]), params
-        )
+        om = omega(range(1), np.array([[2.0]]), np.array([[0.5]]), params)
         assert om[0, 0] == pytest.approx(4.0, rel=1e-12)
 
     def test_dense_oracle(self, rng):
@@ -145,7 +167,7 @@ class TestOmega:
             inputs = make_inputs(rng, q=3, p=6, alpha=0.3)
             mask = select_random(6, 3, rng)
             om = omega(mask, inputs.g_next[0], inputs.p_pred[0], inputs.params)
-            c_z = inputs.params.C[list(mask.indices), :]
+            c_z = inputs.params.C[mask, :]
             v = c_z @ inputs.p_pred[0] @ c_z.T + inputs.params.sigma_r**2 * np.eye(3)
             ref = (
                 inputs.g_next[0].T
@@ -184,9 +206,7 @@ class TestSolveEllipsoidMax:
 
     def test_shrunken_region(self, rng):
         inputs = make_inputs(rng, q=3, p=5, alpha=1 - 1e-15)
-        om = omega(
-            ObservationMask.full(5), inputs.g_next[0], inputs.p_pred[0], inputs.params
-        )
+        om = omega(range(5), inputs.g_next[0], inputs.p_pred[0], inputs.params)
         (f_star,), (score,) = solve_ellipsoid_max(inputs, om[None])
         # The region radius shrinks to ~1e-5; f* converges to f_hat with it.
         stretch = np.sqrt(np.linalg.eigvalsh(inputs.sigma_f[0])[-1])
@@ -212,9 +232,7 @@ class TestSolveEllipsoidMax:
     def test_zero_estimate_degenerate(self, rng):
         """f_hat = 0: maximizer is the top eigendirection at full radius."""
         inputs = make_inputs(rng, q=3, p=5, alpha=0.3, f_scale=0.0)
-        om = omega(
-            ObservationMask.full(5), inputs.g_next[0], inputs.p_pred[0], inputs.params
-        )
+        om = omega(range(5), inputs.g_next[0], inputs.p_pred[0], inputs.params)
         (f_star,), (score,) = solve_ellipsoid_max(inputs, om[None])
         ref = brute_force_boundary_max(inputs, om, seed=99)
         assert score == pytest.approx(ref, rel=2e-3)
@@ -250,27 +268,26 @@ class TestSolveEllipsoidMax:
 class TestSelectExhaustive:
     def test_full_mask_when_m_equals_p(self, rng):
         inputs = make_inputs(rng, q=2, p=3, alpha=0.3)
-        (decision,) = select_exhaustive(inputs, 3)
-        assert decision.mask.indices == (0, 1, 2)
+        (mask,), _, _ = select_exhaustive(inputs, 3)
+        assert tuple(mask.tolist()) == (0, 1, 2)
 
     def test_matches_manual_enumeration(self, rng):
         for _ in range(10):
             inputs = make_inputs(rng, q=3, p=6, alpha=0.4)
-            (decision,) = select_exhaustive(inputs, 2)
+            (mask,), (got_score,), _ = select_exhaustive(inputs, 2)
             best_score, best_mask = -np.inf, None
             for idx in itertools.combinations(range(6), 2):
-                mask = ObservationMask(indices=idx, p=6)
-                om = omega(mask, inputs.g_next[0], inputs.p_pred[0], inputs.params)
+                om = omega(idx, inputs.g_next[0], inputs.p_pred[0], inputs.params)
                 _, (score,) = solve_ellipsoid_max(inputs, om[None])
                 if score > best_score + 1e-12:
                     best_score, best_mask = score, idx
-            assert decision.mask.indices == best_mask
-            assert decision.score == pytest.approx(best_score, rel=1e-8)
+            assert tuple(mask.tolist()) == best_mask
+            assert got_score == pytest.approx(best_score, rel=1e-8)
 
     def test_boundary_feasibility(self, rng):
         inputs = make_inputs(rng, q=3, p=6, alpha=0.2)
-        (decision,) = select_exhaustive(inputs, 2)
-        assert boundary_residual(inputs, decision.f_star) <= 1e-6 * inputs.radius2[0]
+        _, _, (f_star,) = select_exhaustive(inputs, 2)
+        assert boundary_residual(inputs, f_star) <= 1e-6 * inputs.radius2[0]
 
     def test_bad_m(self, rng):
         inputs = make_inputs(rng, q=2, p=3, alpha=0.3)
@@ -284,17 +301,17 @@ class TestSelectGreedy:
     def test_m1_equals_exhaustive(self, rng):
         for _ in range(10):
             inputs = make_inputs(rng, q=2, p=6, alpha=0.3)
-            (g,) = select_greedy(inputs, 1)
-            (e,) = select_exhaustive(inputs, 1)
-            assert g.mask.indices == e.mask.indices
-            assert g.score == pytest.approx(e.score, rel=1e-10)
+            (g_mask,), (g_score,), _ = select_greedy(inputs, 1)
+            (e_mask,), (e_score,), _ = select_exhaustive(inputs, 1)
+            assert g_mask.tobytes() == e_mask.tobytes()
+            assert g_score == pytest.approx(e_score, rel=1e-10)
 
     def test_never_beats_exhaustive(self, rng):
         for _ in range(100):
             inputs = make_inputs(rng, q=3, p=6, alpha=float(rng.uniform(0.1, 0.8)))
-            (g,) = select_greedy(inputs, 3)
-            (e,) = select_exhaustive(inputs, 3)
-            assert g.score <= e.score * (1 + 1e-9) + 1e-12
+            _, (g_score,), _ = select_greedy(inputs, 3)
+            _, (e_score,), _ = select_exhaustive(inputs, 3)
+            assert g_score <= e_score * (1 + 1e-9) + 1e-12
 
     def test_subset_free_work_done_once(self, rng, monkeypatch):
         """radius2 and the Cholesky factor of sigma_f do not depend on the
@@ -328,8 +345,8 @@ class TestSelectGreedy:
         factored, so even a non-PD sigma_f scores."""
         inputs = replace(make_inputs(rng, q=2, p=5, alpha=1 - 1e-15), sigma_f=-np.eye(2)[None])
         assert inputs.radius2[0] < 1e-12
-        (decision,) = select_greedy(inputs, 2)
-        np.testing.assert_array_equal(decision.f_star, inputs.f_hat[0])
+        _, _, (f_star,) = select_greedy(inputs, 2)
+        np.testing.assert_array_equal(f_star, inputs.f_hat[0])
 
 
 class TestSingularInnovation:
@@ -350,14 +367,14 @@ class TestSingularInnovation:
 
 class TestSelectRandom:
     def test_full_set(self, rng):
-        assert select_random(4, 4, rng).indices == (0, 1, 2, 3)
+        assert tuple(select_random(4, 4, rng).tolist()) == (0, 1, 2, 3)
 
     def test_marginal_frequencies(self):
         rng = np.random.default_rng(11)
         counts = np.zeros(10)
         n = 100_000
         for _ in range(n):
-            for i in select_random(10, 2, rng).indices:
+            for i in select_random(10, 2, rng):
                 counts[i] += 1
         freqs = counts / n
         assert np.all(np.abs(freqs - 0.2) < 0.005)
@@ -367,7 +384,7 @@ class TestSelectRandom:
         counts = {}
         n = 30_000
         for _ in range(n):
-            key = select_random(3, 2, rng).indices
+            key = tuple(select_random(3, 2, rng).tolist())
             counts[key] = counts.get(key, 0) + 1
         assert set(counts) == {(0, 1), (0, 2), (1, 2)}
         observed = np.array([counts[k] for k in sorted(counts)])
@@ -381,8 +398,31 @@ class TestSelectRandom:
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
         for _ in range(2000):
             want = np.sort(twin.choice(p, size=m, replace=False))
-            assert select_random(p, m, rng) == ObservationMask(tuple(want), p)
+            assert select_random(p, m, rng).tobytes() == want.tobytes()
         assert rng.random() == twin.random()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(3, 8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_selections_are_ascending_index_stacks(seed, n_dec, p, data):
+    """Every selector returns distinct indices in [0, p), ascending: an
+    (R, m) intp stack from the UCR selectors, with (R,) scores and (R, q)
+    maximizers, and one (m,) row from select_random."""
+    m = data.draw(st.integers(1, p), label="m")
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, 5))
+    params = random_stable_model(rng, q=q, p=p)
+    inputs = _stack([replace(make_inputs(rng, q, p, float(rng.uniform(0.05, 0.9))), params=params)
+                     for _ in range(n_dec)])
+    for select in (select_greedy, select_exhaustive):
+        masks, scores, f_stars = select(inputs, m)
+        assert masks.dtype == np.intp and masks.shape == (n_dec, m)
+        assert scores.shape == (n_dec,) and f_stars.shape == (n_dec, q)
+        assert (masks[:, 0] >= 0).all() and (masks[:, -1] < p).all()
+        assert (np.diff(masks, axis=1) > 0).all()
+    mask = select_random(p, m, rng)
+    assert mask.dtype == np.intp and mask.shape == (m,)
+    assert mask[0] >= 0 and mask[-1] < p and (np.diff(mask) > 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -581,19 +621,16 @@ class TestStackedDecisions:
             singles = _decision_stack(rng, q)
             for select, m in ((select_greedy, 3), (select_exhaustive, 2)):
                 got = select(_stack(singles), m)
-                assert len(got) == len(singles)
-                for single, decision in zip(singles, got):
-                    (want,) = select(single, m)
-                    assert decision.mask == want.mask
-                    assert np.float64(decision.score).tobytes() == np.float64(want.score).tobytes()
-                    assert decision.f_star.tobytes() == want.f_star.tobytes()
+                assert len(got[0]) == len(singles)
+                for r, single in enumerate(singles):
+                    assert_same_decisions([a[r : r + 1] for a in got], select(single, m))
 
     def test_sigma_f_failure_fails_the_stack(self, rng):
         singles = _decision_stack(rng, 3)
         # Decision 4's region vanishes, so its sigma_f is never factored.
         singles[4] = replace(singles[4], sigma_f=-np.eye(3)[None])
         singles[4].__dict__["radius2"] = np.array([1e-13])
-        assert len(select_greedy(_stack(singles), 2)) == len(singles)
+        assert len(select_greedy(_stack(singles), 2)[0]) == len(singles)
         singles[3] = replace(singles[3], sigma_f=-np.eye(3)[None])
         with pytest.raises(NumericalError, match="not positive definite"):
             select_greedy(_stack(singles), 2)
@@ -693,10 +730,7 @@ class TestDistinctSubsets:
             assert scores.tobytes() == want_scores.tobytes(), label
             assert f_stars.tobytes() == want_f_stars.tobytes(), label
         for select in (select_greedy, select_exhaustive):
-            for got, want in zip(select(inputs, m), select(full, m), strict=True):
-                assert got.mask == want.mask
-                assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
-                assert got.f_star.tobytes() == want.f_star.tobytes()
+            assert_same_decisions(select(inputs, m), select(full, m))
 
     @pytest.mark.parametrize("row, named", [(1, 2), (2, 4)])
     def test_non_finite_score_names_first_original_candidate(self, rng, monkeypatch, row, named):
@@ -793,10 +827,8 @@ class TestFrozenReference:
         for _ in range(6):
             inputs = make_inputs(rng, q=q, p=q + 3, alpha=float(rng.uniform(0.05, 0.9)))
             for select, m in ((select_greedy, 3), (select_exhaustive, 2)):
-                (got,) = select(replace(inputs), m)
+                got = select(replace(inputs), m)
                 with monkeypatch.context() as mp:
                     mp.setattr(sampler, "_boundary_max_array", _ref_boundary_max_array)
-                    (ref,) = select(replace(inputs), m)
-                assert got.mask == ref.mask
-                assert np.float64(got.score).tobytes() == np.float64(ref.score).tobytes()
-                assert got.f_star.tobytes() == ref.f_star.tobytes()
+                    ref = select(replace(inputs), m)
+                assert_same_decisions(got, ref)
